@@ -14,6 +14,7 @@ from .multigraph import (
     Chain,
     Edge,
     GraphError,
+    InternalError,
     Multigraph,
     biconnected_components,
     identify,
@@ -74,6 +75,7 @@ __all__ = [
     "F2",
     "F3",
     "GraphError",
+    "InternalError",
     "MEmbedding",
     "MengerGap",
     "Multigraph",

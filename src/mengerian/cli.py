@@ -458,8 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write a DOT drawing, embedding highlighted")
     r.add_argument("--max-size", type=_positive, metavar="N",
                    help="vertex bound for witness verification")
-    r.add_argument("--threads", type=_positive, default=1, metavar="N",
-                   help="reserved; execution is sequential and deterministic")
     r.set_defaults(func=cmd_recognize)
 
     q = sub.add_parser("menger", help="exact p/c or p'/c' for one pair")
@@ -508,4 +506,7 @@ def main(argv=None) -> int:
     except (GraphFileError, GraphError, ResourceLimitError, CutUndefinedError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a crash must not exit 1, which means "counterexample"
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

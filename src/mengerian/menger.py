@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import NamedTuple
 
-from .multigraph import GraphError, Multigraph
+from .multigraph import GraphError, InternalError, Multigraph
 from .temporal import TemporalGraph, TemporalPath, earliest_arrival, validate_walk, walk_to_path
 
 DEFAULT_MAX_VERTICES = 15
@@ -155,7 +155,7 @@ def min_vertex_cut(
         for subset in combinations(others, size):
             if t not in earliest_arrival(tg, s, banned_vertices=subset):
                 return frozenset(subset)
-    raise AssertionError("removing every internal vertex must separate a non-adjacent pair")
+    raise InternalError("removing every internal vertex must separate a non-adjacent pair")
 
 
 class MengerGap(NamedTuple):
@@ -210,26 +210,43 @@ class _Dinic:
             if level[t] < 0:
                 return total
             it = [0] * n
-
-            def push(x: int, limit: int) -> int:
-                if x == t:
-                    return limit
-                while it[x] < len(self.adj[x]):
-                    arc = self.adj[x][it[x]]
-                    if arc[1] > 0 and level[arc[0]] == level[x] + 1:
-                        got = push(arc[0], min(limit, arc[1]))
-                        if got:
-                            arc[1] -= got
-                            self.adj[arc[0]][arc[2]][1] += got
-                            return got
-                    it[x] += 1
-                return 0
-
             while True:
-                got = push(s, len(self.adj))
+                got = self._push(s, t, level, it)
                 if not got:
                     break
                 total += got
+
+    def _push(self, s: int, t: int, level: list[int], it: list[int]) -> int:
+        """One augmenting path along the level graph; the flow it carried.
+
+        A depth-first walk with an explicit stack, so the depth of the
+        network is not bounded by the interpreter's recursion limit.  A
+        dead end advances its parent's arc pointer, as in textbook Dinic.
+        """
+        nodes = [s]
+        arcs: list[list[int]] = []
+        while nodes:
+            x = nodes[-1]
+            if x == t:
+                got = min(arc[1] for arc in arcs)
+                for arc in arcs:
+                    arc[1] -= got
+                    self.adj[arc[0]][arc[2]][1] += got
+                return got
+            out = self.adj[x]
+            i = it[x]
+            while i < len(out) and not (out[i][1] > 0 and level[out[i][0]] == level[x] + 1):
+                i += 1
+            it[x] = i
+            if i < len(out):
+                arcs.append(out[i])
+                nodes.append(out[i][0])
+            else:
+                nodes.pop()
+                if arcs:
+                    arcs.pop()
+                    it[nodes[-1]] += 1
+        return 0
 
 
 def edge_menger(
@@ -318,7 +335,8 @@ def edge_menger(
                     arc[1] += 1
                     nxt = arc[0]
                     break
-            assert nxt is not None, "flow conservation"
+            if nxt is None:
+                raise InternalError("flow conservation")
             if nxt in node_path:
                 node_path = node_path[: node_path.index(nxt) + 1]
             else:
@@ -332,10 +350,13 @@ def edge_menger(
                 seq += [eid, cur]
         paths.append(walk_to_path(tg, validate_walk(tg, seq)))
 
-    assert len(cut) == value, "max flow must equal the gadget cut"
-    assert t not in earliest_arrival(tg, s, banned_edges=cut)
+    if len(cut) != value:
+        raise InternalError("max flow must equal the gadget cut")
+    if t in earliest_arrival(tg, s, banned_edges=cut):
+        raise InternalError("the gadget cut must separate the pair")
     used = [e for p in paths for e in p.edge_ids]
-    assert len(used) == len(set(used)), "paths must be edge-disjoint"
+    if len(used) != len(set(used)):
+        raise InternalError("paths must be edge-disjoint")
     return tuple(paths), cut
 
 
@@ -538,9 +559,8 @@ def falsify_mengerian(
                 size = max(len(g.vertices), DEFAULT_MAX_VERTICES)
                 path_cert = max_disjoint_paths(tg, s, t, max_size=size)
                 cut_cert = min_vertex_cut(tg, s, t, max_size=size)
-                assert len(path_cert) == p and len(cut_cert) == c, (
-                    "route engine disagrees with the exact oracles"
-                )
+                if len(path_cert) != p or len(cut_cert) != c:
+                    raise InternalError("route engine disagrees with the exact oracles")
                 return Counterexample(tg, s, t, path_cert, cut_cert)
         return None
 

@@ -19,6 +19,13 @@ class GraphError(ValueError):
     """Raised for malformed graphs or out-of-domain arguments."""
 
 
+class InternalError(RuntimeError):
+    """A result failed the package's own consistency check: a bug, not bad input.
+
+    Raised where an `assert` would be stripped by `python -O`.
+    """
+
+
 def _norm(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u <= v else (v, u)
 

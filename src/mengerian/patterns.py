@@ -20,7 +20,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 
-from .multigraph import Chain, GraphError, Multigraph
+from .multigraph import Chain, GraphError, InternalError, Multigraph
 from .temporal import TemporalGraph
 
 
@@ -233,6 +233,40 @@ def _min_parallels(host: Multigraph, route: tuple[int, ...], mu: int):
 _GREEDY_MIN_VERTICES = 20
 
 
+def _corner_zones(U: Multigraph, w: int) -> dict[int, int]:
+    """Where the corners of a gem with apex w can sit.
+
+    Maps every vertex of H = U - w that lies in a component of H holding
+    at least four neighbours of w to a key of that component.  In a gem
+    with apex w the outer path avoids w, and the four fan paths leave w
+    through four distinct neighbours and then stay in H, so all four
+    corners lie in one such component.
+    """
+    nbrs = set(U.neighbors(w))
+    zone: dict[int, int] = {}
+    seen = {w}
+    for root in U.neighbors(w):
+        if root in seen:
+            continue
+        seen.add(root)
+        comp = [root]
+        for x in comp:
+            for y in U.neighbors(x):
+                if y not in seen:
+                    seen.add(y)
+                    comp.append(y)
+        if len(nbrs.intersection(comp)) >= 4:
+            zone.update(dict.fromkeys(comp, root))
+    return zone
+
+
+def _zone(U: Multigraph, w: int, zones: dict[int, dict[int, int]]) -> dict[int, int]:
+    """`_corner_zones(U, w)`, computed once per apex."""
+    if w not in zones:
+        zones[w] = _corner_zones(U, w)
+    return zones[w]
+
+
 def _shortest_avoiding(U: Multigraph, x: int, y: int, used: set[int]):
     """Shortest simple x..y path whose interior avoids `used`, or None."""
     prev: dict[int, int | None] = {x: None}
@@ -255,16 +289,32 @@ def _shortest_avoiding(U: Multigraph, x: int, y: int, used: set[int]):
 
 
 def _greedy_gem(host: Multigraph, U: Multigraph, apexes: list[int],
+                zones: dict[int, dict[int, int]],
                 attempts: int = 500) -> MEmbedding | None:
     """Seeded randomized fast path for large hosts: corners drawn from the
     apex neighborhood, outer path segments filled by shortest paths.  Finds
-    only; absence still needs the exhaustive search."""
-    if not apexes:
+    only; absence still needs the exhaustive search.
+
+    A sample a, b, c, d around apex w can only succeed when the middle
+    corners b and c have degree at least 3 (w plus both outer segments)
+    and all four corners share a component of U - w (`_corner_zones`).
+    Samples failing that are drawn but not searched, and when no apex has
+    two neighbours of degree 3 or more the pass returns before drawing at
+    all.  Neither changes which embedding comes back.
+    """
+    deg = U.simple_degree
+    if not any(sum(deg(x) >= 3 for x in U.neighbors(w)) >= 2 for w in apexes):
         return None
     rng = random.Random(0xF3)
     for k in range(attempts):
         w = apexes[k % len(apexes)]
         a, b, c, d = rng.sample(U.neighbors(w), 4)
+        if deg(b) < 3 or deg(c) < 3:
+            continue
+        zone = _zone(U, w, zones)
+        z = zone.get(a)
+        if z is None or any(zone.get(x) != z for x in (b, c, d)):
+            continue
         used = {w, a, b, c, d}
         placed = []
         for x, y in ((a, b), (b, c), (c, d)):
@@ -292,7 +342,8 @@ def _greedy_gem(host: Multigraph, U: Multigraph, apexes: list[int],
             hop_edges={key: _min_parallels(host, r, 1) for key, r in routes.items()},
         )
         reason = check_m_subdivision(host, emb)
-        assert reason is None, f"greedy gem search produced a bad embedding: {reason}"
+        if reason is not None:
+            raise InternalError(f"greedy gem search produced a bad embedding: {reason}")
         return emb
     return None
 
@@ -300,40 +351,52 @@ def _greedy_gem(host: Multigraph, U: Multigraph, apexes: list[int],
 def find_f3_subdivision(host: Multigraph, apex: int | None = None) -> MEmbedding | None:
     """An F3 embedding in the host, or None.
 
-    The search runs on the underlying simple graph: F3 has no parallel
+    The search runs on the underlying simple graph U: F3 has no parallel
     pairs, so containment only depends on adjacency.  With `apex` given,
     only embeddings whose apex lands there are considered.  On large
     hosts a seeded greedy pass runs first; it only ever finds, so the
     exhaustive sweep below stays the authority on absence.
+
+    Both passes skip candidates that fail a necessary condition: an apex
+    w needs degree 4; the middle corners need degree 3 and the end
+    corners degree 2; and all four corners lie in one component of U - w
+    that holds at least four neighbours of w.  Skipped candidates are
+    exactly ones the search would have rejected, so the enumeration
+    order, the greedy pass's random stream and the embedding returned
+    are the same as without the pruning.
     """
     U = host.underlying_simple()
     apexes = [w for w in ([apex] if apex is not None else sorted(U.vertices))
               if U.simple_degree(w) >= 4]
+    zones: dict[int, dict[int, int]] = {}
     if len(U.vertices) >= _GREEDY_MIN_VERTICES:
-        emb = _greedy_gem(host, U, apexes)
+        emb = _greedy_gem(host, U, apexes, zones)
         if emb is not None:
             return emb
     for w in apexes:
-        emb = _gem_with_apex(host, U, w)
+        emb = _gem_with_apex(host, U, w, _zone(U, w, zones))
         if emb is not None:
             return emb
     return None
 
 
-def _gem_with_apex(host: Multigraph, U: Multigraph, w: int) -> MEmbedding | None:
-    vs = [v for v in sorted(U.vertices) if v != w]
+def _gem_with_apex(host: Multigraph, U: Multigraph, w: int,
+                   zone: dict[int, int]) -> MEmbedding | None:
     deg = U.simple_degree
-    ends = [v for v in vs if deg(v) >= 2]
-    mids = [v for v in vs if deg(v) >= 3]
+    ends = [v for v in sorted(zone) if deg(v) >= 2]
+    mids = [v for v in ends if deg(v) >= 3]
+    if len(mids) < 2:
+        return None
     for a in ends:
         for d in ends:
-            if d <= a:  # reversal symmetry of the outer path
+            # d > a by reversal symmetry of the outer path
+            if d <= a or zone[d] != zone[a]:
                 continue
             for b in mids:
-                if b in (a, d):
+                if b in (a, d) or zone[b] != zone[a]:
                     continue
                 for c in mids:
-                    if c in (a, b, d):
+                    if c in (a, b, d) or zone[c] != zone[a]:
                         continue
                     branches = frozenset((w, a, b, c, d))
                     segs = [(a, b), (b, c), (c, d), (w, a), (w, b), (w, c), (w, d)]
@@ -357,7 +420,8 @@ def _gem_with_apex(host: Multigraph, U: Multigraph, w: int) -> MEmbedding | None
                         hop_edges={k: _min_parallels(host, r, 1) for k, r in routes.items()},
                     )
                     reason = check_m_subdivision(host, emb)
-                    assert reason is None, f"gem search produced a bad embedding: {reason}"
+                    if reason is not None:
+                        raise InternalError(f"gem search produced a bad embedding: {reason}")
                     return emb
     return None
 

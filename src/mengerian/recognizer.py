@@ -18,6 +18,7 @@ from itertools import product
 
 from .multigraph import (
     Chain,
+    InternalError,
     Multigraph,
     biconnected_components,
     find_path,
@@ -111,7 +112,8 @@ def recognize_with_proof(
         return verdict, None
     emb = verdict.embedding
     reason = check_m_subdivision(g, emb)
-    assert reason is None, f"embedding does not hold in the full graph: {reason}"
+    if reason is not None:
+        raise InternalError(f"embedding does not hold in the full graph: {reason}")
     labeled = make_witness(g, emb)
     report = None
     if len(g.vertices) <= verify_max_size:
@@ -178,15 +180,17 @@ def _analyze_chain(block: Multigraph, chain: Chain):
     for leg in legs:
         x = leg[1]
         opts = [e for e in (z0, zq) if block.adjacent(e, x)]
-        assert opts, "every leg must reach a chain end"
+        if not opts:
+            raise InternalError("every leg must reach a chain end")
         options.append(opts)
 
     fallback: CrossedStructure | None = None
     for assign in product(*options):
         u1, u2, u3, u4 = assign
-        assert assign.count(z0) == 2, (
-            "an uneven split would re-create an F3 the block check excluded"
-        )
+        if assign.count(z0) != 2:
+            raise InternalError(
+                "an uneven split would re-create an F3 the block check excluded"
+            )
         if u1 == u4:
             c1 = (_leg_path(u1, legs[0]) + seg_ab[1:]
                   + tuple(reversed(legs[1]))[1:-1] + (u2,))

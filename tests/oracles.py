@@ -140,11 +140,12 @@ def _simple_paths_avoiding(g, x, y, banned):
     return out
 
 
-def brute_has_gem(g):
+def brute_has_gem(g, apex=None):
     """Does a simple graph contain a subdivision of the 4-wheel-minus-a-spoke
-    shape: path a-b-c-d plus an apex adjacent to all four?"""
+    shape: path a-b-c-d plus an apex adjacent to all four?  With `apex`
+    given, only subdivisions whose apex is that vertex count."""
     vs = sorted(g.vertices)
-    for w in vs:
+    for w in (vs if apex is None else [apex]):
         if g.simple_degree(w) < 4:
             continue
         rest = [v for v in vs if v != w]

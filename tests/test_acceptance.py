@@ -191,6 +191,20 @@ class TestCrossedFixture:
         assert time.perf_counter() - start < 300.0
 
 
+class TestDoubledSideK2n:
+    """K2,n with every edge at one hub doubled: n one-hop chains, and the
+    pinned gem search around each must come back empty."""
+
+    def test_three_hundred_middles(self):
+        n = 300
+        g = mg([p for m in range(2, n + 2) for p in ((0, m), (0, m), (m, 1))])
+        start = time.perf_counter()
+        verdict = recognize(g)
+        assert time.perf_counter() - start < 3.0
+        assert verdict.mengerian
+        assert verdict.chains_examined == n
+
+
 class TestLargeRandomInstances:
     """Dense hundred-vertex graphs resolve inside the time budget."""
 

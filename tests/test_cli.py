@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from mengerian import cli
 from mengerian.cli import (
     GraphFileError,
     embedding_from_json,
@@ -15,6 +16,7 @@ from mengerian.cli import (
     subdivided_pattern,
 )
 from mengerian.menger import max_disjoint_paths, min_vertex_cut
+from mengerian.multigraph import InternalError
 from mengerian.patterns import F1, F2, F3, check_m_subdivision
 from mengerian.temporal import TemporalGraph
 
@@ -148,10 +150,28 @@ class TestRecognizeCommand:
                            pattern_file(tmp_path, F1, labeled=True))
         assert code == 1
 
-    def test_threads_flag_accepted(self, tmp_path, capsys):
-        code, out, _ = run(capsys, "recognize", "--threads", "4",
-                           pattern_file(tmp_path, F2))
-        assert code == 1
+    @pytest.mark.parametrize("exc", [InternalError("bad embedding"),
+                                     RecursionError("too deep"), KeyError(7)])
+    def test_crash_exits_2_not_1(self, tmp_path, capsys, monkeypatch, exc):
+        # exit code 1 means "non-Mengerian", so a crash must never produce it
+        def crash(graph):
+            raise exc
+
+        monkeypatch.setattr(cli, "recognize", crash)
+        code, out, err = run(capsys, "recognize", pattern_file(tmp_path, F2))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: internal error: ")
+        assert type(exc).__name__ in err
+
+    def test_interrupt_is_not_swallowed(self, tmp_path, monkeypatch):
+        def interrupted(graph):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "recognize", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["recognize", pattern_file(tmp_path, F2)])
 
     def test_json_report_revalidates(self, tmp_path, capsys):
         path = pattern_file(tmp_path, F1)
@@ -237,6 +257,20 @@ class TestMengerCommand:
         path = pattern_file(tmp_path, F1, labeled=True)
         code, out, _ = run(capsys, "menger", path, "--source", "0",
                            "--target", "5", "--edge")
+        assert code == 0
+        assert "p' = 2" in out
+        assert "c' = 2" in out
+
+    def test_edge_values_along_a_long_doubled_corridor(self, tmp_path, capsys):
+        # the time-expanded network is thousands of levels deep, far past
+        # the interpreter's recursion limit
+        hops = 1500
+        lines = [f"v {i}" for i in range(hops + 1)]
+        for i in range(hops):
+            lines += [f"e {i} {i + 1} {i + 1}", f"e {i} {i + 1} {i + 2}"]
+        path = write(tmp_path, "corridor.graph", "\n".join(lines) + "\n")
+        code, out, _ = run(capsys, "menger", path, "--source", "0",
+                           "--target", str(hops), "--edge")
         assert code == 0
         assert "p' = 2" in out
         assert "c' = 2" in out

@@ -5,7 +5,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from mengerian.multigraph import Multigraph, maximal_chains
+from mengerian import patterns
+from mengerian.multigraph import Multigraph, identify, maximal_chains
 from mengerian.menger import max_disjoint_paths, min_vertex_cut
 from mengerian.patterns import (
     F1,
@@ -168,17 +169,32 @@ class TestGemSearch:
         doubled = mg([(0, 1), (0, 1), (1, 2), (1, 2), (2, 0), (2, 0)])
         assert find_f3_subdivision(doubled) is None
 
-    @given(st.integers(0, 80))
-    def test_agrees_with_brute(self, seed):
+    @given(st.integers(0, 80), st.booleans())
+    def test_agrees_with_brute(self, seed, tail):
         rng = random.Random(seed)
         g = random_multigraph(rng, rng.randint(5, 7), rng.randint(6, 11))
-        ours = find_f3_subdivision(g)
+        host = with_tail(g) if tail else g
+        ours = find_f3_subdivision(host)
         if ours is not None:
-            assert is_m_subdivision(g, ours)
+            assert is_m_subdivision(host, ours)
         assert (ours is not None) == brute_has_gem(g.underlying_simple())
 
-    # hosts with 20+ vertices take a randomized shortcut before the
-    # exhaustive sweep; it must stay sound and deterministic
+    @given(st.integers(0, 80), st.booleans())
+    def test_pinned_agrees_with_brute(self, seed, tail):
+        # the recognizer's use: apex pinned to a contracted chain
+        rng = random.Random(seed)
+        g = random_multigraph(rng, rng.randint(6, 9), rng.randint(9, 15))
+        for chain in maximal_chains(g):
+            g_l, ell = identify(g, chain.vertices)
+            host = with_tail(g_l) if tail else g_l
+            ours = find_f3_subdivision(host, apex=ell)
+            if ours is not None:
+                assert ours.branch[4] == ell
+                assert is_m_subdivision(host, ours)
+            assert (ours is not None) == brute_has_gem(g_l.underlying_simple(), apex=ell)
+
+    # hosts with 20+ vertices run a seeded greedy pass before the
+    # exhaustive sweep; whatever it finds must be sound and deterministic
 
     @staticmethod
     def big_wheel_host():
@@ -188,7 +204,10 @@ class TestGemSearch:
         pairs.append((0, 5))
         return mg(pairs)
 
-    def test_large_host_fast_path(self):
+    def test_large_host_fast_path(self, monkeypatch):
+        # the greedy pass alone must find it: its corner pruning may only
+        # drop samples that cannot succeed
+        monkeypatch.setattr(patterns, "_gem_with_apex", lambda *args: None)
         host = self.big_wheel_host()
         emb = find_f3_subdivision(host)
         assert emb is not None
@@ -205,6 +224,16 @@ class TestGemSearch:
     def test_large_host_absence(self):
         cycle = mg([(v, (v + 1) % 30) for v in range(30)])
         assert find_f3_subdivision(cycle) is None
+
+
+def with_tail(g, length=20):
+    """g with a path of `length` new vertices hanging off its smallest
+    vertex.  The new edges are bridges, which no gem can use, but the
+    host is now large enough for the greedy pass to run."""
+    first = max(g.vertices) + 1
+    tail = list(range(first, first + length))
+    pairs = [e.pair for e in g.edges] + list(zip([min(g.vertices)] + tail, tail))
+    return Multigraph.build(sorted(g.vertices) + tail, pairs)
 
 
 def chain_of(g):
