@@ -8,22 +8,39 @@ For a labeled multigraph and distinct vertices s, t:
 * the edge-disjoint analogues, which always coincide; both certificates
   come out of one time-expanded max-flow computation.
 
+The vertex-disjoint side rests on one route engine.  `_route_paths`
+lists the temporal s,t-routes, one per realizable vertex sequence, and
+each route's interior becomes an int bitmask over the vertices.  p is
+the size of a largest pairwise-disjoint set of interiors, and c the size
+of a smallest vertex set meeting every interior (a minimum hitting set),
+because a vertex set destroys every temporal s,t-path exactly when it
+meets every route.
+
 `falsify_mengerian` searches time-functions for a pair with p < c, either
 exhaustively over all label weak orders or by seeded random sampling.
 Only the relative order of labels matters, so exhaustive enumeration
 ranges over dense rank assignments: ordered set partitions of the edge
-set.
+set.  Pairs without a common block are skipped: a cut vertex between
+them forces c <= 1.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, permutations
-from typing import NamedTuple
+from bisect import bisect_left
+from itertools import combinations, islice, permutations
+from typing import Iterator, NamedTuple
 
-from .multigraph import GraphError, InternalError, Multigraph
-from .temporal import TemporalGraph, TemporalPath, earliest_arrival, validate_walk, walk_to_path
+from .multigraph import GraphError, InternalError, Multigraph, biconnected_components
+from .temporal import (
+    TemporalGraph,
+    TemporalPath,
+    earliest_arrival,
+    reverse,
+    validate_walk,
+    walk_to_path,
+)
 
 DEFAULT_MAX_VERTICES = 15
 DEFAULT_MAX_EDGES_EXHAUSTIVE = 7
@@ -54,77 +71,116 @@ def _check_size(tg: TemporalGraph, max_size: int) -> None:
 
 
 # ----------------------------------------------------------------------
-# temporal path enumeration (shared by the vertex-disjoint oracles)
+# the temporal route engine: routes, interiors as bitmasks, packing, cut
 
 
-def _route_paths(tg: TemporalGraph, s: int, t: int, cap: int | None = None) -> list[TemporalPath]:
+def _route_paths(tg: TemporalGraph, s: int, t: int) -> Iterator[TemporalPath]:
     """All temporal s,t-paths, one per realizable vertex sequence.
 
     Per hop the smallest feasible label is taken (smallest edge id on
     ties); greedy minimal arrivals realize every realizable sequence, so
     nothing is missed.  Paths come out in depth-first order with
-    neighbors visited by ascending vertex id.
+    neighbors visited by ascending vertex id.  The walk keeps an explicit
+    stack, and drops a branch that reaches y after `late[y]`, the latest
+    label at which any temporal walk can leave y and still reach t: no
+    walk from there means no path either.
     """
     g = tg.graph
-    out: list[TemporalPath] = []
+    lifetime = tg.lifetime
+    late = {
+        v: lifetime + 1 - arrival for v, arrival in earliest_arrival(reverse(tg), t).items()
+    }
+    hops: dict[int, dict[int, list[tuple[int, int]]]] = {v: {} for v in g.vertices}
+    for eid, lab in sorted(tg.entries, key=lambda it: (it[1], it[0])):
+        e = g.edge(eid)
+        hops[e.u].setdefault(e.v, []).append((lab, eid))
+        hops[e.v].setdefault(e.u, []).append((lab, eid))
+    options = {v: sorted(by_nbr.items()) for v, by_nbr in hops.items()}
+
     vpath = [s]
     epath: list[int] = []
-
-    def dfs(cur: int, arrived: int) -> None:
-        if cap is not None and len(out) > cap:
-            return
-        if cur == t:
-            out.append(TemporalPath(tuple(vpath), tuple(epath)))
-            return
-        for y in g.neighbors(cur):
-            if y in vpath:
+    on_path = {s}
+    stack = [(iter(options[s]), 0)]
+    while stack:
+        branches, arrived = stack[-1]
+        for y, labeled in branches:
+            if y in on_path:
                 continue
-            best = None
-            for eid in g.parallel_edges(cur, y):
-                lab = tg.label(eid)
-                if lab >= arrived and (best is None or lab < tg.label(best)):
-                    best = eid
-            if best is None:
+            i = bisect_left(labeled, (arrived,))
+            if i == len(labeled) or labeled[i][0] > late.get(y, 0):
+                continue
+            lab, eid = labeled[i]
+            if y == t:
+                yield TemporalPath((*vpath, t), (*epath, eid))
                 continue
             vpath.append(y)
-            epath.append(best)
-            dfs(y, tg.label(best))
-            vpath.pop()
-            epath.pop()
+            epath.append(eid)
+            on_path.add(y)
+            stack.append((iter(options[y]), lab))
+            break
+        else:
+            stack.pop()
+            if epath:
+                on_path.discard(vpath.pop())
+                epath.pop()
 
-    dfs(s, 0)
-    if cap is not None and len(out) > cap:
-        raise ResourceLimitError(f"more than {cap} temporal paths between {s} and {t}")
-    return out
+
+def _interior_masks(paths: list[TemporalPath], vertices: list[int]) -> list[int]:
+    """Each path's interior as an int bitmask; bit i stands for vertices[i]."""
+    bit = {v: 1 << i for i, v in enumerate(vertices)}
+    masks = []
+    for p in paths:
+        mask = 0
+        for v in p.vertices[1:-1]:
+            mask |= bit[v]
+        masks.append(mask)
+    return masks
 
 
-def _max_packing(
-    paths: list[TemporalPath], stop_at: int | None = None
-) -> list[TemporalPath]:
-    """Largest internally-disjoint subset, deterministic first optimum."""
-    best: list[TemporalPath] = []
-    chosen: list[TemporalPath] = []
+def _max_packing(masks: list[int]) -> tuple[int, ...]:
+    """Indices of a largest pairwise-disjoint subset; deterministic first optimum."""
+    n = len(masks)
+    best: tuple[int, ...] = ()
 
-    def search(idx: int, used: frozenset[int]) -> bool:
+    def search(idx: int, used: int, chosen: tuple[int, ...]) -> None:
         nonlocal best
         if len(chosen) > len(best):
-            best = list(chosen)
-            if stop_at is not None and len(best) >= stop_at:
-                return True
-        if idx >= len(paths) or len(chosen) + (len(paths) - idx) <= len(best):
-            return False
-        for i in range(idx, len(paths)):
-            p = paths[i]
-            if used & p.internal:
-                continue
-            chosen.append(p)
-            if search(i + 1, used | p.internal):
-                return True
-            chosen.pop()
-        return False
+            best = chosen
+        if len(chosen) + n - idx <= len(best):
+            return
+        for i in range(idx, n):
+            if not used & masks[i]:
+                search(i + 1, used | masks[i], (*chosen, i))
 
-    search(0, frozenset())
+    search(0, 0, ())
     return best
+
+
+def _min_hitting(masks: list[int], vertices: list[int]) -> tuple[int, ...]:
+    """The lexicographically first smallest vertex set meeting every mask.
+
+    Bit i of a mask stands for vertices[i], in ascending vertex order.
+    Only vertices inside some mask can belong to a minimum hitting set,
+    so subsets of those are tried in size order, as `combinations`
+    lists them; a vertex in every mask answers at once.
+    """
+    if not masks:
+        return ()
+    common = -1
+    union = 0
+    for mask in masks:
+        common &= mask
+        union |= mask
+    if common:
+        return (vertices[(common & -common).bit_length() - 1],)
+    bits = [1 << i for i in range(union.bit_length()) if union >> i & 1]
+    distinct = set(masks)
+    for size in range(2, len(bits) + 1):
+        for subset in combinations(bits, size):
+            hit = sum(subset)
+            if all(mask & hit for mask in distinct):
+                return tuple(vertices[b.bit_length() - 1] for b in subset)
+    raise InternalError("a route with an empty interior cannot be hit")
 
 
 def max_disjoint_paths(
@@ -133,7 +189,9 @@ def max_disjoint_paths(
     """A maximum set of internally vertex-disjoint temporal s,t-paths."""
     _check_pair(tg, s, t)
     _check_size(tg, max_size)
-    return tuple(_max_packing(_route_paths(tg, s, t)))
+    paths = list(_route_paths(tg, s, t))
+    chosen = _max_packing(_interior_masks(paths, sorted(tg.graph.vertices)))
+    return tuple(paths[i] for i in chosen)
 
 
 def min_vertex_cut(
@@ -141,21 +199,19 @@ def min_vertex_cut(
 ) -> frozenset[int]:
     """A minimum temporal s,t-cut; smallest size, then lexicographically first.
 
-    Undefined (raises CutUndefinedError) when s and t are adjacent: no
-    vertex set can separate endpoints that share an edge.
+    A vertex set separates s from t exactly when it meets the interior of
+    every route, so the cut is the first minimum hitting set of the route
+    interiors (empty when t is unreachable).  Undefined (raises
+    CutUndefinedError) when s and t are adjacent: no vertex set can
+    separate endpoints that share an edge.
     """
     _check_pair(tg, s, t)
     if tg.graph.adjacent(s, t):
         raise CutUndefinedError(f"vertices {s} and {t} are adjacent")
     _check_size(tg, max_size)
-    if t not in earliest_arrival(tg, s):
-        return frozenset()
-    others = sorted(tg.graph.vertices - {s, t})
-    for size in range(1, len(others) + 1):
-        for subset in combinations(others, size):
-            if t not in earliest_arrival(tg, s, banned_vertices=subset):
-                return frozenset(subset)
-    raise InternalError("removing every internal vertex must separate a non-adjacent pair")
+    vertices = sorted(tg.graph.vertices)
+    masks = _interior_masks(list(_route_paths(tg, s, t)), vertices)
+    return frozenset(_min_hitting(masks, vertices))
 
 
 class MengerGap(NamedTuple):
@@ -327,6 +383,7 @@ def edge_menger(
     paths = []
     for _ in range(value):
         node_path = [src]
+        position = {src: 0}
         while node_path[-1] != snk:
             x = node_path[-1]
             nxt = None
@@ -337,9 +394,12 @@ def edge_menger(
                     break
             if nxt is None:
                 raise InternalError("flow conservation")
-            if nxt in node_path:
-                node_path = node_path[: node_path.index(nxt) + 1]
+            if nxt in position:
+                for dropped in node_path[position[nxt] + 1:]:
+                    del position[dropped]
+                del node_path[position[nxt] + 1:]
             else:
+                position[nxt] = len(node_path)
                 node_path.append(nxt)
         seq = [s]
         cur = s
@@ -403,55 +463,6 @@ def _rank_assignments(m: int):
     yield from rec(1, 0)
 
 
-class _PairRoutes:
-    """Static simple routes of one ordered pair, ready for fast label scans."""
-
-    __slots__ = ("vseqs", "internals", "hop_groups")
-
-    def __init__(self, routes: list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]):
-        self.vseqs = [vs for vs, _ in routes]
-        self.internals = [frozenset(vs[1:-1]) for vs, _ in routes]
-        self.hop_groups = [hops for _, hops in routes]
-
-    def reversed_copy(self) -> "_PairRoutes":
-        return _PairRoutes(
-            [
-                (tuple(reversed(vs)), tuple(reversed(hops)))
-                for vs, hops in zip(self.vseqs, self.hop_groups)
-            ]
-        )
-
-
-def _simple_routes(g: Multigraph, s: int, t: int, cap: int):
-    """All simple s,t vertex sequences with their per-hop parallel edge ids."""
-    out: list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = []
-    vpath = [s]
-
-    def dfs(cur: int):
-        if len(out) > cap:
-            return
-        if cur == t:
-            hops = tuple(
-                g.parallel_edges(a, b) for a, b in zip(vpath, vpath[1:])
-            )
-            out.append((tuple(vpath), hops))
-            return
-        for y in g.neighbors(cur):
-            if y in vpath:
-                continue
-            vpath.append(y)
-            dfs(y)
-            vpath.pop()
-
-    dfs(s)
-    if len(out) > cap:
-        raise ResourceLimitError(
-            f"more than {cap} simple routes between {s} and {t}; "
-            "the graph is too dense to falsify this way"
-        )
-    return out
-
-
 def _route_alive(hop_groups, label_of) -> bool:
     cur = 0
     for hop in hop_groups:
@@ -466,40 +477,21 @@ def _route_alive(hop_groups, label_of) -> bool:
     return True
 
 
-def _min_hitting(sets: list[frozenset[int]]) -> int:
-    """Minimum number of vertices meeting every set; exact branch and bound."""
-    best = len(sets)
+def _block_pairs(g: Multigraph) -> list[tuple[int, int]]:
+    """Ordered non-adjacent pairs that lie in a common block, sorted.
 
-    def rec(idx: int, chosen: frozenset[int], k: int):
-        nonlocal best
-        if k >= best:
-            return
-        for i in range(idx, len(sets)):
-            if not sets[i] & chosen:
-                for v in sorted(sets[i]):
-                    rec(i + 1, chosen | {v}, k + 1)
-                return
-        best = k
-
-    rec(0, frozenset(), 0)
-    return best
-
-
-def _max_disjoint_count(internals: list[frozenset[int]]) -> int:
-    best = 0
-
-    def rec(idx: int, used: frozenset[int], k: int):
-        nonlocal best
-        if k > best:
-            best = k
-        if k + (len(internals) - idx) <= best:
-            return
-        for i in range(idx, len(internals)):
-            if not internals[i] & used:
-                rec(i + 1, used | internals[i], k + 1)
-
-    rec(0, frozenset(), 0)
-    return best
+    Any other pair is split by a cut vertex (or lies in two components),
+    so c <= 1 under every labeling and p < c cannot happen.
+    """
+    blocks_of: dict[int, set[int]] = {v: set() for v in g.vertices}
+    for i, block in enumerate(biconnected_components(g)):
+        for v in block.vertices:
+            blocks_of[v].add(i)
+    vs = sorted(g.vertices)
+    return [
+        (s, t) for s in vs for t in vs
+        if s != t and blocks_of[s] & blocks_of[t] and not g.adjacent(s, t)
+    ]
 
 
 def falsify_mengerian(
@@ -515,6 +507,11 @@ def falsify_mengerian(
     len(edges) <= max_edges); an integer draws that many seeded uniform
     assignments with labels in 1..len(edges).  Returns the first
     counterexample in enumeration order, None when the search finds none.
+
+    Each pair's static routes are enumerated once, as the temporal routes
+    under a constant labeling; a labeling then keeps the routes whose
+    hops admit non-decreasing labels, and p and c are the packing and
+    hitting numbers of the kept interiors.
     """
     m = len(g.edges)
     edge_ids = [e.id for e in g.edges]
@@ -523,37 +520,36 @@ def falsify_mengerian(
             f"exhaustive falsification over {m} edges exceeds the bound {max_edges}"
         )
 
-    pairs = []
-    vs = sorted(g.vertices)
-    for s in vs:
-        for t in vs:
-            if s != t and not g.adjacent(s, t):
-                pairs.append((s, t))
+    pairs = _block_pairs(g)
     if not pairs or m == 0:
         return None
 
-    routes: dict[tuple[int, int], _PairRoutes] = {}
+    static = TemporalGraph.make(g, {eid: 1 for eid in edge_ids})
+    vertices = sorted(g.vertices)
+    routes: dict[tuple[int, int], list[tuple[int, tuple[tuple[int, ...], ...]]]] = {}
     for s, t in pairs:
         if (t, s) in routes:
-            routes[(s, t)] = routes[(t, s)].reversed_copy()
-        else:
-            routes[(s, t)] = _PairRoutes(_simple_routes(g, s, t, route_cap))
+            routes[(s, t)] = [(mask, hops[::-1]) for mask, hops in routes[(t, s)]]
+            continue
+        paths = list(islice(_route_paths(static, s, t), route_cap + 1))
+        if len(paths) > route_cap:
+            raise ResourceLimitError(
+                f"more than {route_cap} simple routes between {s} and {t}; "
+                "the graph is too dense to falsify this way"
+            )
+        routes[(s, t)] = [
+            (mask, tuple(g.parallel_edges(a, b) for a, b in zip(p.vertices, p.vertices[1:])))
+            for mask, p in zip(_interior_masks(paths, vertices), paths)
+        ]
 
     def check(label_list: list[int]) -> Counterexample | None:
         label_of = dict(zip(edge_ids, label_list))
         for s, t in pairs:
-            pr = routes[(s, t)]
-            alive = [
-                pr.internals[i]
-                for i in range(len(pr.internals))
-                if _route_alive(pr.hop_groups[i], label_of)
-            ]
-            if not alive:
-                continue
-            c = _min_hitting(alive)
+            alive = [mask for mask, hops in routes[(s, t)] if _route_alive(hops, label_of)]
+            c = len(_min_hitting(alive, vertices))
             if c <= 1:
-                continue  # one path exists, so p >= 1 = c or p = c = 1
-            p = _max_disjoint_count(alive)
+                continue  # p = c = 0, or one path exists and p >= 1 = c
+            p = len(_max_packing(alive))
             if p < c:
                 tg = TemporalGraph.make(g, label_of)
                 size = max(len(g.vertices), DEFAULT_MAX_VERTICES)

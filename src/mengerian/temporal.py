@@ -166,8 +166,9 @@ def earliest_arrival(
 ) -> dict[int, int]:
     """Earliest arrival label at each reachable vertex (source maps to 0).
 
-    Edges are processed in (label, id) order; equal labels are iterated to
-    a fixed point because an arrival can be extended at the same label.
+    Edges are processed label by label; within one label, every edge
+    reachable from an arrival so far is followed, because an arrival can
+    be extended at the same label.
     """
     arr, _ = _earliest(tg, source, set(banned_vertices), set(banned_edges))
     return arr
@@ -214,21 +215,25 @@ def _earliest(
         lab = ordered[i][1]
         while j < len(ordered) and ordered[j][1] == lab:
             j += 1
-        group = ordered[i:j]
-        changed = True
-        while changed:
-            changed = False
-            for eid, _ in group:
-                if eid in be:
-                    continue
-                e = tg.graph.edge(eid)
-                if e.u in bv or e.v in bv:
-                    continue
-                for a, b in ((e.u, e.v), (e.v, e.u)):
-                    if a in arr and arr[a] <= lab and b not in arr:
-                        arr[b] = lab
-                        parent[b] = (a, eid)
-                        changed = True
+        # an arrival can be extended at the same label: search the
+        # group's usable edges from every vertex reached so far
+        links: dict[int, list[tuple[int, int]]] = {}
+        for eid, _ in ordered[i:j]:
+            if eid in be:
+                continue
+            e = tg.graph.edge(eid)
+            if e.u in bv or e.v in bv:
+                continue
+            links.setdefault(e.u, []).append((e.v, eid))
+            links.setdefault(e.v, []).append((e.u, eid))
+        frontier = [v for v in links if v in arr]
+        while frontier:
+            a = frontier.pop()
+            for b, eid in links[a]:
+                if b not in arr:
+                    arr[b] = lab
+                    parent[b] = (a, eid)
+                    frontier.append(b)
         i = j
     return arr, parent
 

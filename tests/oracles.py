@@ -88,6 +88,18 @@ def brute_c(tg, s, t):
     raise AssertionError("unreachable: removing all internals separates")
 
 
+def brute_min_cut_set(tg, s, t):
+    """The lexicographically first smallest vertex set (s, t excluded)
+    whose removal leaves t unreachable from s; s, t non-adjacent."""
+    assert not tg.graph.adjacent(s, t)
+    others = sorted(tg.graph.vertices - {s, t})
+    for size in range(len(others) + 1):
+        for sub in combinations(others, size):
+            if t not in brute_reachable(tg, s, banned_vertices=sub):
+                return frozenset(sub)
+    raise AssertionError("unreachable: removing all internals separates")
+
+
 def brute_edge_p(tg, s, t):
     paths = [es for _, es in brute_temporal_paths(tg, s, t)]
     edge_sets = sorted({frozenset(es) for es in paths}, key=sorted)

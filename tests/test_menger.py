@@ -1,6 +1,7 @@
 """Exact temporal connectivity oracles and the labeling falsifier."""
 
 import random
+import time
 from itertools import product
 
 import pytest
@@ -11,6 +12,7 @@ from mengerian.temporal import TemporalGraph, validate_walk
 from mengerian.menger import (
     CutUndefinedError,
     ResourceLimitError,
+    _route_paths,
     edge_menger,
     falsify_mengerian,
     max_disjoint_paths,
@@ -23,8 +25,10 @@ from oracles import (
     brute_c,
     brute_edge_c,
     brute_edge_p,
+    brute_min_cut_set,
     brute_p,
     brute_reachable,
+    brute_temporal_paths,
 )
 
 
@@ -61,6 +65,25 @@ def random_temporal(rng, n, m, lifetime=None):
         g, {e.id: rng.randint(1, horizon) for e in g.edges})
 
 
+def labeled_path(n):
+    g = Multigraph.build(n, [(i, i + 1) for i in range(n - 1)])
+    return TemporalGraph.make(g, {i: i + 1 for i in range(n - 1)})
+
+
+class TestRoutes:
+    @given(st.integers(0, 10_000))
+    def test_one_route_per_brute_vertex_sequence(self, seed):
+        rng = random.Random(seed)
+        t = random_temporal(rng, rng.randint(2, 7), rng.randint(1, 12))
+        s, d = rng.sample(sorted(t.graph.vertices), 2)
+        routes = list(_route_paths(t, s, d))
+        for p in routes:
+            validate_walk(t, p.as_sequence())
+        seqs = [p.vertices for p in routes]
+        assert len(seqs) == len(set(seqs))
+        assert set(seqs) == {vs for vs, _ in brute_temporal_paths(t, s, d)}
+
+
 class TestDisjointPaths:
     def test_two_routes(self):
         paths = max_disjoint_paths(TWO_ROUTES, 0, 3)
@@ -83,6 +106,9 @@ class TestDisjointPaths:
     def test_unreachable(self):
         t = tg([(0, 1, 1)], vertices=[0, 1, 2])
         assert max_disjoint_paths(t, 0, 2) == ()
+
+    def test_long_labeled_path(self):
+        assert len(max_disjoint_paths(labeled_path(1500), 0, 1499, max_size=1500)) == 1
 
     def test_size_guard(self):
         g = Multigraph.build(20, [(i, i + 1) for i in range(19)])
@@ -131,6 +157,21 @@ class TestVertexCut:
             return
         s, d = pairs[seed % len(pairs)]
         assert len(min_vertex_cut(t, s, d)) == brute_c(t, s, d)
+
+    @given(st.integers(0, 10_000))
+    def test_is_first_brute_cut(self, seed):
+        rng = random.Random(seed)
+        t = random_temporal(rng, rng.randint(3, 8), rng.randint(1, 14))
+        vs = sorted(t.graph.vertices)
+        pairs = [(a, b) for a in vs for b in vs
+                 if a != b and not t.graph.adjacent(a, b)]
+        if not pairs:
+            return
+        s, d = rng.choice(pairs)
+        assert min_vertex_cut(t, s, d) == brute_min_cut_set(t, s, d)
+
+    def test_long_labeled_path(self):
+        assert min_vertex_cut(labeled_path(1500), 0, 1499, max_size=1500) == frozenset({1})
 
 
 class TestMengerGap:
@@ -253,6 +294,22 @@ class TestFalsify:
         with pytest.raises(ResourceLimitError):
             falsify_mengerian(g)
         assert falsify_mengerian(g, max_edges=8) is None
+
+    def test_doubled_path_has_no_pair_to_test(self):
+        # every non-adjacent pair is split by a cut vertex, so c <= 1
+        g = mg([(i, i + 1) for i in range(6) for _ in range(2)])
+        start = time.perf_counter()
+        assert falsify_mengerian(g, max_edges=12) is None
+        assert time.perf_counter() - start < 1.0
+
+    def test_gem_block_with_pendant_path(self):
+        # pairs reaching into the pendant path are skipped; the first
+        # counterexample is the one the unpruned search finds
+        g = mg([e.pair for e in GEM.graph.edges] + [(3, 5), (5, 6)])
+        cx = falsify_mengerian(g, samples=3000, seed=7)
+        assert cx is not None and (cx.s, cx.t) == (3, 0)
+        assert cx.cut == frozenset({1, 2}) and len(cx.paths) == 1
+        assert menger_gap(cx.labeled, cx.s, cx.t) == (1, 2, 1)
 
     @given(st.integers(0, 60))
     def test_agrees_with_naive_search(self, seed):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -155,6 +156,16 @@ class TestEarliestArrival:
     def test_same_label_chains(self):
         t = tg([(0, 1, 4), (1, 2, 4), (2, 3, 4)])
         assert earliest_arrival(t, 0)[3] == 4
+
+    def test_long_same_label_chain_against_edge_order(self):
+        # edge ids run opposite to the direction of travel
+        n = 3000
+        g = Multigraph.build(n, [(i, i + 1) for i in range(n - 1)])
+        t = TemporalGraph.make(g, {i: 1 for i in range(n - 1)})
+        start = time.perf_counter()
+        arr = earliest_arrival(t, n - 1)
+        assert time.perf_counter() - start < 1.0
+        assert arr == {v: 0 if v == n - 1 else 1 for v in range(n)}
 
     def test_banned(self):
         assert 3 in earliest_arrival(LINE, 0, banned_vertices=[2])
