@@ -15,6 +15,7 @@ resource error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -437,6 +438,10 @@ def _non_negative(text: str) -> int:
     return value
 
 
+# Built once per process: building costs about as much as a small
+# `menger` query, and parsing leaves the parser as it was (each call
+# fills a fresh namespace).
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="mengerian",

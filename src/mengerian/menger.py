@@ -21,7 +21,11 @@ exhaustively over all label weak orders or by seeded random sampling.
 Only the relative order of labels matters, so exhaustive enumeration
 ranges over dense rank assignments: ordered set partitions of the edge
 set.  Pairs without a common block are skipped: a cut vertex between
-them forces c <= 1.
+them forces c <= 1.  Every route of a pair that shares a block stays
+inside it, so exhaustive search ranks one block's edges at a time, and
+it tests each pair in one orientation only, since time reversal swaps
+source and target.  p and c depend only on which of a pair's routes a
+labeling keeps, so each kept set found gap-free is decided once.
 """
 
 from __future__ import annotations
@@ -44,6 +48,15 @@ from .temporal import (
 
 DEFAULT_MAX_VERTICES = 15
 DEFAULT_MAX_EDGES_EXHAUSTIVE = 7
+
+# Static routes one pair may have before the falsifier refuses the graph
+# as too dense: every labeling tests every route of every pair.
+_ROUTE_CAP = 5000
+# Gap-free kept route sets one falsify run remembers.  A key holds one
+# bit per static route, so at most _ROUTE_CAP / 8 bytes, and the memo
+# stays within about 25 MB however many labelings a run draws.  Past
+# the cap a kept set is decided afresh each time, which costs time only.
+_MEMO_CAP = 1 << 15
 
 
 class ResourceLimitError(RuntimeError):
@@ -444,7 +457,9 @@ def _rank_assignments(m: int):
 
     Restricted-growth strings enumerate the set partitions; permuting the
     blocks then assigns their ranks.  Plain growth strings alone would
-    conflate orders like (1,2) and (2,1).
+    conflate orders like (1,2) and (2,1).  The list is closed under
+    reversal (rank r becomes top + 1 - r), which the one-orientation
+    search of `falsify_mengerian` relies on.
     """
     if m == 0:
         yield []
@@ -477,21 +492,24 @@ def _route_alive(hop_groups, label_of) -> bool:
     return True
 
 
-def _block_pairs(g: Multigraph) -> list[tuple[int, int]]:
-    """Ordered non-adjacent pairs that lie in a common block, sorted.
+def _block_pairs(g: Multigraph) -> list[tuple[tuple[int, ...], list[tuple[int, int]]]]:
+    """Each block's edge ids with its non-adjacent vertex pairs s < t.
 
-    Any other pair is split by a cut vertex (or lies in two components),
-    so c <= 1 under every labeling and p < c cannot happen.
+    Any pair outside a common block is split by a cut vertex (or lies in
+    two components), so c <= 1 under every labeling and p < c cannot
+    happen.  Two vertices share at most one block, and every simple
+    route between them stays inside it.  Blocks without such a pair
+    are left out.
     """
-    blocks_of: dict[int, set[int]] = {v: set() for v in g.vertices}
-    for i, block in enumerate(biconnected_components(g)):
-        for v in block.vertices:
-            blocks_of[v].add(i)
-    vs = sorted(g.vertices)
-    return [
-        (s, t) for s in vs for t in vs
-        if s != t and blocks_of[s] & blocks_of[t] and not g.adjacent(s, t)
-    ]
+    out = []
+    for block in biconnected_components(g):
+        pairs = [
+            (s, t) for s, t in combinations(sorted(block.vertices), 2)
+            if not g.adjacent(s, t)
+        ]
+        if pairs:
+            out.append((tuple(e.id for e in block.edges), pairs))
+    return out
 
 
 def falsify_mengerian(
@@ -499,78 +517,110 @@ def falsify_mengerian(
     samples: int | None = None,
     seed: int = 0,
     max_edges: int = DEFAULT_MAX_EDGES_EXHAUSTIVE,
-    route_cap: int = 5000,
 ) -> Counterexample | None:
-    """Search time-functions for a non-adjacent ordered pair with p < c.
+    """Search time-functions for a non-adjacent pair with p < c.
 
     samples=None enumerates every weak order of labels (requires
-    len(edges) <= max_edges); an integer draws that many seeded uniform
-    assignments with labels in 1..len(edges).  Returns the first
-    counterexample in enumeration order, None when the search finds none.
+    len(edges) <= max_edges).  It goes block by block, ranking only the
+    block's edges (every other edge gets label 1), and tests only the
+    orientation s < t of each pair: time reversal maps a counterexample
+    for (t, s) to one for (s, t), and reversing a weak order gives a
+    weak order.  The first counterexample is the first over blocks,
+    then labelings, then pairs s < t.  An integer draws that many seeded
+    uniform assignments with labels in 1..len(edges) and tests both
+    orientations of each pair, in sorted order; the first
+    counterexample is the first in that order.  Returns None when the
+    search finds none.
 
     Each pair's static routes are enumerated once, as the temporal routes
     under a constant labeling; a labeling then keeps the routes whose
     hops admit non-decreasing labels, and p and c are the packing and
-    hitting numbers of the kept interiors.
+    hitting numbers of the kept interiors.  They depend on the kept set
+    alone, so a kept set already found gap-free is not decided again.
     """
     m = len(g.edges)
-    edge_ids = [e.id for e in g.edges]
     if samples is None and m > max_edges:
         raise ResourceLimitError(
             f"exhaustive falsification over {m} edges exceeds the bound {max_edges}"
         )
 
-    pairs = _block_pairs(g)
-    if not pairs or m == 0:
+    blocks = _block_pairs(g)
+    if not blocks:
         return None
+    if samples is None:
+        pairs = [pair for _, block_pairs in blocks for pair in block_pairs]
+    else:
+        pairs = sorted(
+            pair for _, block_pairs in blocks for s, t in block_pairs
+            for pair in ((s, t), (t, s))
+        )
 
-    static = TemporalGraph.make(g, {eid: 1 for eid in edge_ids})
+    static = TemporalGraph.make(g, {e.id: 1 for e in g.edges})
     vertices = sorted(g.vertices)
-    routes: dict[tuple[int, int], list[tuple[int, tuple[tuple[int, ...], ...]]]] = {}
+    routes: dict[tuple[int, int], tuple[list[int], list[tuple[tuple[int, ...], ...]]]] = {}
     for s, t in pairs:
         if (t, s) in routes:
-            routes[(s, t)] = [(mask, hops[::-1]) for mask, hops in routes[(t, s)]]
+            masks, hop_lists = routes[(t, s)]
+            routes[(s, t)] = (masks, [hops[::-1] for hops in hop_lists])
             continue
-        paths = list(islice(_route_paths(static, s, t), route_cap + 1))
-        if len(paths) > route_cap:
+        paths = list(islice(_route_paths(static, s, t), _ROUTE_CAP + 1))
+        if len(paths) > _ROUTE_CAP:
             raise ResourceLimitError(
-                f"more than {route_cap} simple routes between {s} and {t}; "
+                f"more than {_ROUTE_CAP} simple routes between {s} and {t}; "
                 "the graph is too dense to falsify this way"
             )
-        routes[(s, t)] = [
-            (mask, tuple(g.parallel_edges(a, b) for a, b in zip(p.vertices, p.vertices[1:])))
-            for mask, p in zip(_interior_masks(paths, vertices), paths)
-        ]
+        routes[(s, t)] = (
+            _interior_masks(paths, vertices),
+            [tuple(g.parallel_edges(a, b) for a, b in zip(p.vertices, p.vertices[1:]))
+             for p in paths],
+        )
 
-    def check(label_list: list[int]) -> Counterexample | None:
-        label_of = dict(zip(edge_ids, label_list))
+    # kept route sets, as bitmasks over a pair's routes, found gap-free
+    gap_free: dict[tuple[int, int], set[int]] = {pair: set() for pair in pairs}
+    remembered = 0
+
+    def check(label_of: dict[int, int], pairs: list[tuple[int, int]]) -> Counterexample | None:
+        nonlocal remembered
         for s, t in pairs:
-            alive = [mask for mask, hops in routes[(s, t)] if _route_alive(hops, label_of)]
-            c = len(_min_hitting(alive, vertices))
-            if c <= 1:
-                continue  # p = c = 0, or one path exists and p >= 1 = c
-            p = len(_max_packing(alive))
-            if p < c:
-                tg = TemporalGraph.make(g, label_of)
-                size = max(len(g.vertices), DEFAULT_MAX_VERTICES)
-                path_cert = max_disjoint_paths(tg, s, t, max_size=size)
-                cut_cert = min_vertex_cut(tg, s, t, max_size=size)
-                if len(path_cert) != p or len(cut_cert) != c:
-                    raise InternalError("route engine disagrees with the exact oracles")
-                return Counterexample(tg, s, t, path_cert, cut_cert)
+            masks, hop_lists = routes[(s, t)]
+            alive = 0
+            for i, hops in enumerate(hop_lists):
+                if _route_alive(hops, label_of):
+                    alive |= 1 << i
+            known = gap_free[(s, t)]
+            if alive in known:
+                continue
+            kept = [mask for i, mask in enumerate(masks) if alive >> i & 1]
+            c = len(_min_hitting(kept, vertices))
+            # c <= 1: p = c = 0, or one path exists and p >= 1 = c
+            p = len(_max_packing(kept)) if c > 1 else c
+            if p >= c:
+                if remembered < _MEMO_CAP:
+                    known.add(alive)
+                    remembered += 1
+                continue
+            tg = TemporalGraph.make(g, {e.id: label_of.get(e.id, 1) for e in g.edges})
+            size = max(len(g.vertices), DEFAULT_MAX_VERTICES)
+            path_cert = max_disjoint_paths(tg, s, t, max_size=size)
+            cut_cert = min_vertex_cut(tg, s, t, max_size=size)
+            if len(path_cert) != p or len(cut_cert) != c:
+                raise InternalError("route engine disagrees with the exact oracles")
+            return Counterexample(tg, s, t, path_cert, cut_cert)
         return None
 
     if samples is None:
-        for labels in _rank_assignments(m):
-            hit = check(labels)
-            if hit is not None:
-                return hit
+        for edge_ids, block_pairs in blocks:
+            for labels in _rank_assignments(len(edge_ids)):
+                hit = check(dict(zip(edge_ids, labels)), block_pairs)
+                if hit is not None:
+                    return hit
         return None
 
+    edge_ids = [e.id for e in g.edges]
     rng = random.Random(seed)
     for _ in range(samples):
         labels = [rng.randint(1, m) for _ in range(m)]
-        hit = check(labels)
+        hit = check(dict(zip(edge_ids, labels)), pairs)
         if hit is not None:
             return hit
     return None

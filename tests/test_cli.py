@@ -361,11 +361,48 @@ class TestFalsifyCommand:
         _, out2, _ = run(capsys, "falsify", "--samples", "20000", "--seed", "3", path)
         assert out1 == out2
 
+    def test_too_many_routes_refused(self, tmp_path, capsys):
+        # K9 minus the edge ab: 13699 simple routes join a and b
+        names = [chr(ord("a") + i) for i in range(9)]
+        lines = [f"v {x}" for x in names]
+        lines += [f"e {x} {y}" for i, x in enumerate(names) for y in names[i + 1:]
+                  if (x, y) != ("a", "b")]
+        path = write(tmp_path, "k9.graph", "\n".join(lines) + "\n")
+        code, out, err = run(capsys, "falsify", "--samples", "1", path)
+        assert code == 2
+        assert out == ""
+        assert "more than 5000 simple routes" in err and "too dense" in err
+
     def test_mode_is_required(self, tmp_path, capsys):
         path = pattern_file(tmp_path, F2)
         with pytest.raises(SystemExit) as exc:
             main(["falsify", path])
         assert exc.value.code == 2
+
+
+class TestRepeatedCalls:
+    def test_parse_errors_and_defaults_do_not_leak(self, tmp_path, capsys):
+        # main reuses one parser; every call must still start from the defaults
+        path = pattern_file(tmp_path, F1, labeled=True)
+        vertex = run(capsys, "menger", path, "--source", "0", "--target", "5")
+        edge = run(capsys, "menger", path, "--source", "0", "--target", "5", "--edge")
+        assert vertex[0] == edge[0] == 0 and "p = 1" in vertex[1] and "p' = 2" in edge[1]
+        errors = []
+        for argv in (["falsify", path], ["menger", path, "--source", "0"],
+                     ["falsify", "--samples", "0", path], ["falsify", path]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[3] and "required" in errors[0]
+        assert "--target" in errors[1] and "positive integer" in errors[2]
+        assert run(capsys, "menger", path, "--source", "0", "--target", "5") == vertex
+        gem = pattern_file(tmp_path, F3)
+        seeded = run(capsys, "falsify", "--samples", "300", "--seed", "4", gem)
+        default = run(capsys, "falsify", "--samples", "300", gem)
+        assert seeded[0] == default[0] == 1 and seeded[1] != default[1]
+        assert default == run(capsys, "falsify", "--samples", "300", "--seed", "0", gem)
+        assert seeded == run(capsys, "falsify", "--samples", "300", "--seed", "4", gem)
 
 
 class TestGenCommand:

@@ -7,11 +7,13 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
+from mengerian import menger
 from mengerian.multigraph import Multigraph
 from mengerian.temporal import TemporalGraph, validate_walk
 from mengerian.menger import (
     CutUndefinedError,
     ResourceLimitError,
+    _rank_assignments,
     _route_paths,
     edge_menger,
     falsify_mengerian,
@@ -310,6 +312,51 @@ class TestFalsify:
         assert cx is not None and (cx.s, cx.t) == (3, 0)
         assert cx.cut == frozenset({1, 2}) and len(cx.paths) == 1
         assert menger_gap(cx.labeled, cx.s, cx.t) == (1, 2, 1)
+
+    def test_gem_block_with_pendant_path_exhaustive(self):
+        # only the gem block's seven edges get ranks; the pendant edges
+        # keep one label, so nine edges cost no more than seven
+        g = mg([e.pair for e in GEM.graph.edges] + [(3, 5), (5, 6)])
+        start = time.perf_counter()
+        cx = falsify_mengerian(g, max_edges=9)
+        assert time.perf_counter() - start < 1.0
+        assert cx is not None and cx.s < cx.t
+        assert cx.labeled.graph == g
+        assert menger_gap(cx.labeled, cx.s, cx.t) == (len(cx.paths), len(cx.cut), 1)
+
+    def test_gem_block_between_cycles_exhaustive(self):
+        # blocks in order: a 4-cycle, the gem (shifted by one), a 4-cycle;
+        # each block's weak orders are searched, not only the first's
+        gem = [(a + 1, b + 1) for a, b in (e.pair for e in GEM.graph.edges)]
+        g = mg([(0, 1), (1, 6), (6, 7), (7, 0)] + gem
+               + [(5, 8), (8, 9), (9, 10), (10, 5)])
+        cx = falsify_mengerian(g, max_edges=15)
+        assert cx is not None and 1 <= cx.s < cx.t <= 5
+        assert menger_gap(cx.labeled, cx.s, cx.t).gap == 1
+        no_gem = mg([(0, 1), (1, 6), (6, 7), (7, 0), (1, 2), (2, 3), (3, 4), (4, 1)])
+        assert falsify_mengerian(no_gem, max_edges=8) is None
+
+    def test_memo_cap_changes_no_result(self, monkeypatch):
+        g = mg([e.pair for e in GEM.graph.edges] + [(3, 5), (5, 6)])
+        runs = [(None, 9, 0), (3000, 7, 7), (500, 7, 3)]
+        remembered = [falsify_mengerian(g, samples=n, seed=seed, max_edges=m)
+                      for n, m, seed in runs]
+        monkeypatch.setattr(menger, "_MEMO_CAP", 0)
+        for (n, m, seed), cx in zip(runs, remembered):
+            fresh = falsify_mengerian(g, samples=n, seed=seed, max_edges=m)
+            assert (fresh is None) == (cx is None)
+            if cx is not None:
+                assert (fresh.s, fresh.t, fresh.labeled) == (cx.s, cx.t, cx.labeled)
+
+    @pytest.mark.parametrize("m", range(6))
+    def test_rank_assignments_list_each_weak_order_once(self, m):
+        listed = [tuple(r) for r in _rank_assignments(m)]
+        dense = [r for r in product(range(1, m + 1), repeat=m)
+                 if set(r) == set(range(1, max(r, default=0) + 1))]
+        assert sorted(listed) == sorted(dense)
+        assert len(set(listed)) == len(listed) == [1, 1, 3, 13, 75, 541][m]
+        # closed under reversal, so one orientation per pair suffices
+        assert {tuple(max(r) + 1 - x for x in r) for r in listed if r} == set(listed) - {()}
 
     @given(st.integers(0, 60))
     def test_agrees_with_naive_search(self, seed):

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mengerian.menger import falsify_mengerian
+from mengerian.menger import falsify_mengerian, menger_gap
 from mengerian.multigraph import Multigraph, m_subdivide
 from mengerian.patterns import F1, F2, F3, PATTERNS, check_m_subdivision
 from mengerian.recognizer import (
@@ -383,7 +383,12 @@ class TestFalsifierAgreement:
             rng.shuffle(perm)
             g = mg([(perm[a], perm[b]) for a, b in base])
             assert not recognize(g).mengerian
-            assert falsify_mengerian(g) is not None
+            cx = falsify_mengerian(g)
+            # exhaustive search tests each pair in the orientation s < t
+            assert cx is not None and cx.s < cx.t
+            gap = menger_gap(cx.labeled, cx.s, cx.t)
+            assert (gap.paths, gap.cut) == (len(cx.paths), len(cx.cut))
+            assert gap.gap >= 1
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40)
