@@ -26,6 +26,12 @@ inside it, so exhaustive search ranks one block's edges at a time, and
 it tests each pair in one orientation only, since time reversal swaps
 source and target.  p and c depend only on which of a pair's routes a
 labeling keeps, so each kept set found gap-free is decided once.
+
+Labelings are tested a chunk at a time.  Each pair's routes form a
+prefix trie, and one walk of it carries, per label L, the set of the
+chunk's labelings (an int, one bit each) under which the prefix can
+arrive by L.  A leaf then holds the labelings that keep its route, and
+the chunk splits into groups by kept set, each decided once.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ import random
 from dataclasses import dataclass
 from bisect import bisect_left
 from itertools import combinations, islice, permutations
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .multigraph import GraphError, InternalError, Multigraph, biconnected_components
@@ -50,13 +57,19 @@ DEFAULT_MAX_VERTICES = 15
 DEFAULT_MAX_EDGES_EXHAUSTIVE = 7
 
 # Static routes one pair may have before the falsifier refuses the graph
-# as too dense: every labeling tests every route of every pair.
+# as too dense: every chunk of labelings walks every pair's route trie.
 _ROUTE_CAP = 5000
 # Gap-free kept route sets one falsify run remembers.  A key holds one
 # bit per static route, so at most _ROUTE_CAP / 8 bytes, and the memo
 # stays within about 25 MB however many labelings a run draws.  Past
 # the cap a kept set is decided afresh each time, which costs time only.
 _MEMO_CAP = 1 << 15
+# Labelings one falsify step decides together, one bit each in the
+# route feasibility planes.  A step holds at most _CHUNK_LABELS labels,
+# so labelings over more than 32 edges come fewer at a time: memory and
+# the labels drawn past a gap stay bounded however many edges there are.
+_CHUNK = 2048
+_CHUNK_LABELS = 1 << 16
 
 
 class ResourceLimitError(RuntimeError):
@@ -254,15 +267,9 @@ class _Dinic:
         self.adj.append([])
         return len(self.adj) - 1
 
-    def arc(self, a: int, b: int, cap: int) -> tuple[int, int]:
+    def arc(self, a: int, b: int, cap: int) -> None:
         self.adj[a].append([b, cap, len(self.adj[b]), cap])
         self.adj[b].append([a, 0, len(self.adj[a]) - 1, 0])
-        return a, len(self.adj[a]) - 1
-
-    def flow_on(self, ref: tuple[int, int]) -> int:
-        a, i = ref
-        arc = self.adj[a][i]
-        return arc[3] - arc[1]
 
     def maxflow(self, s: int, t: int) -> int:
         total = 0
@@ -353,17 +360,17 @@ def edge_menger(
             vnode[(v, lab)] = net.node()
         for a, b in zip(labs, labs[1:]):
             net.arc(vnode[(v, a)], vnode[(v, b)], inf)
-    gadget: dict[int, tuple[int, int, tuple[int, int]]] = {}
+    gadget: dict[int, tuple[int, int]] = {}
     for e in g.edges:
         lab = tg.label(e.id)
         node_in = net.node()
         node_out = net.node()
-        ref = net.arc(node_in, node_out, 1)
+        net.arc(node_in, node_out, 1)
         net.arc(vnode[(e.u, lab)], node_in, inf)
         net.arc(vnode[(e.v, lab)], node_in, inf)
         net.arc(node_out, vnode[(e.u, lab)], inf)
         net.arc(node_out, vnode[(e.v, lab)], inf)
-        gadget[e.id] = (node_in, node_out, ref)
+        gadget[e.id] = (node_in, node_out)
 
     net.arc(src, vnode[(s, labels_of[s][0])], inf)
     for lab in labels_of[t]:
@@ -382,13 +389,13 @@ def edge_menger(
                 seen.add(arc[0])
                 stack.append(arc[0])
     cut = frozenset(
-        eid for eid, (node_in, node_out, _) in gadget.items()
+        eid for eid, (node_in, node_out) in gadget.items()
         if node_in in seen and node_out not in seen
     )
 
     # walk decomposition with in-place cancellation of incidental cycles
     node_owner: dict[int, tuple[int, int]] = {}
-    for eid, (node_in, node_out, _) in gadget.items():
+    for eid, (node_in, node_out) in gadget.items():
         node_owner[node_in] = (eid, 0)
         node_owner[node_out] = (eid, 1)
     vertex_at = {idx: v for (v, _), idx in vnode.items()}
@@ -452,7 +459,7 @@ class Counterexample:
         return len(self.cut) - len(self.paths)
 
 
-def _rank_assignments(m: int):
+def _rank_assignments(m: int) -> Iterator[tuple[int, ...]]:
     """All dense label sequences on m edges, each weak order exactly once.
 
     Restricted-growth strings enumerate the set partitions; permuting the
@@ -461,35 +468,136 @@ def _rank_assignments(m: int):
     reversal (rank r becomes top + 1 - r), which the one-orientation
     search of `falsify_mengerian` relies on.
     """
-    if m == 0:
-        yield []
+    if m < 2:
+        yield (1,) * m
         return
-    rgs = [0] * m
-
-    def rec(i: int, top: int):
-        if i == m:
-            for perm in permutations(range(top + 1)):
-                yield [perm[a] + 1 for a in rgs]
-            return
-        for val in range(top + 2):
-            rgs[i] = val
-            yield from rec(i + 1, max(top, val))
-
-    yield from rec(1, 0)
+    # growth strings depth first, in lexicographic order, with their top
+    stack = [((0,), 0)]
+    while stack:
+        rgs, top = stack.pop()
+        if len(rgs) < m:
+            stack.extend((rgs + (val,), max(top, val)) for val in reversed(range(top + 2)))
+        else:
+            yield from map(itemgetter(*rgs), permutations(range(1, top + 2)))
 
 
-def _route_alive(hop_groups, label_of) -> bool:
-    cur = 0
-    for hop in hop_groups:
-        best = None
+def _route_trie(
+    seqs: list[tuple[int, ...]], hop_of: dict[tuple[int, int], int]
+) -> dict[int, list]:
+    """Vertex sequences s..t as a prefix trie of nodes [hop, route, children].
+
+    hop is the index in hop_of of the vertex pair the node's last step
+    crosses (a pair is numbered on first sight), route the index of the
+    sequence ending at the node or -1, and children map the next vertex
+    to its node.  No sequence is a prefix of another: each ends at t.
+    """
+    root: dict[int, list] = {}
+    for i, seq in enumerate(seqs):
+        level = root
+        for a, b in zip(seq, seq[1:]):
+            node = level.get(b)
+            if node is None:
+                node = level[b] = [hop_of.setdefault((min(a, b), max(a, b)), len(hop_of)), -1, {}]
+            level = node[2]
+        node[1] = i
+    return root
+
+
+def _hop_planes(
+    hops: list[tuple[int, ...]], edge_ids: tuple[int, ...], chunk: list[tuple[int, ...]]
+) -> list[list[tuple[int, int]]]:
+    """Per hop, (label L, labelings) pairs by ascending L.
+
+    Labeling k of the chunk gives edge_ids[j] the label chunk[k][j].
+    Bit k of labelings is set when labeling k gives some edge of the hop
+    label L.  Only labels that occur get an entry, so a plane has at
+    most one entry per labeling whatever the range of labels.
+    """
+    columns = dict(zip(edge_ids, zip(*chunk)))
+    bits = [1 << k for k in range(len(chunk))]
+    planes = []
+    for hop in hops:
+        plane: dict[int, int] = {}
         for eid in hop:
-            lab = label_of[eid]
-            if lab >= cur and (best is None or lab < best):
-                best = lab
-        if best is None:
-            return False
-        cur = best
-    return True
+            for lab, bit in zip(columns[eid], bits):
+                plane[lab] = plane.get(lab, 0) | bit
+        planes.append(sorted(plane.items()))
+    return planes
+
+
+def _advance(reach: list[tuple[int, int]], plane: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Arrivals after one more hop, from the arrivals before it.
+
+    An entry (L, labelings) of reach lists the labelings under which the
+    walk so far can arrive by label L; entries ascend in L and each
+    holds the ones before it.  A labeling crosses the hop at label L
+    when it gives an edge of the hop label L and arrived by L.  The
+    result has the same form; empty means no labeling crosses.
+    """
+    out = []
+    ready = arrived = 0
+    i = 0
+    full = reach[-1][1]
+    for lab, bits in plane:
+        while i < len(reach) and reach[i][0] <= lab:
+            ready = reach[i][1]
+            i += 1
+        got = arrived | bits & ready
+        if got != arrived:
+            arrived = got
+            out.append((lab, got))
+            if got == full:
+                break
+    return out
+
+
+def _kept_routes(
+    trie: dict[int, list], routes: int, planes: list[list[tuple[int, int]]], universe: int
+) -> list[int]:
+    """Per route, the labelings in universe under which it is a temporal path.
+
+    One walk of the trie serves every labeling: a prefix carries the
+    labelings that can realize it, and a prefix that none can realize
+    cuts its whole subtree.
+    """
+    keep = [0] * routes
+    stack = [(trie, [(0, universe)])]
+    while stack:
+        level, reach = stack.pop()
+        for hop, route, children in level.values():
+            after = _advance(reach, planes[hop])
+            if not after:
+                continue
+            if route >= 0:
+                keep[route] = after[-1][1]
+            else:
+                stack.append((children, after))
+    return keep
+
+
+def _kept_sets(keep: list[int], universe: int) -> list[tuple[int, int]]:
+    """The labelings in universe (not empty) grouped by the routes they keep.
+
+    keep[i] holds the labelings that keep route i.  Returns, per group,
+    its lowest labeling index and its kept set as a bitmask over routes,
+    by lowest index.
+    """
+    common = 0
+    groups = [[universe, 0]]
+    for i, bits in enumerate(keep):
+        if bits == universe:
+            common |= 1 << i
+        elif bits:
+            split = []
+            for group in groups:
+                inside = group[0] & bits
+                if inside == group[0]:
+                    group[1] |= 1 << i
+                elif inside:
+                    group[0] ^= inside
+                    split.append([inside, group[1] | 1 << i])
+            groups += split
+    return sorted(((labs & -labs).bit_length() - 1, kept | common) for labs, kept in groups)
 
 
 def _block_pairs(g: Multigraph) -> list[tuple[tuple[int, ...], list[tuple[int, int]]]]:
@@ -537,6 +645,10 @@ def falsify_mengerian(
     hops admit non-decreasing labels, and p and c are the packing and
     hitting numbers of the kept interiors.  They depend on the kept set
     alone, so a kept set already found gap-free is not decided again.
+    Labelings are taken up to _CHUNK at a time: one walk of a pair's
+    route trie gives the labelings that keep each route, the chunk
+    splits by kept set, and the gap with the lowest labeling, then the
+    first pair, wins, as it would one labeling at a time.
     """
     m = len(g.edges)
     if samples is None and m > max_edges:
@@ -557,11 +669,13 @@ def falsify_mengerian(
 
     static = TemporalGraph.make(g, {e.id: 1 for e in g.edges})
     vertices = sorted(g.vertices)
-    routes: dict[tuple[int, int], tuple[list[int], list[tuple[tuple[int, ...], ...]]]] = {}
+    # per ordered pair: route interiors and vertex sequences, enumerated
+    # once per unordered pair (the routes of t, s are those of s, t reversed)
+    routes: dict[tuple[int, int], tuple[list[int], list[tuple[int, ...]]]] = {}
     for s, t in pairs:
         if (t, s) in routes:
-            masks, hop_lists = routes[(t, s)]
-            routes[(s, t)] = (masks, [hops[::-1] for hops in hop_lists])
+            masks, seqs = routes[(t, s)]
+            routes[(s, t)] = (masks, [seq[::-1] for seq in seqs])
             continue
         paths = list(islice(_route_paths(static, s, t), _ROUTE_CAP + 1))
         if len(paths) > _ROUTE_CAP:
@@ -569,36 +683,55 @@ def falsify_mengerian(
                 f"more than {_ROUTE_CAP} simple routes between {s} and {t}; "
                 "the graph is too dense to falsify this way"
             )
-        routes[(s, t)] = (
-            _interior_masks(paths, vertices),
-            [tuple(g.parallel_edges(a, b) for a, b in zip(p.vertices, p.vertices[1:]))
-             for p in paths],
-        )
+        routes[(s, t)] = (_interior_masks(paths, vertices), [p.vertices for p in paths])
+
+    # each search ranks some edges, tests some pairs, and lists labelings
+    # as label sequences over those edges; other edges get label 1
+    if samples is None:
+        searches = [(edge_ids, block_pairs, _rank_assignments(len(edge_ids)))
+                    for edge_ids, block_pairs in blocks]
+    else:
+        rng = random.Random(seed)
+        searches = [(tuple(e.id for e in g.edges), pairs,
+                     ([rng.randint(1, m) for _ in range(m)] for _ in range(samples)))]
 
     # kept route sets, as bitmasks over a pair's routes, found gap-free
     gap_free: dict[tuple[int, int], set[int]] = {pair: set() for pair in pairs}
     remembered = 0
-
-    def check(label_of: dict[int, int], pairs: list[tuple[int, int]]) -> Counterexample | None:
-        nonlocal remembered
-        for s, t in pairs:
-            masks, hop_lists = routes[(s, t)]
-            alive = 0
-            for i, hops in enumerate(hop_lists):
-                if _route_alive(hops, label_of):
-                    alive |= 1 << i
-            known = gap_free[(s, t)]
-            if alive in known:
+    for edge_ids, search_pairs, labelings in searches:
+        hop_of: dict[tuple[int, int], int] = {}
+        tries = {pair: _route_trie(routes[pair][1], hop_of) for pair in search_pairs}
+        hops = [g.parallel_edges(a, b) for a, b in hop_of]
+        labelings = iter(labelings)
+        step = max(1, min(_CHUNK, _CHUNK_LABELS // len(edge_ids)))
+        while chunk := list(islice(labelings, step)):
+            planes = _hop_planes(hops, edge_ids, chunk)
+            first, found = len(chunk), None
+            for s, t in search_pairs:
+                if not first:
+                    break
+                # only labelings before the first gap so far can hold an earlier one
+                universe = (1 << first) - 1
+                masks = routes[(s, t)][0]
+                keep = _kept_routes(tries[(s, t)], len(masks), planes, universe)
+                known = gap_free[(s, t)]
+                for k, alive in _kept_sets(keep, universe):
+                    if alive in known:
+                        continue
+                    kept = [mask for i, mask in enumerate(masks) if alive >> i & 1]
+                    c = len(_min_hitting(kept, vertices))
+                    # c <= 1: p = c = 0, or one path exists and p >= 1 = c
+                    p = len(_max_packing(kept)) if c > 1 else c
+                    if p < c:
+                        first, found = k, (s, t, p, c)
+                        break
+                    if remembered < _MEMO_CAP:
+                        known.add(alive)
+                        remembered += 1
+            if found is None:
                 continue
-            kept = [mask for i, mask in enumerate(masks) if alive >> i & 1]
-            c = len(_min_hitting(kept, vertices))
-            # c <= 1: p = c = 0, or one path exists and p >= 1 = c
-            p = len(_max_packing(kept)) if c > 1 else c
-            if p >= c:
-                if remembered < _MEMO_CAP:
-                    known.add(alive)
-                    remembered += 1
-                continue
+            s, t, p, c = found
+            label_of = dict(zip(edge_ids, chunk[first]))
             tg = TemporalGraph.make(g, {e.id: label_of.get(e.id, 1) for e in g.edges})
             size = max(len(g.vertices), DEFAULT_MAX_VERTICES)
             path_cert = max_disjoint_paths(tg, s, t, max_size=size)
@@ -606,21 +739,4 @@ def falsify_mengerian(
             if len(path_cert) != p or len(cut_cert) != c:
                 raise InternalError("route engine disagrees with the exact oracles")
             return Counterexample(tg, s, t, path_cert, cut_cert)
-        return None
-
-    if samples is None:
-        for edge_ids, block_pairs in blocks:
-            for labels in _rank_assignments(len(edge_ids)):
-                hit = check(dict(zip(edge_ids, labels)), block_pairs)
-                if hit is not None:
-                    return hit
-        return None
-
-    edge_ids = [e.id for e in g.edges]
-    rng = random.Random(seed)
-    for _ in range(samples):
-        labels = [rng.randint(1, m) for _ in range(m)]
-        hit = check(dict(zip(edge_ids, labels)), pairs)
-        if hit is not None:
-            return hit
     return None

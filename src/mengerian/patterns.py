@@ -117,9 +117,6 @@ class MEmbedding:
     def used_edges(self) -> frozenset[int]:
         return frozenset(e for hops in self.hop_edges.values() for h in hops for e in h)
 
-    def used_vertices(self) -> frozenset[int]:
-        return frozenset(v for r in self.routes.values() for v in r)
-
 
 def _pattern_pairs(pattern: Pattern) -> dict[tuple[int, int], int]:
     out: dict[tuple[int, int], int] = {}

@@ -188,7 +188,7 @@ class TestCrossedFixture:
     def test_hundred_thousand_labelings_find_no_gap(self):
         start = time.perf_counter()
         assert falsify_mengerian(mg(CROSSED_PAIRS), samples=100_000, seed=0) is None
-        assert time.perf_counter() - start < 300.0
+        assert time.perf_counter() - start < 6.0
 
 
 class TestDoubledSideK2n:

@@ -2,19 +2,24 @@
 
 import random
 import time
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
 
 from mengerian import menger
 from mengerian.multigraph import Multigraph
+from mengerian.patterns import PATTERNS
 from mengerian.temporal import TemporalGraph, validate_walk
 from mengerian.menger import (
     CutUndefinedError,
     ResourceLimitError,
+    _hop_planes,
+    _kept_routes,
+    _kept_sets,
     _rank_assignments,
     _route_paths,
+    _route_trie,
     edge_menger,
     falsify_mengerian,
     max_disjoint_paths,
@@ -84,6 +89,41 @@ class TestRoutes:
         seqs = [p.vertices for p in routes]
         assert len(seqs) == len(set(seqs))
         assert set(seqs) == {vs for vs, _ in brute_temporal_paths(t, s, d)}
+
+
+class TestRouteTrie:
+    @given(st.integers(0, 10_000))
+    def test_kept_routes_are_the_brute_temporal_paths(self, seed):
+        # one trie walk decides a batch of labelings; each labeling must
+        # keep exactly the static routes that are temporal paths under it,
+        # in both orientations (the t, s trie holds the reversed routes)
+        rng = random.Random(seed)
+        g = random_multigraph(rng, rng.randint(2, 7), rng.randint(1, 12))
+        s, t = rng.sample(sorted(g.vertices), 2)
+        static = TemporalGraph.make(g, {e.id: 1 for e in g.edges})
+        forward = [p.vertices for p in _route_paths(static, s, t)]
+        edge_ids = tuple(e.id for e in g.edges)
+        top = len(edge_ids) + 2
+        chunk = [tuple(rng.randint(1, top) for _ in edge_ids)
+                 for _ in range(rng.randint(1, 40))]
+        hop_of = {}
+        sides = [(s, t, forward), (t, s, [seq[::-1] for seq in forward])]
+        tries = [_route_trie(seqs, hop_of) for _, _, seqs in sides]
+        planes = _hop_planes([g.parallel_edges(a, b) for a, b in hop_of], edge_ids, chunk)
+        universe = (1 << len(chunk)) - 1
+        for (a, b, seqs), trie in zip(sides, tries):
+            keep = _kept_routes(trie, len(seqs), planes, universe)
+            alive = []
+            for k, labels in enumerate(chunk):
+                tk = TemporalGraph.make(g, dict(zip(edge_ids, labels)))
+                brute = {vs for vs, _ in brute_temporal_paths(tk, a, b)}
+                assert {seqs[i] for i in range(len(seqs)) if keep[i] >> k & 1} == brute
+                alive.append(sum(1 << i for i in range(len(seqs)) if keep[i] >> k & 1))
+            # one group per distinct kept set, under its lowest labeling
+            firsts = {}
+            for k, mask in enumerate(alive):
+                firsts.setdefault(mask, k)
+            assert _kept_sets(keep, universe) == sorted((k, mask) for mask, k in firsts.items())
 
 
 class TestDisjointPaths:
@@ -347,6 +387,59 @@ class TestFalsify:
             assert (fresh is None) == (cx is None)
             if cx is not None:
                 assert (fresh.s, fresh.t, fresh.labeled) == (cx.s, cx.t, cx.labeled)
+
+    def test_chunk_size_changes_no_result(self, monkeypatch):
+        fan = mg([(0, 1), (1, 2), (2, 3), (3, 5)] + [(4, v) for v in (0, 1, 2, 3, 5)])
+        runs = [
+            (GEM.graph, None, 0),
+            # the first gap lies past labeling 2048, in a later chunk
+            (PATTERNS[0].graph, 20000, 0),
+            # (0, 3) and (0, 5) both gap on the first gap labeling
+            (fan, 3000, 1),
+        ]
+        results = {}
+        for chunk in (menger._CHUNK, 1, 3):
+            monkeypatch.setattr(menger, "_CHUNK", chunk)
+            results[chunk] = [falsify_mengerian(g, samples=n, seed=seed, max_edges=9)
+                              for g, n, seed in runs]
+        for got in results.values():
+            assert [(cx.s, cx.t, cx.labeled) for cx in got] == \
+                [(cx.s, cx.t, cx.labeled) for cx in results[1]]
+        fan_cx = results[1][2]
+        gapping = [pair for pair in permutations(sorted(fan.vertices), 2)
+                   if not fan.adjacent(*pair)
+                   and menger_gap(fan_cx.labeled, *pair).gap > 0]
+        # ties on one labeling go to the first pair in sorted order
+        assert (fan_cx.s, fan_cx.t) == gapping[0] == (0, 3) and len(gapping) >= 2
+
+    def test_labels_above_255(self):
+        # sampled labels run up to the edge count: the gem's path 0-1-2-3
+        # is labeled 33, 260, 263, and only a label order past one byte
+        # keeps it
+        path = [(3 if i == 0 else 4 + i, 5 + i) for i in range(260)]
+        g = mg([e.pair for e in GEM.graph.edges] + path)
+        cx = falsify_mengerian(g, samples=50, seed=37)
+        assert cx is not None and (cx.s, cx.t) == (0, 3)
+        assert [cx.labeled.label(i) for i in range(7)] == [33, 260, 263, 173, 63, 182, 64]
+        assert [p.vertices for p in cx.paths] == [(0, 1, 2, 3)]
+        assert cx.cut == frozenset({1, 2})
+
+    def test_many_edges_come_in_smaller_chunks(self, monkeypatch):
+        # a labeling of 1007 edges: a chunk of 2048 would hold two million
+        # labels, all drawn before the first is tested
+        labels = []
+        planes = menger._hop_planes
+
+        def counting(hops, edge_ids, chunk):
+            labels.append(len(chunk) * len(edge_ids))
+            return planes(hops, edge_ids, chunk)
+
+        monkeypatch.setattr(menger, "_hop_planes", counting)
+        path = [(3 if i == 0 else 4 + i, 5 + i) for i in range(1000)]
+        g = mg([e.pair for e in GEM.graph.edges] + path)
+        cx = falsify_mengerian(g, samples=5000, seed=0)
+        assert cx is not None and cx.gap == 1
+        assert max(labels) <= menger._CHUNK_LABELS
 
     @pytest.mark.parametrize("m", range(6))
     def test_rank_assignments_list_each_weak_order_once(self, m):

@@ -117,6 +117,16 @@ class TestWheels:
         assert v.embedding.pattern.name == "F3"
         assert v.embedding.branch[4] == 4
 
+    @pytest.mark.parametrize("extra", [(), ((4, 5),), ((0, 5),)],
+                             ids=["bare", "hub-pendant", "rim-pendant"])
+    def test_exhaustive_falsifier_finds_no_gap(self, extra):
+        # the non-adjacent pairs are opposite rim vertices, and no route
+        # between them has interior {1, 3} or {0, 2}: routes that meet
+        # pairwise then share a vertex, so p = c.  A pendant vertex adds
+        # no pair that shares the wheel's block.
+        g = mg(self.WHEEL + list(extra))
+        assert falsify_mengerian(g, max_edges=len(g.edges)) is None
+
     def test_wheel_terminals_are_adjacent_so_proof_is_unconfirmed(self):
         # every gem in the 4-wheel puts its path ends on a rim edge, so the
         # labeling cannot be certified through a vertex cut
