@@ -65,9 +65,9 @@ _ROUTE_CAP = 5000
 # the cap a kept set is decided afresh each time, which costs time only.
 _MEMO_CAP = 1 << 15
 # Labelings one falsify step decides together, one bit each in the
-# route feasibility planes.  A step holds at most _CHUNK_LABELS labels,
-# so labelings over more than 32 edges come fewer at a time: memory and
-# the labels drawn past a gap stay bounded however many edges there are.
+# route feasibility planes.  A step holds at most _CHUNK_LABELS labels
+# (or one labeling), so labelings over more than 32 edges come fewer at
+# a time: memory and the labels drawn past a gap stay bounded.
 _CHUNK = 2048
 _CHUNK_LABELS = 1 << 16
 
