@@ -309,10 +309,12 @@ class Chain:
 def maximal_chains(g: Multigraph) -> tuple[Chain, ...]:
     """All maximal chains, each multiplicity->=2 pair covered at most once.
 
-    A cycle of doubled pairs whose vertices all have two neighbors is
-    returned cut open at its smallest vertex, heading toward that vertex's
-    smaller neighbor; the closing pair then belongs to no chain.  Chains
-    are oriented smaller-end-first and returned sorted.
+    A cycle of doubled pairs is returned cut open at one vertex, heading
+    toward that vertex's smaller neighbor on the cycle; the closing pair
+    then belongs to no chain.  The cut vertex is the cycle's one vertex
+    with other than two neighbors when it hangs from such a vertex, and
+    its smallest vertex otherwise.  Chains are oriented smaller-end-first
+    and returned sorted.
     """
     doubled = sorted(p for p, m in g._mult.items() if m >= 2)
     done: set[tuple[int, int]] = set()
@@ -334,35 +336,39 @@ def maximal_chains(g: Multigraph) -> tuple[Chain, ...]:
         a, b = pair
         seq = [a, b]
         done.add(pair)
-        closed = False
+        cut = None  # where a cycle of doubled pairs is cut open
         # grow at the tail, then at the head
         while True:
             nxt = step(seq[-2], seq[-1])
             if nxt is None:
                 break
             if nxt == seq[0]:
+                # a is the cycle's smallest vertex, as (a, b) is its
+                # smallest pair; any vertex with other than two
+                # neighbors would have stopped the tail
                 done.add(_norm(seq[-1], nxt))
-                closed = True
+                cut = a
                 break
             seq.append(nxt)
             done.add(_norm(seq[-2], seq[-1]))
-        if not closed:
-            while True:
-                nxt = step(seq[1], seq[0])
-                if nxt is None:
-                    break
-                # a cycle would have closed while growing the tail
-                seq.insert(0, nxt)
-                done.add(_norm(seq[0], seq[1]))
-        if closed:
-            # canonical cut: smallest vertex first, toward its smaller neighbor
-            m = min(seq)
-            i = seq.index(m)
+        while cut is None:
+            nxt = step(seq[1], seq[0])
+            if nxt is None:
+                break
+            if nxt == seq[-1]:
+                # the cycle hangs from the vertex that stopped the tail
+                done.add(_norm(seq[0], nxt))
+                cut = nxt
+                break
+            seq.insert(0, nxt)
+            done.add(_norm(seq[0], seq[1]))
+        if cut is not None:
+            i = seq.index(cut)
             ring = seq[i:] + seq[:i]
             if ring[-1] < ring[1]:
                 ring = [ring[0]] + ring[1:][::-1]
             seq = ring
-        elif seq[0] > seq[-1]:
+        if seq[0] > seq[-1]:
             seq.reverse()
         chains.append(Chain(tuple(seq)))
     chains.sort(key=lambda c: c.vertices)

@@ -9,14 +9,22 @@ by a path of hops that each carry exactly mu parallel edges, with fresh
 interior vertices.
 
 `MEmbedding` records such a containment explicitly; `check_m_subdivision`
-verifies one against a host graph edge by edge.  `find_f3_subdivision`
-searches for the F3 shape, and `assemble_f1` / `assemble_f2` build
-certified embeddings of the other two patterns out of path material.
+verifies one against a host graph edge by edge.  `assemble_f1` /
+`assemble_f2` build certified embeddings of F1 and F2 out of path
+material.
+
+`find_f3_subdivision` searches for the F3 shape, a gem: a path through
+four teeth, each joined to an apex.  Per apex w it takes the BFS tree of
+each component of the graph minus w, cut down to the smallest subtree
+holding w's neighbours, and reads a gem off its shape.  When the tree is
+a spider, one more BFS around its centre either links two arms into a
+gem or shows that the centre separates w's neighbours from one another,
+which leaves no room for a gem.  The work is linear per apex, with no
+randomness and no backtracking.
 """
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -180,41 +188,7 @@ def is_m_subdivision(host: Multigraph, emb: MEmbedding) -> bool:
 
 
 # ----------------------------------------------------------------------
-# F3: a topological-minor search, exact backtracking
-
-
-def _segment_paths(U: Multigraph, x: int, y: int, banned: frozenset[int]):
-    """Simple x..y paths, interior avoiding `banned`, direct edges first."""
-
-    def dfs(cur: int, vpath: list[int]):
-        if cur == y:
-            yield tuple(vpath)
-            return
-        nbrs = U.neighbors(cur)
-        ordered = ([y] if y in nbrs else []) + [n for n in nbrs if n != y]
-        for nxt in ordered:
-            if nxt in vpath or (nxt != y and nxt in banned):
-                continue
-            vpath.append(nxt)
-            yield from dfs(nxt, vpath)
-            vpath.pop()
-
-    yield from dfs(x, [x])
-
-
-def _place_segments(U, segs, banned, used, out):
-    if not segs:
-        return True
-    x, y = segs[0]
-    for path in _segment_paths(U, x, y, banned):
-        interior = set(path[1:-1])
-        if interior & used:
-            continue
-        out.append(path)
-        if _place_segments(U, segs[1:], banned, used | interior, out):
-            return True
-        out.pop()
-    return False
+# F3: one linear gem search per apex
 
 
 def _min_parallels(host: Multigraph, route: tuple[int, ...], mu: int):
@@ -227,200 +201,205 @@ def _min_parallels(host: Multigraph, route: tuple[int, ...], mu: int):
     return tuple(hops)
 
 
-_GREEDY_MIN_VERTICES = 20
-
-
-def _corner_zones(U: Multigraph, w: int) -> dict[int, int]:
-    """Where the corners of a gem with apex w can sit.
-
-    Maps every vertex of H = U - w that lies in a component of H holding
-    at least four neighbours of w to a key of that component.  In a gem
-    with apex w the outer path avoids w, and the four fan paths leave w
-    through four distinct neighbours and then stay in H, so all four
-    corners lie in one such component.
-    """
-    nbrs = set(U.neighbors(w))
-    zone: dict[int, int] = {}
-    seen = {w}
-    for root in U.neighbors(w):
-        if root in seen:
-            continue
-        seen.add(root)
-        comp = [root]
-        for x in comp:
-            for y in U.neighbors(x):
-                if y not in seen:
-                    seen.add(y)
-                    comp.append(y)
-        if len(nbrs.intersection(comp)) >= 4:
-            zone.update(dict.fromkeys(comp, root))
-    return zone
-
-
-def _zone(U: Multigraph, w: int, zones: dict[int, dict[int, int]]) -> dict[int, int]:
-    """`_corner_zones(U, w)`, computed once per apex."""
-    if w not in zones:
-        zones[w] = _corner_zones(U, w)
-    return zones[w]
-
-
-def _shortest_avoiding(U: Multigraph, x: int, y: int, used: set[int]):
-    """Shortest simple x..y path whose interior avoids `used`, or None."""
-    prev: dict[int, int | None] = {x: None}
-    queue = deque([x])
-    while queue:
-        v = queue.popleft()
-        for n in U.neighbors(v):
-            if n == y:
-                path = [y]
-                cur: int | None = v
-                while cur is not None:
-                    path.append(cur)
-                    cur = prev[cur]
-                return tuple(reversed(path))
-            if n in used or n in prev:
-                continue
-            prev[n] = v
-            queue.append(n)
-    return None
-
-
-def _greedy_gem(host: Multigraph, U: Multigraph, apexes: list[int],
-                zones: dict[int, dict[int, int]],
-                attempts: int = 500) -> MEmbedding | None:
-    """Seeded randomized fast path for large hosts: corners drawn from the
-    apex neighborhood, outer path segments filled by shortest paths.  Finds
-    only; absence still needs the exhaustive search.
-
-    A sample a, b, c, d around apex w can only succeed when the middle
-    corners b and c have degree at least 3 (w plus both outer segments)
-    and all four corners share a component of U - w (`_corner_zones`).
-    Samples failing that are drawn but not searched, and when no apex has
-    two neighbours of degree 3 or more the pass returns before drawing at
-    all.  Neither changes which embedding comes back.
-    """
-    deg = U.simple_degree
-    if not any(sum(deg(x) >= 3 for x in U.neighbors(w)) >= 2 for w in apexes):
-        return None
-    rng = random.Random(0xF3)
-    for k in range(attempts):
-        w = apexes[k % len(apexes)]
-        a, b, c, d = rng.sample(U.neighbors(w), 4)
-        if deg(b) < 3 or deg(c) < 3:
-            continue
-        zone = _zone(U, w, zones)
-        z = zone.get(a)
-        if z is None or any(zone.get(x) != z for x in (b, c, d)):
-            continue
-        used = {w, a, b, c, d}
-        placed = []
-        for x, y in ((a, b), (b, c), (c, d)):
-            path = _shortest_avoiding(U, x, y, used)
-            if path is None:
-                break
-            used |= set(path[1:-1])
-            placed.append(path)
-        if len(placed) < 3:
-            continue
-        ab, bc, cd = placed
-        routes = {
-            (0, 1): ab,
-            (1, 2): bc,
-            (2, 3): cd,
-            (0, 4): (a, w),
-            (1, 4): (b, w),
-            (2, 4): (c, w),
-            (3, 4): (d, w),
-        }
-        emb = MEmbedding(
-            pattern=F3,
-            branch={0: a, 1: b, 2: c, 3: d, 4: w},
-            routes=routes,
-            hop_edges={key: _min_parallels(host, r, 1) for key, r in routes.items()},
-        )
-        reason = check_m_subdivision(host, emb)
-        if reason is not None:
-            raise InternalError(f"greedy gem search produced a bad embedding: {reason}")
-        return emb
-    return None
-
-
 def find_f3_subdivision(host: Multigraph, apex: int | None = None) -> MEmbedding | None:
     """An F3 embedding in the host, or None.
 
     The search runs on the underlying simple graph U: F3 has no parallel
     pairs, so containment only depends on adjacency.  With `apex` given,
-    only embeddings whose apex lands there are considered.  On large
-    hosts a seeded greedy pass runs first; it only ever finds, so the
-    exhaustive sweep below stays the authority on absence.
+    only embeddings whose apex lands there are considered.  An F3 with
+    apex w is a gem: a spine path in U - w through four teeth, the ends
+    of the spine among them, and four legs from the teeth to w that meet
+    only at w and leave the spine at once.  Let T = N(w).
 
-    Both passes skip candidates that fail a necessary condition: an apex
-    w needs degree 4; the middle corners need degree 3 and the end
-    corners degree 2; and all four corners lie in one component of U - w
-    that holds at least four neighbours of w.  Skipped candidates are
-    exactly ones the search would have rejected, so the enumeration
-    order, the greedy pass's random stream and the embedding returned
-    are the same as without the pruning.
+    For each w of degree 4 or more and each component C of U - w that
+    holds at least four vertices of T and two vertices of degree 3 or
+    more (a spine, its teeth and all legs but their last hop lie in one
+    such component, and the middle teeth have degree 3), let tau be the
+    BFS tree of C cut down to the smallest subtree holding T; its leaves
+    lie in T.  `_gem_in` reads a gem off tau, or finds none:
+
+    - two branch vertices u, v: the spine runs from a T vertex behind u
+      through the tree path u..v to a T vertex behind v; a third branch
+      at u and at v carries the legs of teeth u and v;
+    - a spider (one branch vertex c) with two vertices x, y of T on one
+      arm: the spine runs from another arm's T vertex through c, x and
+      y, and c's leg follows a third arm (or is the edge c-w);
+    - a path: its first four T vertices are the teeth;
+    - a spider whose arms hold one T vertex each, the leaf: one BFS of
+      C - c from all arm vertices.  A path R from arm i at r_i to arm j
+      at r_j gives the spine t_i..r_i, R, r_j..c..t_k along a third arm
+      k, with teeth t_i, r_j, c and t_k; r_j's leg runs out along arm j,
+      c's is the edge c-w or a fourth arm, which exists because C holds
+      four vertices of T.  With no such R every component of C - c
+      holds at most one vertex of T, and then C holds no gem: remove c
+      from a gem's spine and legs.  If c is not on the spine, the spine
+      with three legs stays connected; if it is, one side of the spine
+      keeps two teeth other than c, and their legs avoid c.  Either way
+      one component of C - c holds two legs' last vertices before w,
+      which are distinct vertices of T.
+
+    So a gem is returned exactly when one exists.  Each apex costs one
+    pass over each component and at most one more BFS of it: no
+    recursion and no search per candidate vertex.  Every embedding is
+    checked edge by edge before it is returned.
     """
     U = host.underlying_simple()
-    apexes = [w for w in ([apex] if apex is not None else sorted(U.vertices))
-              if U.simple_degree(w) >= 4]
-    zones: dict[int, dict[int, int]] = {}
-    if len(U.vertices) >= _GREEDY_MIN_VERTICES:
-        emb = _greedy_gem(host, U, apexes, zones)
-        if emb is not None:
-            return emb
-    for w in apexes:
-        emb = _gem_with_apex(host, U, w, _zone(U, w, zones))
-        if emb is not None:
-            return emb
+    for w in ([apex] if apex is not None else sorted(U.vertices)):
+        if U.simple_degree(w) < 4:
+            continue
+        found = _gem_at(U, w)
+        if found is not None:
+            return _gem_embedding(host, w, *found)
     return None
 
 
-def _gem_with_apex(host: Multigraph, U: Multigraph, w: int,
-                   zone: dict[int, int]) -> MEmbedding | None:
-    deg = U.simple_degree
-    ends = [v for v in sorted(zone) if deg(v) >= 2]
-    mids = [v for v in ends if deg(v) >= 3]
-    if len(mids) < 2:
-        return None
-    for a in ends:
-        for d in ends:
-            # d > a by reversal symmetry of the outer path
-            if d <= a or zone[d] != zone[a]:
+def _gem_at(U: Multigraph, w: int):
+    """(spine, legs) of a gem with apex w, or None."""
+    T = set(U.neighbors(w))
+    seen = {w}
+    # any root finds a gem when there is one; the root only picks among
+    # symmetric gems.  Entering each component at a vertex of T with the
+    # most neighbours in T reports the crossed shapes that
+    # tests/test_recognizer.py pins.
+    for root in sorted(T, key=lambda t: (-len(T.intersection(U.neighbors(t))), t)):
+        if root in seen:
+            continue
+        seen.add(root)
+        parent: dict[int, int | None] = {root: None}
+        order = [root]
+        for x in order:
+            for y in U.neighbors(x):
+                if y not in seen:
+                    seen.add(y)
+                    parent[y] = x
+                    order.append(y)
+        if (sum(v in T for v in order) >= 4
+                and sum(U.simple_degree(v) >= 3 for v in order) >= 2):
+            found = _gem_in(U, w, T, order, parent)
+            if found is not None:
+                return found
+    return None
+
+
+def _gem_in(U: Multigraph, w: int, T: set[int], order: list[int],
+            parent: dict[int, int | None]):
+    """A gem with apex w inside one component of U - w, or None.
+
+    `order` and `parent` give the component's BFS tree, rooted in T.
+    """
+    # tau keeps a vertex exactly when its subtree meets T (the root is in T)
+    below = dict.fromkeys(order, 0)
+    for v in reversed(order):
+        below[v] += v in T
+        if parent[v] is not None:
+            below[parent[v]] += below[v]
+    tau: dict[int, list[int]] = {v: [] for v in order if below[v]}
+    for v in order[1:]:
+        if below[v]:
+            tau[v].append(parent[v])
+            tau[parent[v]].append(v)
+    leaves = {v for v, nbrs in tau.items() if len(nbrs) == 1}
+
+    def walk(prev: int, x: int, stop: set[int]) -> list[int]:
+        """The tau path from x away from prev to the first vertex in stop."""
+        path = [x]
+        while x not in stop:
+            prev, x = x, next(y for y in tau[x] if y != prev)
+            path.append(x)
+        return path
+
+    branch = [v for v, nbrs in tau.items() if len(nbrs) >= 3]
+    if not branch:
+        end = min(leaves)
+        line = [end] + walk(end, tau[end][0], leaves)
+        teeth = [x for x in line if x in T][:4]
+        return line[:line.index(teeth[3]) + 1], [(t, w) for t in teeth]
+
+    if len(branch) >= 2:
+        u, v = branch[:2]
+        up = [u]
+        while parent[up[-1]] is not None:
+            up.append(parent[up[-1]])
+        height = {x: i for i, x in enumerate(up)}
+        down = [v]
+        while down[-1] not in height:
+            down.append(parent[down[-1]])
+        mid = up[:height[down[-1]]] + down[::-1]
+        a_side, b_side = [walk(u, y, T) for y in tau[u] if y != mid[1]][:2]
+        c_side, d_side = [walk(v, y, T) for y in tau[v] if y != mid[-2]][:2]
+        spine = a_side[::-1] + mid + d_side
+        return spine, [(spine[0], w), (u, *b_side, w), (v, *c_side, w), (spine[-1], w)]
+
+    c = branch[0]
+    arms = [walk(c, y, leaves) for y in tau[c]]
+
+    def c_leg(skip: tuple[int, ...]) -> tuple[int, ...]:
+        if c in T:
+            return (c, w)
+        arm = next(a for i, a in enumerate(arms) if i not in skip)
+        return (c, *walk(c, arm[0], T), w)
+
+    for i, arm in enumerate(arms):
+        hits = [x for x in arm if x in T]
+        if len(hits) >= 2:
+            j = next(n for n in range(len(arms)) if n != i)
+            x, y = hits[:2]
+            spine = walk(c, arms[j][0], T)[::-1] + [c] + arm[:arm.index(y) + 1]
+            return spine, [(spine[0], w), c_leg((i, j)), (x, w), (y, w)]
+
+    # each arm holds one vertex of T, its leaf
+    owner = {x: i for i, arm in enumerate(arms) for x in arm}
+    via: dict[int, int] = {}
+
+    def back(x: int) -> list[int]:
+        path = [x]
+        while path[-1] in via:
+            path.append(via[path[-1]])
+        return path
+
+    queue = deque(owner)
+    while queue:
+        x = queue.popleft()
+        for y in U.neighbors(x):
+            if y == c or y == w:
                 continue
-            for b in mids:
-                if b in (a, d) or zone[b] != zone[a]:
-                    continue
-                for c in mids:
-                    if c in (a, b, d) or zone[c] != zone[a]:
-                        continue
-                    branches = frozenset((w, a, b, c, d))
-                    segs = [(a, b), (b, c), (c, d), (w, a), (w, b), (w, c), (w, d)]
-                    placed: list[tuple[int, ...]] = []
-                    if not _place_segments(U, segs, branches, set(), placed):
-                        continue
-                    ab, bc, cd, wa, wb, wc, wd = placed
-                    routes = {
-                        (0, 1): ab,
-                        (1, 2): bc,
-                        (2, 3): cd,
-                        (0, 4): tuple(reversed(wa)),
-                        (1, 4): tuple(reversed(wb)),
-                        (2, 4): tuple(reversed(wc)),
-                        (3, 4): tuple(reversed(wd)),
-                    }
-                    emb = MEmbedding(
-                        pattern=F3,
-                        branch={0: a, 1: b, 2: c, 3: d, 4: w},
-                        routes=routes,
-                        hop_edges={k: _min_parallels(host, r, 1) for k, r in routes.items()},
-                    )
-                    reason = check_m_subdivision(host, emb)
-                    if reason is not None:
-                        raise InternalError(f"gem search produced a bad embedding: {reason}")
-                    return emb
-    return None
+            if y not in owner:
+                owner[y], via[y] = owner[x], x
+                queue.append(y)
+            elif owner[y] != owner[x]:
+                link = back(x)[::-1] + back(y)
+                i, j = owner[x], owner[y]
+                k = next(n for n in range(len(arms)) if n not in (i, j))
+                ri = arms[i].index(link[0])
+                rj = arms[j].index(link[-1])
+                spine = (arms[i][ri:][::-1] + link[1:-1] + arms[j][rj::-1]
+                         + [c] + arms[k])
+                return spine, [(spine[0], w), (*arms[j][rj:], w),
+                               c_leg((i, j, k)), (spine[-1], w)]
+    return None  # c is a star centre
+
+
+def _gem_embedding(host: Multigraph, w: int, spine: list[int],
+                   legs: list[tuple[int, ...]]) -> MEmbedding:
+    """Checked F3 embedding: the teeth legs[k][0] lie on the spine in order.
+
+    The spine runs from its smaller end.
+    """
+    if spine[0] > spine[-1]:
+        spine, legs = spine[::-1], legs[::-1]
+    cut = [spine.index(leg[0]) for leg in legs]
+    routes = {(k, k + 1): tuple(spine[cut[k]:cut[k + 1] + 1]) for k in range(3)}
+    routes.update({(k, 4): tuple(leg) for k, leg in enumerate(legs)})
+    emb = MEmbedding(
+        pattern=F3,
+        branch={**{k: leg[0] for k, leg in enumerate(legs)}, 4: w},
+        routes=routes,
+        hop_edges={key: _min_parallels(host, r, 1) for key, r in routes.items()},
+    )
+    reason = check_m_subdivision(host, emb)
+    if reason is not None:
+        raise InternalError(f"gem search produced a bad embedding: {reason}")
+    return emb
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
+from mengerian import cli
 from mengerian.cli import random_multigraph as dense_random_multigraph
 from mengerian.menger import (
     CutUndefinedError,
@@ -71,6 +72,30 @@ class TestSubdividedPatterns:
         for seed in range(100):
             self.assert_refuted(subdivided_pattern(seed), seed)
         assert time.perf_counter() - start < 60.0
+
+
+class TestChordedPattern:
+    """Chords on a large subdivided pattern give the gem search many
+    candidate corners; it must not try them one by one."""
+
+    def test_thousand_vertex_f1_with_twenty_chords(self):
+        rng = random.Random(1)
+        g = cli.subdivided_pattern("F1", 994, rng)
+        n = len(g.vertices)
+        pairs = [e.pair for e in g.edges]
+        present = set(pairs)
+        while len(pairs) < len(g.edges) + 20:
+            u, v = sorted(rng.sample(range(n), 2))
+            if (u, v) not in present:
+                present.add((u, v))
+                pairs.append((u, v))
+        g = mg(pairs, vertices=range(n))
+        start = time.perf_counter()
+        verdict, proof = recognize_with_proof(g)
+        assert time.perf_counter() - start < 5.0
+        assert not verdict.mengerian
+        assert check_m_subdivision(g, verdict.embedding) is None
+        assert proof is not None
 
 
 # connected multigraph isomorphism classes with <= 5 vertices and

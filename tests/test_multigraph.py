@@ -253,23 +253,24 @@ class TestMaximalChains:
         g4 = mg([(0, 1), (0, 1), (1, 2), (1, 2), (2, 3), (2, 3), (3, 0), (3, 0)])
         assert maximal_chains(g4) == (Chain((0, 1, 2, 3)),)
 
+    def test_cycle_hanging_from_branch_vertex(self):
+        # reached tail-first, the head runs back round to vertex 2; the
+        # cycle is cut open there, toward 2's smaller neighbor 0
+        g = mg([(0, 1), (0, 1), (0, 2), (0, 2), (1, 2), (1, 2), (2, 3)])
+        assert maximal_chains(g) == (Chain((1, 0, 2)),)
+        g4 = mg([(0, 1), (0, 1), (1, 4), (1, 4), (4, 3), (4, 3), (3, 0), (3, 0),
+                 (4, 5)])
+        assert maximal_chains(g4) == (Chain((3, 0, 1, 4)),)
+
+    @pytest.mark.parametrize("seed", [1401, 2490])
+    def test_random_cycles_hanging_from_branch_vertices(self, seed):
+        rng = random.Random(seed)
+        g = random_multigraph(rng, rng.randint(7, 9), rng.randint(9, 18), max_mult=3)
+        assert_chain_partition(g)
+
     @given(small_multigraphs())
     def test_partition_property(self, g):
-        chains = maximal_chains(g)
-        doubled = {p for p in g.adjacent_pairs() if g.multiplicity(*p) >= 2}
-        covered = []
-        for c in chains:
-            for p in c.pairs():
-                assert g.multiplicity(*p) >= 2
-                covered.append(p)
-            for x in c.vertices[1:-1]:
-                assert g.simple_degree(x) == 2
-        assert len(covered) == len(set(covered))
-        missing = doubled - set(covered)
-        # only the closing pair of a cut-open doubled cycle may stay uncovered
-        for a, b in missing:
-            assert g.simple_degree(a) == 2 and g.simple_degree(b) == 2
-            assert any({a, b} == {c.first, c.last} for c in chains)
+        assert_chain_partition(g)
 
     @given(small_multigraphs())
     def test_maximality(self, g):
@@ -282,6 +283,25 @@ class TestMaximalChains:
                 if nxt in c.vertices:
                     continue  # would close a cycle
                 assert g.multiplicity(end, nxt) < 2
+
+
+def assert_chain_partition(g):
+    chains = maximal_chains(g)
+    doubled = {p for p in g.adjacent_pairs() if g.multiplicity(*p) >= 2}
+    covered = []
+    for c in chains:
+        for p in c.pairs():
+            assert g.multiplicity(*p) >= 2
+            covered.append(p)
+        for x in c.vertices[1:-1]:
+            assert g.simple_degree(x) == 2
+    assert len(covered) == len(set(covered))
+    missing = doubled - set(covered)
+    # only the closing pair of a cut-open doubled cycle may stay uncovered;
+    # it may touch the one vertex the cycle hangs from
+    for a, b in missing:
+        assert 2 in (g.simple_degree(a), g.simple_degree(b))
+        assert any({a, b} == {c.first, c.last} for c in chains)
 
 
 def brute_cut_vertices(g):
