@@ -374,7 +374,8 @@ def cmd_menger(args) -> int:
         print(f"  cut edges: {' '.join(str(e) for e in sorted(cut))}")
         return 0
     guard = args.max_size or _guard_default(DEFAULT_MAX_VERTICES)
-    paths = max_disjoint_paths(tg, s, t, max_size=guard)
+    # the cut first: it refuses an adjacent pair before the size guard
+    # and before any route is enumerated
     try:
         cut = min_vertex_cut(tg, s, t, max_size=guard)
     except CutUndefinedError:
@@ -382,6 +383,7 @@ def cmd_menger(args) -> int:
             f"vertices {args.source!r} and {args.target!r} are adjacent, "
             "so no vertex cut exists; use --edge for the edge variant"
         ) from None
+    paths = max_disjoint_paths(tg, s, t, max_size=guard)
     print(f"p = {len(paths)}")
     _print_paths(named, tg, paths)
     print(f"c = {len(cut)}")
@@ -488,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--seed", type=_non_negative, default=0, metavar="S")
     f.add_argument("--max-edges", type=_positive,
                    default=DEFAULT_MAX_EDGES_EXHAUSTIVE, metavar="M",
-                   help="edge bound for --exhaustive")
+                   help="edge bound per searched block for --exhaustive")
     f.set_defaults(func=cmd_falsify)
 
     g = sub.add_parser("gen", help="write a graph file to standard output")

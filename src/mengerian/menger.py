@@ -249,9 +249,13 @@ class MengerGap(NamedTuple):
 def menger_gap(
     tg: TemporalGraph, s: int, t: int, max_size: int = DEFAULT_MAX_VERTICES
 ) -> MengerGap:
-    """p, c and their difference for a non-adjacent pair."""
-    p = len(max_disjoint_paths(tg, s, t, max_size=max_size))
+    """p, c and their difference for a non-adjacent pair.
+
+    The cut comes first, so an adjacent pair raises CutUndefinedError
+    before the size guard or the packing search runs.
+    """
     c = len(min_vertex_cut(tg, s, t, max_size=max_size))
+    p = len(max_disjoint_paths(tg, s, t, max_size=max_size))
     return MengerGap(p, c, c - p)
 
 
@@ -271,7 +275,12 @@ class _Dinic:
         self.adj[a].append([b, cap, len(self.adj[b]), cap])
         self.adj[b].append([a, 0, len(self.adj[a]) - 1, 0])
 
-    def maxflow(self, s: int, t: int) -> int:
+    def maxflow(self, s: int, t: int) -> tuple[int, list[int]]:
+        """The max flow value and the levels of the last, failed BFS.
+
+        That BFS follows every arc with residual capacity, so the nodes
+        it reached (level >= 0) are the source side of a minimum cut.
+        """
         total = 0
         n = len(self.adj)
         while True:
@@ -284,7 +293,7 @@ class _Dinic:
                         level[arc[0]] = level[x] + 1
                         queue.append(arc[0])
             if level[t] < 0:
-                return total
+                return total, level
             it = [0] * n
             while True:
                 got = self._push(s, t, level, it)
@@ -376,21 +385,10 @@ def edge_menger(
     for lab in labels_of[t]:
         net.arc(vnode[(t, lab)], snk, inf)
 
-    value = net.maxflow(src, snk)
-
-    # min cut first: decomposition below consumes the recorded flow, so the
-    # residual frontier must be read before it is disturbed
-    seen = {src}
-    stack = [src]
-    while stack:
-        x = stack.pop()
-        for arc in net.adj[x]:
-            if arc[1] > 0 and arc[0] not in seen:
-                seen.add(arc[0])
-                stack.append(arc[0])
+    value, level = net.maxflow(src, snk)
     cut = frozenset(
         eid for eid, (node_in, node_out) in gadget.items()
-        if node_in in seen and node_out not in seen
+        if level[node_in] >= 0 and level[node_out] < 0
     )
 
     # walk decomposition with in-place cancellation of incidental cycles
@@ -398,7 +396,6 @@ def edge_menger(
     for eid, (node_in, node_out) in gadget.items():
         node_owner[node_in] = (eid, 0)
         node_owner[node_out] = (eid, 1)
-    vertex_at = {idx: v for (v, _), idx in vnode.items()}
 
     paths = []
     for _ in range(value):
@@ -628,17 +625,18 @@ def falsify_mengerian(
 ) -> Counterexample | None:
     """Search time-functions for a non-adjacent pair with p < c.
 
-    samples=None enumerates every weak order of labels (requires
-    len(edges) <= max_edges).  It goes block by block, ranking only the
-    block's edges (every other edge gets label 1), and tests only the
-    orientation s < t of each pair: time reversal maps a counterexample
-    for (t, s) to one for (s, t), and reversing a weak order gives a
-    weak order.  The first counterexample is the first over blocks,
-    then labelings, then pairs s < t.  An integer draws that many seeded
-    uniform assignments with labels in 1..len(edges) and tests both
-    orientations of each pair, in sorted order; the first
-    counterexample is the first in that order.  Returns None when the
-    search finds none.
+    samples=None enumerates every weak order of labels.  It goes block
+    by block, ranking only the block's edges (every other edge gets
+    label 1).  Only blocks holding a non-adjacent pair are searched, and
+    each must have at most max_edges edges; a graph with no such block
+    returns None.  It tests only the orientation s < t of each pair:
+    time reversal maps a counterexample for (t, s) to one for (s, t),
+    and reversing a weak order gives a weak order.  The first
+    counterexample is the first over blocks, then labelings, then pairs
+    s < t.  An integer draws that many seeded uniform assignments with
+    labels in 1..len(edges) and tests both orientations of each pair, in
+    sorted order; the first counterexample is the first in that order.
+    Returns None when the search finds none.
 
     Each pair's static routes are enumerated once, as the temporal routes
     under a constant labeling; a labeling then keeps the routes whose
@@ -650,13 +648,14 @@ def falsify_mengerian(
     splits by kept set, and the gap with the lowest labeling, then the
     first pair, wins, as it would one labeling at a time.
     """
-    m = len(g.edges)
-    if samples is None and m > max_edges:
-        raise ResourceLimitError(
-            f"exhaustive falsification over {m} edges exceeds the bound {max_edges}"
-        )
-
     blocks = _block_pairs(g)
+    if samples is None:
+        largest = max((len(edge_ids) for edge_ids, _ in blocks), default=0)
+        if largest > max_edges:
+            raise ResourceLimitError(
+                f"exhaustive falsification over a block of {largest} edges "
+                f"exceeds the bound {max_edges}"
+            )
     if not blocks:
         return None
     if samples is None:
@@ -692,6 +691,7 @@ def falsify_mengerian(
                     for edge_ids, block_pairs in blocks]
     else:
         rng = random.Random(seed)
+        m = len(g.edges)
         searches = [(tuple(e.id for e in g.edges), pairs,
                      ([rng.randint(1, m) for _ in range(m)] for _ in range(samples)))]
 

@@ -315,62 +315,39 @@ def maximal_chains(g: Multigraph) -> tuple[Chain, ...]:
     with other than two neighbors when it hangs from such a vertex, and
     its smallest vertex otherwise.  Chains are oriented smaller-end-first
     and returned sorted.
+
+    Each chain is one walk through inner vertices (two neighbors, both
+    across doubled pairs): first from every other end of a doubled pair,
+    where a walk back to its start is a hanging cycle, then from the
+    inner vertices left, which lie on bare cycles, in ascending order.
     """
-    doubled = sorted(p for p, m in g._mult.items() if m >= 2)
-    done: set[tuple[int, int]] = set()
+    # each vertex's neighbors across doubled pairs, ascending, since the
+    # pairs come sorted
+    along: dict[int, list[int]] = {}
+    for u, v in sorted(p for p, m in g._mult.items() if m >= 2):
+        along.setdefault(u, []).append(v)
+        along.setdefault(v, []).append(u)
+    inner = {v for v, ws in along.items() if len(ws) == 2 and len(g._adj[v]) == 2}
+    covered: set[tuple[int, int]] = set()
     chains: list[Chain] = []
-
-    def step(prev: int, cur: int) -> int | None:
-        # extend through cur only while it is a plain interior vertex
-        if g.simple_degree(cur) != 2:
-            return None
-        a, b = g.neighbors(cur)
-        nxt = b if a == prev else a
-        if g.multiplicity(cur, nxt) < 2:
-            return None
-        return nxt
-
-    for pair in doubled:
-        if pair in done:
-            continue
-        a, b = pair
-        seq = [a, b]
-        done.add(pair)
-        cut = None  # where a cycle of doubled pairs is cut open
-        # grow at the tail, then at the head
-        while True:
-            nxt = step(seq[-2], seq[-1])
-            if nxt is None:
-                break
-            if nxt == seq[0]:
-                # a is the cycle's smallest vertex, as (a, b) is its
-                # smallest pair; any vertex with other than two
-                # neighbors would have stopped the tail
-                done.add(_norm(seq[-1], nxt))
-                cut = a
-                break
-            seq.append(nxt)
-            done.add(_norm(seq[-2], seq[-1]))
-        while cut is None:
-            nxt = step(seq[1], seq[0])
-            if nxt is None:
-                break
-            if nxt == seq[-1]:
-                # the cycle hangs from the vertex that stopped the tail
-                done.add(_norm(seq[0], nxt))
-                cut = nxt
-                break
-            seq.insert(0, nxt)
-            done.add(_norm(seq[0], seq[1]))
-        if cut is not None:
-            i = seq.index(cut)
-            ring = seq[i:] + seq[:i]
-            if ring[-1] < ring[1]:
-                ring = [ring[0]] + ring[1:][::-1]
-            seq = ring
-        if seq[0] > seq[-1]:
-            seq.reverse()
-        chains.append(Chain(tuple(seq)))
+    for start in sorted(along.keys() - inner) + sorted(inner):
+        for first in along[start]:
+            if _norm(start, first) in covered:
+                continue
+            seq = [start]
+            prev, cur = start, first
+            while True:
+                covered.add(_norm(prev, cur))
+                if cur == start:
+                    break  # the closing pair of a cycle
+                seq.append(cur)
+                if cur not in inner:
+                    break
+                a, b = along[cur]
+                prev, cur = cur, b if a == prev else a
+            if seq[0] > seq[-1]:
+                seq.reverse()
+            chains.append(Chain(tuple(seq)))
     chains.sort(key=lambda c: c.vertices)
     return tuple(chains)
 
@@ -465,11 +442,15 @@ def biconnected_components(g: Multigraph) -> tuple[Multigraph, ...]:
     A pair of parallel edges forms a block of its own; isolated vertices
     belong to no block.  Blocks are sorted by their smallest vertex id,
     then smallest edge id.
+
+    An iterative depth-first search on the underlying simple graph keeps
+    low points and a stack of tree and back pairs.  When a child's
+    subtree reaches no vertex above its parent, the pairs stacked since
+    the tree pair into that child form one block.
     """
     simple = g.underlying_simple()
     index: dict[int, int] = {}
     low: dict[int, int] = {}
-    counter = 0
     blocks_pairs: list[list[tuple[int, int]]] = []
     edge_stack: list[tuple[int, int]] = []
 
@@ -477,45 +458,38 @@ def biconnected_components(g: Multigraph) -> tuple[Multigraph, ...]:
         if root in index:
             continue
         # iterative DFS so deep graphs cannot overflow the stack
-        stack: list[tuple[int, Iterator[int], int | None]] = []
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append((root, iter(simple.neighbors(root)), None))
+        index[root] = low[root] = len(index)
+        stack: list[tuple[int, Iterator[int], int | None]] = [
+            (root, iter(simple.neighbors(root)), None)
+        ]
         while stack:
-            x, it, parent_v = stack[-1]
-            advanced = False
+            x, it, parent = stack[-1]
             for y in it:
-                if y == parent_v:
-                    # skip one edge back to the parent, not all of them:
-                    # parallel classes are contracted in `simple`, so a
-                    # doubled pair to the parent still forms its own block
-                    parent_v = None
-                    stack[-1] = (x, it, None)
+                # the simple graph has one edge back to the parent; a doubled
+                # pair to the parent still forms its own block
+                if y == parent:
                     continue
                 if y not in index:
-                    index[y] = low[y] = counter
-                    counter += 1
+                    index[y] = low[y] = len(index)
                     edge_stack.append(_norm(x, y))
                     stack.append((y, iter(simple.neighbors(y)), x))
-                    advanced = True
                     break
                 if index[y] < index[x]:
                     edge_stack.append(_norm(x, y))
                     low[x] = min(low[x], index[y])
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                px = stack[-1][0]
-                low[px] = min(low[px], low[x])
-                if low[x] >= index[px]:
-                    comp = []
-                    while True:
-                        pe = edge_stack.pop()
-                        comp.append(pe)
-                        if pe == _norm(px, x):
-                            break
-                    blocks_pairs.append(comp)
+            else:
+                stack.pop()
+                if stack:
+                    px = stack[-1][0]
+                    low[px] = min(low[px], low[x])
+                    if low[x] >= index[px]:
+                        comp = []
+                        while True:
+                            pe = edge_stack.pop()
+                            comp.append(pe)
+                            if pe == _norm(px, x):
+                                break
+                        blocks_pairs.append(comp)
 
     out = []
     for comp in blocks_pairs:

@@ -104,8 +104,9 @@ def recognize_with_proof(
 ) -> tuple[Verdict, Proof | None]:
     """recognize(), plus a labeled counterexample for negative verdicts.
 
-    The labeling is measured by the exact oracles when the graph is
-    small enough; above verify_max_size the proof ships unverified.
+    The labeling is measured by the exact oracles.  Their size guard
+    refuses graphs above verify_max_size, and the proof then ships
+    unverified (report None).
     """
     verdict = recognize(g)
     if verdict.mengerian:
@@ -115,13 +116,11 @@ def recognize_with_proof(
     if reason is not None:
         raise InternalError(f"embedding does not hold in the full graph: {reason}")
     labeled = make_witness(g, emb)
-    report = None
-    if len(g.vertices) <= verify_max_size:
-        try:
-            report = verify_witness(labeled, emb.source, emb.target,
-                                    max_size=verify_max_size)
-        except ResourceLimitError:  # pragma: no cover
-            report = None
+    try:
+        report = verify_witness(labeled, emb.source, emb.target,
+                                max_size=verify_max_size)
+    except ResourceLimitError:
+        report = None
     return verdict, Proof(labeled, emb.source, emb.target, report)
 
 

@@ -307,6 +307,28 @@ class TestMengerCommand:
         assert code == 0
         assert "p = 1" in out
 
+    def test_adjacent_pair_refused_before_size_guard_and_search(
+            self, tmp_path, capsys, monkeypatch):
+        # a 20-cycle with a chord: above the default guard of 15 vertices
+        n = 20
+        lines = [f"v {i}" for i in range(n)]
+        lines += [f"e {i} {(i + 1) % n} {i + 1}" for i in range(n)]
+        lines.append("e 0 10 5")
+        path = write(tmp_path, "chorded.graph", "\n".join(lines) + "\n")
+        code, out, err = run(capsys, "menger", path, "--source", "0", "--target", "1")
+        assert code == 2 and out == ""
+        assert "adjacent" in err and "--edge" in err
+        assert "max_size" not in err
+
+        def no_packing(*args, **kwargs):
+            raise AssertionError("packing searched for an adjacent pair")
+
+        monkeypatch.setattr(cli, "max_disjoint_paths", no_packing)
+        code, out, err = run(capsys, "menger", path, "--source", "0", "--target", "1",
+                             "--max-size", "20")
+        assert code == 2 and out == ""
+        assert "adjacent" in err and "--edge" in err
+
     def test_env_var_sets_guard(self, tmp_path, capsys, monkeypatch):
         path = pattern_file(tmp_path, F1, labeled=True)
         monkeypatch.setenv("MENGERIAN_MAX_SIZE", "2")

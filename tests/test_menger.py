@@ -224,6 +224,19 @@ class TestMengerGap:
         gap = menger_gap(TWO_ROUTES, 0, 3)
         assert gap.gap == 0
 
+    def test_adjacent_pair_refused_before_size_guard_and_search(self, monkeypatch):
+        n = 20
+        big = tg([(i, (i + 1) % n, i + 1) for i in range(n)] + [(0, 10, 5)])
+        with pytest.raises(CutUndefinedError):
+            menger_gap(big, 0, 1)
+
+        def no_packing(*args, **kwargs):
+            raise AssertionError("packing searched for an adjacent pair")
+
+        monkeypatch.setattr(menger, "max_disjoint_paths", no_packing)
+        with pytest.raises(CutUndefinedError):
+            menger_gap(big, 0, 1, max_size=n)
+
 
 class TestEdgeMenger:
     def test_parallel_pair(self):
@@ -332,10 +345,14 @@ class TestFalsify:
             assert a.labeled.times == b.labeled.times
 
     def test_edge_budget_guard(self):
-        g = mg([(i, i + 1) for i in range(8)])
-        with pytest.raises(ResourceLimitError):
-            falsify_mengerian(g)
-        assert falsify_mengerian(g, max_edges=8) is None
+        # the bound applies to the largest block searched: an 8-edge path
+        # has no block holding a non-adjacent pair, an 8-cycle is one
+        path = mg([(i, i + 1) for i in range(8)])
+        assert falsify_mengerian(path) is None
+        cycle = mg([(i, (i + 1) % 8) for i in range(8)])
+        with pytest.raises(ResourceLimitError, match="exceeds the bound"):
+            falsify_mengerian(cycle)
+        assert falsify_mengerian(cycle, max_edges=8) is None
 
     def test_doubled_path_has_no_pair_to_test(self):
         # every non-adjacent pair is split by a cut vertex, so c <= 1
