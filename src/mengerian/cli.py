@@ -17,14 +17,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import random
 import sys
 import time
 
 from .menger import (
     DEFAULT_MAX_EDGES_EXHAUSTIVE,
-    DEFAULT_MAX_VERTICES,
     CutUndefinedError,
     ResourceLimitError,
     edge_menger,
@@ -37,8 +35,6 @@ from .patterns import PATTERNS, MEmbedding
 from .recognizer import recognize, recognize_with_proof
 from .temporal import TemporalGraph
 from .witness import DEFAULT_VERIFY_MAX_VERTICES
-
-MAX_SIZE_ENV = "MENGERIAN_MAX_SIZE"
 
 
 class GraphFileError(ValueError):
@@ -308,25 +304,11 @@ def subdivided_pattern(name: str, ops: int, rng: random.Random) -> Multigraph:
 # commands
 
 
-def _guard_default(fallback: int) -> int:
-    raw = os.environ.get(MAX_SIZE_ENV)
-    if raw is None:
-        return fallback
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise GraphFileError(f"{MAX_SIZE_ENV} must be a positive integer, got {raw!r}")
-    return value
-
-
 def cmd_recognize(args) -> int:
     named = load_graphfile(args.path)
     start = time.perf_counter()
     if args.proof:
-        guard = args.max_size or _guard_default(DEFAULT_VERIFY_MAX_VERTICES)
-        verdict, proof = recognize_with_proof(named.graph, verify_max_size=guard)
+        verdict, proof = recognize_with_proof(named.graph, verify_max_size=args.max_size)
     else:
         verdict, proof = recognize(named.graph), None
     elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -373,17 +355,15 @@ def cmd_menger(args) -> int:
         print(f"c' = {len(cut)}")
         print(f"  cut edges: {' '.join(str(e) for e in sorted(cut))}")
         return 0
-    guard = args.max_size or _guard_default(DEFAULT_MAX_VERTICES)
-    # the cut first: it refuses an adjacent pair before the size guard
-    # and before any route is enumerated
+    # the cut first: it refuses an adjacent pair before any route is listed
     try:
-        cut = min_vertex_cut(tg, s, t, max_size=guard)
+        cut = min_vertex_cut(tg, s, t)
     except CutUndefinedError:
         raise CutUndefinedError(
             f"vertices {args.source!r} and {args.target!r} are adjacent, "
             "so no vertex cut exists; use --edge for the edge variant"
         ) from None
-    paths = max_disjoint_paths(tg, s, t, max_size=guard)
+    paths = max_disjoint_paths(tg, s, t)
     print(f"p = {len(paths)}")
     _print_paths(named, tg, paths)
     print(f"c = {len(cut)}")
@@ -450,8 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decide whether a multigraph is Mengerian; run temporal "
                     "Menger oracles; falsify by labeling search; generate inputs.",
         epilog="Exit codes: 0 Mengerian / none found / answered, "
-               "1 NonMengerian / counterexample, 2 error. "
-               f"{MAX_SIZE_ENV} overrides the default oracle size guards.",
+               "1 NonMengerian / counterexample, 2 error.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -463,21 +442,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit a JSON report")
     r.add_argument("--dot", metavar="FILE",
                    help="write a DOT drawing, embedding highlighted")
-    r.add_argument("--max-size", type=_positive, metavar="N",
-                   help="vertex bound for witness verification")
+    r.add_argument("--max-size", type=_positive, default=DEFAULT_VERIFY_MAX_VERTICES, metavar="N",
+                   help="vertex bound for witness verification (default %(default)s)")
     r.set_defaults(func=cmd_recognize)
 
     q = sub.add_parser("menger", help="exact p/c or p'/c' for one pair")
     q.add_argument("path")
     q.add_argument("--source", required=True)
     q.add_argument("--target", required=True)
-    group = q.add_mutually_exclusive_group()
-    group.add_argument("--vertex", action="store_true", default=True,
-                       help="internally vertex-disjoint variant (default)")
-    group.add_argument("--edge", action="store_true",
-                       help="multiedge-disjoint variant")
-    q.add_argument("--max-size", type=_positive, metavar="N",
-                   help="vertex bound for the search oracles")
+    q.add_argument("--edge", action="store_true",
+                   help="multiedge-disjoint variant (default: vertex-disjoint)")
     q.set_defaults(func=cmd_menger)
 
     f = sub.add_parser("falsify", help="search labelings for p < c")

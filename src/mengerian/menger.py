@@ -16,6 +16,11 @@ of a smallest vertex set meeting every interior (a minimum hitting set),
 because a vertex set destroys every temporal s,t-path exactly when it
 meets every route.
 
+Both problems are NP-hard, so guards bound the work, not the graph: at
+most _ROUTE_CAP routes per pair, and _WORK_BUDGET steps for each search
+that can explode.  A search past its guard raises ResourceLimitError
+naming the guard and the pair.
+
 `falsify_mengerian` searches time-functions for a pair with p < c, either
 exhaustively over all label weak orders or by seeded random sampling.
 Only the relative order of labels matters, so exhaustive enumeration
@@ -37,6 +42,7 @@ the chunk splits into groups by kept set, each decided once.
 from __future__ import annotations
 
 import random
+from math import comb
 from dataclasses import dataclass
 from bisect import bisect_left
 from itertools import combinations, islice, permutations
@@ -53,12 +59,17 @@ from .temporal import (
     walk_to_path,
 )
 
-DEFAULT_MAX_VERTICES = 15
 DEFAULT_MAX_EDGES_EXHAUSTIVE = 7
 
-# Static routes one pair may have before the falsifier refuses the graph
-# as too dense: every chunk of labelings walks every pair's route trie.
+# Routes one pair may have before the graph is refused as too dense: the
+# oracles keep every route's interior, and every chunk of the falsifier's
+# labelings walks every pair's route trie.
 _ROUTE_CAP = 5000
+# Steps each exact search may take on one pair: stack pushes of the route
+# engine, candidates the packing search tries, subsets the hitting-set
+# search tries.  A step costs under a microsecond, so a refused search
+# has run for under a second.
+_WORK_BUDGET = 1 << 20
 # Gap-free kept route sets one falsify run remembers.  A key holds one
 # bit per static route, so at most _ROUTE_CAP / 8 bytes, and the memo
 # stays within about 25 MB however many labelings a run draws.  Past
@@ -87,13 +98,9 @@ def _check_pair(tg: TemporalGraph, s: int, t: int) -> None:
         raise GraphError("source and target must differ")
 
 
-def _check_size(tg: TemporalGraph, max_size: int) -> None:
-    n = len(tg.graph.vertices)
-    if n > max_size:
-        raise ResourceLimitError(
-            f"graph has {n} vertices, exact search is limited to {max_size}; "
-            "raise max_size explicitly to override"
-        )
+def _over_budget(search: str, s: int, t: int) -> ResourceLimitError:
+    return ResourceLimitError(
+        f"the {search} between {s} and {t} exceeds the work budget of {_WORK_BUDGET} steps")
 
 
 # ----------------------------------------------------------------------
@@ -108,14 +115,14 @@ def _route_paths(tg: TemporalGraph, s: int, t: int) -> Iterator[TemporalPath]:
     nothing is missed.  Paths come out in depth-first order with
     neighbors visited by ascending vertex id.  The walk keeps an explicit
     stack, and drops a branch that reaches y after `late[y]`, the latest
-    label at which any temporal walk can leave y and still reach t: no
-    walk from there means no path either.
+    label at which a temporal walk avoiding s can leave y and still reach
+    t: a route's suffix never returns to s, so no such walk means no
+    route either.  Past _WORK_BUDGET pushes it raises ResourceLimitError.
     """
     g = tg.graph
     lifetime = tg.lifetime
-    late = {
-        v: lifetime + 1 - arrival for v, arrival in earliest_arrival(reverse(tg), t).items()
-    }
+    arrivals = earliest_arrival(reverse(tg), t, banned_vertices=(s,))
+    late = {v: lifetime + 1 - arrival for v, arrival in arrivals.items()}
     hops: dict[int, dict[int, list[tuple[int, int]]]] = {v: {} for v in g.vertices}
     for eid, lab in sorted(tg.entries, key=lambda it: (it[1], it[0])):
         e = g.edge(eid)
@@ -127,6 +134,7 @@ def _route_paths(tg: TemporalGraph, s: int, t: int) -> Iterator[TemporalPath]:
     epath: list[int] = []
     on_path = {s}
     stack = [(iter(options[s]), 0)]
+    pushes = 0
     while stack:
         branches, arrived = stack[-1]
         for y, labeled in branches:
@@ -139,6 +147,9 @@ def _route_paths(tg: TemporalGraph, s: int, t: int) -> Iterator[TemporalPath]:
             if y == t:
                 yield TemporalPath((*vpath, t), (*epath, eid))
                 continue
+            pushes += 1
+            if pushes > _WORK_BUDGET:
+                raise _over_budget("route search", s, t)
             vpath.append(y)
             epath.append(eid)
             on_path.add(y)
@@ -149,6 +160,15 @@ def _route_paths(tg: TemporalGraph, s: int, t: int) -> Iterator[TemporalPath]:
             if epath:
                 on_path.discard(vpath.pop())
                 epath.pop()
+
+
+def _routes(tg: TemporalGraph, s: int, t: int) -> list[TemporalPath]:
+    """The routes of `_route_paths`, refused past _ROUTE_CAP."""
+    paths = list(islice(_route_paths(tg, s, t), _ROUTE_CAP + 1))
+    if len(paths) > _ROUTE_CAP:
+        raise ResourceLimitError(f"more than {_ROUTE_CAP} simple routes between {s} and {t}; "
+                                 "the graph is too dense for exact search")
+    return paths
 
 
 def _interior_masks(paths: list[TemporalPath], vertices: list[int]) -> list[int]:
@@ -163,32 +183,50 @@ def _interior_masks(paths: list[TemporalPath], vertices: list[int]) -> list[int]
     return masks
 
 
-def _max_packing(masks: list[int]) -> tuple[int, ...]:
-    """Indices of a largest pairwise-disjoint subset; deterministic first optimum."""
+def _max_packing(masks: list[int], s: int, t: int) -> tuple[int, ...]:
+    """Indices of a largest pairwise-disjoint subset; deterministic first optimum.
+
+    Index tuples are searched depth first in lexicographic order, with
+    the chosen indices as the stack: a tuple is not extended when the
+    candidates after it cannot beat the best, and a level tried out pops
+    its index and resumes after it.  Past _WORK_BUDGET candidates tried
+    it raises ResourceLimitError for the pair s, t.
+    """
     n = len(masks)
     best: tuple[int, ...] = ()
-
-    def search(idx: int, used: int, chosen: tuple[int, ...]) -> None:
-        nonlocal best
-        if len(chosen) > len(best):
-            best = chosen
-        if len(chosen) + n - idx <= len(best):
-            return
-        for i in range(idx, n):
+    chosen: list[int] = []
+    used = start = tried = 0
+    while True:
+        for i in range(start, n):
             if not used & masks[i]:
-                search(i + 1, used | masks[i], (*chosen, i))
+                chosen.append(i)
+                if len(chosen) > len(best):
+                    best = tuple(chosen)
+                if len(chosen) + n - i - 1 > len(best):
+                    used |= masks[i]
+                    tried += i + 1 - start
+                    start = i + 1
+                    break
+                chosen.pop()
+        else:
+            tried += n - start
+            if not chosen:
+                return best
+            start = chosen.pop()
+            used ^= masks[start]
+            start += 1
+        if tried > _WORK_BUDGET:
+            raise _over_budget("packing search", s, t)
 
-    search(0, 0, ())
-    return best
 
-
-def _min_hitting(masks: list[int], vertices: list[int]) -> tuple[int, ...]:
+def _min_hitting(masks: list[int], vertices: list[int], s: int, t: int) -> tuple[int, ...]:
     """The lexicographically first smallest vertex set meeting every mask.
 
     Bit i of a mask stands for vertices[i], in ascending vertex order.
     Only vertices inside some mask can belong to a minimum hitting set,
     so subsets of those are tried in size order, as `combinations`
-    lists them; a vertex in every mask answers at once.
+    lists them; a vertex in every mask answers at once.  Past _WORK_BUDGET
+    subsets tried it raises ResourceLimitError for the pair s, t.
     """
     if not masks:
         return ()
@@ -201,28 +239,27 @@ def _min_hitting(masks: list[int], vertices: list[int]) -> tuple[int, ...]:
         return (vertices[(common & -common).bit_length() - 1],)
     bits = [1 << i for i in range(union.bit_length()) if union >> i & 1]
     distinct = set(masks)
+    left = _WORK_BUDGET
     for size in range(2, len(bits) + 1):
-        for subset in combinations(bits, size):
+        for subset in islice(combinations(bits, size), left):
             hit = sum(subset)
             if all(mask & hit for mask in distinct):
                 return tuple(vertices[b.bit_length() - 1] for b in subset)
+        left -= comb(len(bits), size)
+        if left < 0:
+            raise _over_budget("hitting-set search", s, t)
     raise InternalError("a route with an empty interior cannot be hit")
 
 
-def max_disjoint_paths(
-    tg: TemporalGraph, s: int, t: int, max_size: int = DEFAULT_MAX_VERTICES
-) -> tuple[TemporalPath, ...]:
+def max_disjoint_paths(tg: TemporalGraph, s: int, t: int) -> tuple[TemporalPath, ...]:
     """A maximum set of internally vertex-disjoint temporal s,t-paths."""
     _check_pair(tg, s, t)
-    _check_size(tg, max_size)
-    paths = list(_route_paths(tg, s, t))
-    chosen = _max_packing(_interior_masks(paths, sorted(tg.graph.vertices)))
+    paths = _routes(tg, s, t)
+    chosen = _max_packing(_interior_masks(paths, sorted(tg.graph.vertices)), s, t)
     return tuple(paths[i] for i in chosen)
 
 
-def min_vertex_cut(
-    tg: TemporalGraph, s: int, t: int, max_size: int = DEFAULT_MAX_VERTICES
-) -> frozenset[int]:
+def min_vertex_cut(tg: TemporalGraph, s: int, t: int) -> frozenset[int]:
     """A minimum temporal s,t-cut; smallest size, then lexicographically first.
 
     A vertex set separates s from t exactly when it meets the interior of
@@ -234,10 +271,9 @@ def min_vertex_cut(
     _check_pair(tg, s, t)
     if tg.graph.adjacent(s, t):
         raise CutUndefinedError(f"vertices {s} and {t} are adjacent")
-    _check_size(tg, max_size)
     vertices = sorted(tg.graph.vertices)
-    masks = _interior_masks(list(_route_paths(tg, s, t)), vertices)
-    return frozenset(_min_hitting(masks, vertices))
+    masks = _interior_masks(_routes(tg, s, t), vertices)
+    return frozenset(_min_hitting(masks, vertices, s, t))
 
 
 class MengerGap(NamedTuple):
@@ -246,16 +282,14 @@ class MengerGap(NamedTuple):
     gap: int
 
 
-def menger_gap(
-    tg: TemporalGraph, s: int, t: int, max_size: int = DEFAULT_MAX_VERTICES
-) -> MengerGap:
+def menger_gap(tg: TemporalGraph, s: int, t: int) -> MengerGap:
     """p, c and their difference for a non-adjacent pair.
 
     The cut comes first, so an adjacent pair raises CutUndefinedError
-    before the size guard or the packing search runs.
+    before any route is listed or the packing search runs.
     """
-    c = len(min_vertex_cut(tg, s, t, max_size=max_size))
-    p = len(max_disjoint_paths(tg, s, t, max_size=max_size))
+    c = len(min_vertex_cut(tg, s, t))
+    p = len(max_disjoint_paths(tg, s, t))
     return MengerGap(p, c, c - p)
 
 
@@ -346,15 +380,12 @@ def edge_menger(
     _check_pair(tg, s, t)
     g = tg.graph
 
-    labels_of: dict[int, list[int]] = {}
+    label_sets: dict[int, set[int]] = {}
     for e in g.edges:
         lab = tg.label(e.id)
         for v in e.pair:
-            labels_of.setdefault(v, [])
-            if lab not in labels_of[v]:
-                labels_of[v].append(lab)
-    for v in labels_of:
-        labels_of[v].sort()
+            label_sets.setdefault(v, set()).add(lab)
+    labels_of = {v: sorted(labs) for v, labs in label_sets.items()}
 
     if s not in labels_of or t not in labels_of:
         return (), frozenset()
@@ -676,12 +707,7 @@ def falsify_mengerian(
             masks, seqs = routes[(t, s)]
             routes[(s, t)] = (masks, [seq[::-1] for seq in seqs])
             continue
-        paths = list(islice(_route_paths(static, s, t), _ROUTE_CAP + 1))
-        if len(paths) > _ROUTE_CAP:
-            raise ResourceLimitError(
-                f"more than {_ROUTE_CAP} simple routes between {s} and {t}; "
-                "the graph is too dense to falsify this way"
-            )
+        paths = _routes(static, s, t)
         routes[(s, t)] = (_interior_masks(paths, vertices), [p.vertices for p in paths])
 
     # each search ranks some edges, tests some pairs, and lists labelings
@@ -719,9 +745,9 @@ def falsify_mengerian(
                     if alive in known:
                         continue
                     kept = [mask for i, mask in enumerate(masks) if alive >> i & 1]
-                    c = len(_min_hitting(kept, vertices))
+                    c = len(_min_hitting(kept, vertices, s, t))
                     # c <= 1: p = c = 0, or one path exists and p >= 1 = c
-                    p = len(_max_packing(kept)) if c > 1 else c
+                    p = len(_max_packing(kept, s, t)) if c > 1 else c
                     if p < c:
                         first, found = k, (s, t, p, c)
                         break
@@ -733,9 +759,8 @@ def falsify_mengerian(
             s, t, p, c = found
             label_of = dict(zip(edge_ids, chunk[first]))
             tg = TemporalGraph.make(g, {e.id: label_of.get(e.id, 1) for e in g.edges})
-            size = max(len(g.vertices), DEFAULT_MAX_VERTICES)
-            path_cert = max_disjoint_paths(tg, s, t, max_size=size)
-            cut_cert = min_vertex_cut(tg, s, t, max_size=size)
+            path_cert = max_disjoint_paths(tg, s, t)
+            cut_cert = min_vertex_cut(tg, s, t)
             if len(path_cert) != p or len(cut_cert) != c:
                 raise InternalError("route engine disagrees with the exact oracles")
             return Counterexample(tg, s, t, path_cert, cut_cert)

@@ -100,13 +100,6 @@ class Multigraph:
         return {e.id: e for e in self.edges}
 
     @cached_property
-    def _mult(self) -> dict[tuple[int, int], int]:
-        m: dict[tuple[int, int], int] = {}
-        for e in self.edges:
-            m[e.pair] = m.get(e.pair, 0) + 1
-        return m
-
-    @cached_property
     def _adj(self) -> dict[int, tuple[int, ...]]:
         nbrs: dict[int, set[int]] = {v: set() for v in self.vertices}
         for e in self.edges:
@@ -148,7 +141,7 @@ class Multigraph:
             raise GraphError(f"unknown vertex in pair ({u}, {v})")
         if u == v:
             raise GraphError("multiplicity is undefined for a single vertex")
-        return self._mult.get(_norm(u, v), 0)
+        return len(self._parallel.get(_norm(u, v), ()))
 
     def adjacent(self, u: int, v: int) -> bool:
         return self.multiplicity(u, v) > 0
@@ -181,10 +174,10 @@ class Multigraph:
 
     def adjacent_pairs(self) -> tuple[tuple[int, int], ...]:
         """All adjacent unordered pairs, sorted."""
-        return tuple(sorted(self._mult))
+        return tuple(sorted(self._parallel))
 
     def has_parallel_edges(self) -> bool:
-        return any(m >= 2 for m in self._mult.values())
+        return any(len(ids) >= 2 for ids in self._parallel.values())
 
     def max_simple_degree(self) -> int:
         return max((len(ns) for ns in self._adj.values()), default=0)
@@ -324,7 +317,7 @@ def maximal_chains(g: Multigraph) -> tuple[Chain, ...]:
     # each vertex's neighbors across doubled pairs, ascending, since the
     # pairs come sorted
     along: dict[int, list[int]] = {}
-    for u, v in sorted(p for p, m in g._mult.items() if m >= 2):
+    for u, v in sorted(p for p, ids in g._parallel.items() if len(ids) >= 2):
         along.setdefault(u, []).append(v)
         along.setdefault(v, []).append(u)
     inner = {v for v, ws in along.items() if len(ws) == 2 and len(g._adj[v]) == 2}

@@ -83,7 +83,7 @@ class Proof:
     labeled: TemporalGraph
     source: int
     target: int
-    report: WitnessReport | None  # None when the size guard skipped the oracles
+    report: WitnessReport | None  # None when verification was refused
 
 
 def recognize(g: Multigraph) -> Verdict:
@@ -104,9 +104,9 @@ def recognize_with_proof(
 ) -> tuple[Verdict, Proof | None]:
     """recognize(), plus a labeled counterexample for negative verdicts.
 
-    The labeling is measured by the exact oracles.  Their size guard
-    refuses graphs above verify_max_size, and the proof then ships
-    unverified (report None).
+    The labeling is measured by the exact oracles.  `verify_witness`
+    refuses hosts above verify_max_size vertices, and the oracles refuse
+    work past their budgets; the proof then ships unverified (report None).
     """
     verdict = recognize(g)
     if verdict.mengerian:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .menger import CutUndefinedError, max_disjoint_paths, min_vertex_cut
+from .menger import CutUndefinedError, ResourceLimitError, max_disjoint_paths, min_vertex_cut
 from .multigraph import Multigraph
 from .patterns import MEmbedding
 from .temporal import TemporalGraph
@@ -83,10 +83,18 @@ def verify_witness(
     tg: TemporalGraph, s: int, t: int,
     max_size: int = DEFAULT_VERIFY_MAX_VERTICES,
 ) -> WitnessReport:
-    """Measure a claimed counterexample with the exact oracles."""
-    paths = max_disjoint_paths(tg, s, t, max_size=max_size)
+    """Measure a claimed counterexample with the exact oracles.
+
+    Hosts above max_size vertices are refused with ResourceLimitError, as
+    is any oracle past its work budget.
+    """
+    n = len(tg.graph.vertices)
+    if n > max_size:
+        raise ResourceLimitError(
+            f"witness verification is limited to {max_size} vertices, the host has {n}")
+    paths = max_disjoint_paths(tg, s, t)
     try:
-        cut = min_vertex_cut(tg, s, t, max_size=max_size)
+        cut = min_vertex_cut(tg, s, t)
     except CutUndefinedError:
         return WitnessReport(s, t, len(paths), None)
     return WitnessReport(s, t, len(paths), len(cut))

@@ -1,6 +1,7 @@
 """Graph file round trips, report integrity, and command exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -294,18 +295,33 @@ class TestMengerCommand:
         assert "unknown vertex" in err
 
     def test_size_guard(self, tmp_path, capsys):
+        # no vertex-count guard: a cheap 17-vertex path is answered, and
+        # the option that raised the guard is gone
         n = 17
         lines = [f"v {i}" for i in range(n)]
         lines += [f"e {i} {i + 1} {i + 1}" for i in range(n - 1)]
         path = write(tmp_path, "long.graph", "\n".join(lines) + "\n")
-        code, _, err = run(capsys, "menger", path, "--source", "0",
-                           "--target", str(n - 1))
-        assert code == 2
-        assert "max_size" in err
         code, out, _ = run(capsys, "menger", path, "--source", "0",
-                           "--target", str(n - 1), "--max-size", "20")
+                           "--target", str(n - 1))
         assert code == 0
-        assert "p = 1" in out
+        assert "p = 1" in out and "c = 1" in out
+        for flag in (["--max-size", "20"], ["--vertex"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["menger", path, "--source", "0", "--target", str(n - 1), *flag])
+            assert exc.value.code == 2
+
+    def test_dense_small_graph_refused_quickly(self, tmp_path, capsys):
+        # K10 minus the edge ab: 109600 routes join a and b
+        names = [chr(ord("a") + i) for i in range(10)]
+        lines = [f"v {x}" for x in names]
+        lines += [f"e {x} {y} 1" for i, x in enumerate(names) for y in names[i + 1:]
+                  if (x, y) != ("a", "b")]
+        path = write(tmp_path, "k10.graph", "\n".join(lines) + "\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "menger", path, "--source", "a", "--target", "b")
+        assert time.perf_counter() - start < 2.0
+        assert code == 2 and out == ""
+        assert "more than 5000 simple routes" in err
 
     def test_adjacent_pair_refused_before_size_guard_and_search(
             self, tmp_path, capsys, monkeypatch):
@@ -315,29 +331,22 @@ class TestMengerCommand:
         lines += [f"e {i} {(i + 1) % n} {i + 1}" for i in range(n)]
         lines.append("e 0 10 5")
         path = write(tmp_path, "chorded.graph", "\n".join(lines) + "\n")
-        code, out, err = run(capsys, "menger", path, "--source", "0", "--target", "1")
-        assert code == 2 and out == ""
-        assert "adjacent" in err and "--edge" in err
-        assert "max_size" not in err
 
         def no_packing(*args, **kwargs):
             raise AssertionError("packing searched for an adjacent pair")
 
         monkeypatch.setattr(cli, "max_disjoint_paths", no_packing)
-        code, out, err = run(capsys, "menger", path, "--source", "0", "--target", "1",
-                             "--max-size", "20")
+        code, out, err = run(capsys, "menger", path, "--source", "0", "--target", "1")
         assert code == 2 and out == ""
         assert "adjacent" in err and "--edge" in err
 
     def test_env_var_sets_guard(self, tmp_path, capsys, monkeypatch):
+        # the environment variable that set a vertex guard is gone
         path = pattern_file(tmp_path, F1, labeled=True)
-        monkeypatch.setenv("MENGERIAN_MAX_SIZE", "2")
-        code, _, err = run(capsys, "menger", path, "--source", "0", "--target", "5")
-        assert code == 2
-        monkeypatch.setenv("MENGERIAN_MAX_SIZE", "junk")
-        code, _, err = run(capsys, "menger", path, "--source", "0", "--target", "5")
-        assert code == 2
-        assert "MENGERIAN_MAX_SIZE" in err
+        _, expected, _ = run(capsys, "menger", path, "--source", "0", "--target", "5")
+        for value in ("2", "junk"):
+            monkeypatch.setenv("MENGERIAN_MAX_SIZE", value)
+            assert run(capsys, "menger", path, "--source", "0", "--target", "5") == (0, expected, "")
 
 
 class TestFalsifyCommand:

@@ -2,7 +2,7 @@
 
 import random
 import time
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,6 +17,7 @@ from mengerian.menger import (
     _hop_planes,
     _kept_routes,
     _kept_sets,
+    _max_packing,
     _rank_assignments,
     _route_paths,
     _route_trie,
@@ -75,6 +76,49 @@ def random_temporal(rng, n, m, lifetime=None):
 def labeled_path(n):
     g = Multigraph.build(n, [(i, i + 1) for i in range(n - 1)])
     return TemporalGraph.make(g, {i: i + 1 for i in range(n - 1)})
+
+
+def theta(paths, hops):
+    """paths routes from 0 to 1 of hops hops each, labeled 1..hops."""
+    triples, n = [], 2
+    for _ in range(paths):
+        prev = 0
+        for h in range(1, hops):
+            triples.append((prev, n, h))
+            prev, n = n, n + 1
+        triples.append((prev, 1, hops))
+    return tg(triples)
+
+
+def ladders(count, length):
+    """count 2 x length ladders side by side from 0 to 1.
+
+    Labels rise along each ladder, so a route crosses each rung or not
+    and enters by either rail: 2 ** (length + 1) routes per ladder.
+    """
+    triples, n = [], 2
+    for _ in range(count):
+        a = range(n, n + length)
+        b = range(n + length, n + 2 * length)
+        n += 2 * length
+        triples += [(0, a[0], 1), (0, b[0], 1), (a[-1], 1, 2 * length + 1), (b[-1], 1, 2 * length + 1)]
+        for i in range(length):
+            triples.append((a[i], b[i], 2 * i + 2))
+        for i in range(length - 1):
+            triples += [(a[i], a[i + 1], 2 * i + 3), (b[i], b[i + 1], 2 * i + 3)]
+    return tg(triples)
+
+
+def answered_or_refused(oracle, t, s, d):
+    """The oracle's answer, or None when it names its work budget; timed."""
+    start = time.perf_counter()
+    try:
+        answer = oracle(t, s, d)
+    except ResourceLimitError as exc:
+        assert "work budget" in str(exc) and f"between {s} and {d}" in str(exc)
+        answer = None
+    assert time.perf_counter() - start < 2.0
+    return answer
 
 
 class TestRoutes:
@@ -150,14 +194,51 @@ class TestDisjointPaths:
         assert max_disjoint_paths(t, 0, 2) == ()
 
     def test_long_labeled_path(self):
-        assert len(max_disjoint_paths(labeled_path(1500), 0, 1499, max_size=1500)) == 1
+        assert len(max_disjoint_paths(labeled_path(1500), 0, 1499)) == 1
 
-    def test_size_guard(self):
+    def test_size_guard(self, monkeypatch):
+        # the guard counts work, not vertices: 20 vertices pass, and a
+        # route search past the budget is refused, naming the budget
         g = Multigraph.build(20, [(i, i + 1) for i in range(19)])
         t = TemporalGraph.make(g, {i: 1 for i in range(19)})
-        with pytest.raises(ResourceLimitError):
+        assert len(max_disjoint_paths(t, 0, 19)) == 1
+        monkeypatch.setattr(menger, "_WORK_BUDGET", 10)
+        with pytest.raises(ResourceLimitError, match="route search between 0 and 19 .* work budget"):
             max_disjoint_paths(t, 0, 19)
-        assert len(max_disjoint_paths(t, 0, 19, max_size=25)) == 1
+
+    def test_packing_budget(self, monkeypatch):
+        # interiors {a, b} for every two of six vertices: three fit, and
+        # showing that four do not takes more than 20 candidates
+        masks = [(1 << a) | (1 << b) for a, b in combinations(range(6), 2)]
+        assert len(_max_packing(masks, 0, 1)) == 3
+        monkeypatch.setattr(menger, "_WORK_BUDGET", 20)
+        with pytest.raises(ResourceLimitError, match="packing search between 0 and 1"):
+            _max_packing(masks, 0, 1)
+
+    def test_many_middles_without_recursion(self):
+        # the packing search is as deep as p; 1200 levels overflowed the
+        # interpreter's recursion limit when it recursed
+        n = 1200
+        t = tg([(0, m, 1) for m in range(2, n + 2)] + [(m, 1, 2) for m in range(2, n + 2)])
+        paths = max_disjoint_paths(t, 0, 1)
+        assert sorted(p.vertices[1] for p in paths) == list(range(2, n + 2))
+
+    def test_parallel_ladders_answer_or_refuse_quickly(self):
+        t = ladders(4, 6)
+        assert len(t.graph.vertices) == 50 and len(list(_route_paths(t, 0, 1))) == 512
+        paths = answered_or_refused(max_disjoint_paths, t, 0, 1)
+        assert paths is None or len(paths) == 8
+
+    @given(st.lists(st.integers(1, 63), max_size=9))
+    def test_packing_is_first_largest(self, masks):
+        # depth first over ascending index tuples: among the largest
+        # disjoint subsets, the lexicographically first
+        def disjoint(idx):
+            return all(not masks[i] & masks[j] for i, j in combinations(idx, 2))
+
+        expected = next(idx for size in range(len(masks), -1, -1)
+                        for idx in combinations(range(len(masks)), size) if disjoint(idx))
+        assert _max_packing(masks, 0, 1) == expected
 
     @given(st.integers(0, 400))
     def test_matches_brute(self, seed):
@@ -213,7 +294,30 @@ class TestVertexCut:
         assert min_vertex_cut(t, s, d) == brute_min_cut_set(t, s, d)
 
     def test_long_labeled_path(self):
-        assert min_vertex_cut(labeled_path(1500), 0, 1499, max_size=1500) == frozenset({1})
+        assert min_vertex_cut(labeled_path(1500), 0, 1499) == frozenset({1})
+
+    def test_hanging_clique_is_pruned(self):
+        # one route 0-2-1 and a 10-clique joined only to 0: walks into the
+        # clique reach 1 only back through 0, so none is followed
+        clique = range(3, 13)
+        t = tg([(0, 2, 1), (2, 1, 1)] + [(0, c, 1) for c in clique]
+               + [(a, b, 1) for a, b in combinations(clique, 2)])
+        start = time.perf_counter()
+        assert min_vertex_cut(t, 0, 1) == frozenset({2})
+        assert time.perf_counter() - start < 0.1
+
+    def test_hitting_set_budget(self, monkeypatch):
+        # six disjoint routes need a 6-cut; sizes 2 and 3 alone try
+        # C(12, 2) + C(12, 3) = 286 subsets
+        monkeypatch.setattr(menger, "_WORK_BUDGET", 285)
+        with pytest.raises(ResourceLimitError, match="hitting-set search between 0 and 1"):
+            min_vertex_cut(theta(6, 3), 0, 1)
+
+    def test_long_theta_answers_or_refuses_quickly(self):
+        t = theta(6, 20)
+        assert len(t.graph.vertices) == 116
+        cut = answered_or_refused(min_vertex_cut, t, 0, 1)
+        assert cut is None or len(cut) == 6
 
 
 class TestMengerGap:
@@ -235,7 +339,7 @@ class TestMengerGap:
 
         monkeypatch.setattr(menger, "max_disjoint_paths", no_packing)
         with pytest.raises(CutUndefinedError):
-            menger_gap(big, 0, 1, max_size=n)
+            menger_gap(big, 0, 1)
 
 
 class TestEdgeMenger:

@@ -24,6 +24,20 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_function_calls_itself():
+    # recursion depth follows the input (route length, packing size), so
+    # a deep enough input overflows the interpreter's recursion limit
+    found = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                and call.func.id == node.name for call in ast.walk(node))
+    ]
+    assert found == []
+
+
 def test_tracer_finds_every_name_it_rebinds(monkeypatch):
     # the benchmark's --trace mode wraps cross-module names of the package;
     # dropping or renaming one of them breaks that mode, not the package
