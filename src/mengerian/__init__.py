@@ -58,7 +58,6 @@ from .recognizer import (
     CrossedStructure,
     Proof,
     Verdict,
-    find_crossed_structures,
     recognize,
     recognize_with_proof,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "check_m_subdivision",
     "edge_menger",
     "falsify_mengerian",
-    "find_crossed_structures",
     "find_f3_subdivision",
     "identify",
     "is_connected",

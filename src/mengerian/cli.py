@@ -22,7 +22,6 @@ import sys
 import time
 
 from .menger import (
-    DEFAULT_MAX_EDGES_EXHAUSTIVE,
     CutUndefinedError,
     ResourceLimitError,
     edge_menger,
@@ -358,12 +357,14 @@ def cmd_menger(args) -> int:
     # the cut first: it refuses an adjacent pair before any route is listed
     try:
         cut = min_vertex_cut(tg, s, t)
+        paths = max_disjoint_paths(tg, s, t)
     except CutUndefinedError:
         raise CutUndefinedError(
             f"vertices {args.source!r} and {args.target!r} are adjacent, "
             "so no vertex cut exists; use --edge for the edge variant"
         ) from None
-    paths = max_disjoint_paths(tg, s, t)
+    except ResourceLimitError as exc:
+        raise ResourceLimitError(exc.named(named.name)) from None
     print(f"p = {len(paths)}")
     _print_paths(named, tg, paths)
     print(f"c = {len(cut)}")
@@ -373,10 +374,10 @@ def cmd_menger(args) -> int:
 
 def cmd_falsify(args) -> int:
     named = load_graphfile(args.path)
-    if args.exhaustive:
-        found = falsify_mengerian(named.graph, max_edges=args.max_edges)
-    else:
+    try:  # --exhaustive leaves samples None
         found = falsify_mengerian(named.graph, samples=args.samples, seed=args.seed)
+    except ResourceLimitError as exc:
+        raise ResourceLimitError(exc.named(named.name)) from None
     if found is None:
         print("no counterexample")
         return 0
@@ -462,9 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="random labelings to try")
     f.add_argument("path")
     f.add_argument("--seed", type=_non_negative, default=0, metavar="S")
-    f.add_argument("--max-edges", type=_positive,
-                   default=DEFAULT_MAX_EDGES_EXHAUSTIVE, metavar="M",
-                   help="edge bound per searched block for --exhaustive")
     f.set_defaults(func=cmd_falsify)
 
     g = sub.add_parser("gen", help="write a graph file to standard output")

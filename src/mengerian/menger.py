@@ -29,7 +29,8 @@ set.  Pairs without a common block are skipped: a cut vertex between
 them forces c <= 1.  Every route of a pair that shares a block stays
 inside it, so exhaustive search ranks one block's edges at a time, and
 it tests each pair in one orientation only, since time reversal swaps
-source and target.  p and c depend only on which of a pair's routes a
+source and target, and only on blocks with at most _WORK_BUDGET weak
+orders (8 edges).  p and c depend only on which of a pair's routes a
 labeling keeps, so each kept set found gap-free is decided once.
 
 Labelings are tested a chunk at a time.  Each pair's routes form a
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 from bisect import bisect_left
 from itertools import combinations, islice, permutations
 from operator import itemgetter
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .multigraph import GraphError, InternalError, Multigraph, biconnected_components
 from .temporal import (
@@ -59,8 +60,6 @@ from .temporal import (
     walk_to_path,
 )
 
-DEFAULT_MAX_EDGES_EXHAUSTIVE = 7
-
 # Routes one pair may have before the graph is refused as too dense: the
 # oracles keep every route's interior, and every chunk of the falsifier's
 # labelings walks every pair's route trie.
@@ -68,7 +67,8 @@ _ROUTE_CAP = 5000
 # Steps each exact search may take on one pair: stack pushes of the route
 # engine, candidates the packing search tries, subsets the hitting-set
 # search tries.  A step costs under a microsecond, so a refused search
-# has run for under a second.
+# has run for under a second.  Exhaustive falsification may try as many
+# labelings on one block, and is refused before it starts otherwise.
 _WORK_BUDGET = 1 << 20
 # Gap-free kept route sets one falsify run remembers.  A key holds one
 # bit per static route, so at most _ROUTE_CAP / 8 bytes, and the memo
@@ -84,7 +84,20 @@ _CHUNK_LABELS = 1 << 16
 
 
 class ResourceLimitError(RuntimeError):
-    """An exact search was refused because the instance exceeds its guard."""
+    """An exact search was refused because the instance exceeds its guard.
+
+    A search on one pair keeps it as `pair`; the message template names
+    its ends {s} and {t}, shown by vertex id, or by name(v) in `named`.
+    """
+
+    def __init__(self, template: str, pair: tuple[int, int] | None = None):
+        self.template, self.pair = template, pair
+        super().__init__(self.named(str))
+
+    def named(self, name: Callable[[int], str]) -> str:
+        if self.pair is None:
+            return self.template
+        return self.template.format(s=name(self.pair[0]), t=name(self.pair[1]))
 
 
 class CutUndefinedError(ValueError):
@@ -99,8 +112,8 @@ def _check_pair(tg: TemporalGraph, s: int, t: int) -> None:
 
 
 def _over_budget(search: str, s: int, t: int) -> ResourceLimitError:
-    return ResourceLimitError(
-        f"the {search} between {s} and {t} exceeds the work budget of {_WORK_BUDGET} steps")
+    return ResourceLimitError(f"the {search} between {{s}} and {{t}} exceeds the work budget "
+                              f"of {_WORK_BUDGET} steps", (s, t))
 
 
 # ----------------------------------------------------------------------
@@ -166,8 +179,8 @@ def _routes(tg: TemporalGraph, s: int, t: int) -> list[TemporalPath]:
     """The routes of `_route_paths`, refused past _ROUTE_CAP."""
     paths = list(islice(_route_paths(tg, s, t), _ROUTE_CAP + 1))
     if len(paths) > _ROUTE_CAP:
-        raise ResourceLimitError(f"more than {_ROUTE_CAP} simple routes between {s} and {t}; "
-                                 "the graph is too dense for exact search")
+        raise ResourceLimitError(f"more than {_ROUTE_CAP} simple routes between {{s}} and {{t}}; "
+                                 "the graph is too dense for exact search", (s, t))
     return paths
 
 
@@ -509,6 +522,19 @@ def _rank_assignments(m: int) -> Iterator[tuple[int, ...]]:
             yield from map(itemgetter(*rgs), permutations(range(1, top + 2)))
 
 
+def _weak_orders(m: int) -> int:
+    """How many labelings `_rank_assignments` lists: the weak orders on m edges.
+
+    A weak order ranks some k >= 1 edges first, then orders the rest.
+    Counting stops past _WORK_BUDGET, at a lower bound for larger m.
+    """
+    counts = [1]
+    while len(counts) <= m and counts[-1] <= _WORK_BUDGET:
+        n = len(counts)
+        counts.append(sum(comb(n, k) * counts[n - k] for k in range(1, n + 1)))
+    return counts[-1]
+
+
 def _route_trie(
     seqs: list[tuple[int, ...]], hop_of: dict[tuple[int, int], int]
 ) -> dict[int, list]:
@@ -649,20 +675,18 @@ def _block_pairs(g: Multigraph) -> list[tuple[tuple[int, ...], list[tuple[int, i
 
 
 def falsify_mengerian(
-    g: Multigraph,
-    samples: int | None = None,
-    seed: int = 0,
-    max_edges: int = DEFAULT_MAX_EDGES_EXHAUSTIVE,
+    g: Multigraph, samples: int | None = None, seed: int = 0
 ) -> Counterexample | None:
     """Search time-functions for a non-adjacent pair with p < c.
 
     samples=None enumerates every weak order of labels.  It goes block
     by block, ranking only the block's edges (every other edge gets
-    label 1).  Only blocks holding a non-adjacent pair are searched, and
-    each must have at most max_edges edges; a graph with no such block
-    returns None.  It tests only the orientation s < t of each pair:
-    time reversal maps a counterexample for (t, s) to one for (s, t),
-    and reversing a weak order gives a weak order.  The first
+    label 1).  Only blocks holding a non-adjacent pair are searched; a
+    graph with none returns None.  Before any search, a block with more
+    weak orders than _WORK_BUDGET raises ResourceLimitError (8 edges have
+    545,835, 9 edges 7,087,261).  It tests only the orientation s < t of
+    each pair: time reversal maps a counterexample for (t, s) to one for
+    (s, t), and reversing a weak order gives a weak order.  The first
     counterexample is the first over blocks, then labelings, then pairs
     s < t.  An integer draws that many seeded uniform assignments with
     labels in 1..len(edges) and tests both orientations of each pair, in
@@ -680,22 +704,29 @@ def falsify_mengerian(
     first pair, wins, as it would one labeling at a time.
     """
     blocks = _block_pairs(g)
-    if samples is None:
-        largest = max((len(edge_ids) for edge_ids, _ in blocks), default=0)
-        if largest > max_edges:
-            raise ResourceLimitError(
-                f"exhaustive falsification over a block of {largest} edges "
-                f"exceeds the bound {max_edges}"
-            )
     if not blocks:
         return None
+    # each search ranks some edges, tests some pairs, and lists labelings
+    # as label sequences over those edges; other edges get label 1
     if samples is None:
+        largest = max(len(edge_ids) for edge_ids, _ in blocks)
+        orders = _weak_orders(largest)
+        if orders > _WORK_BUDGET:
+            raise ResourceLimitError(
+                f"exhaustive falsification over a block of {largest} edges would try "
+                f"at least {orders} labelings, past the work budget of {_WORK_BUDGET}")
         pairs = [pair for _, block_pairs in blocks for pair in block_pairs]
+        searches = [(edge_ids, block_pairs, _rank_assignments(len(edge_ids)))
+                    for edge_ids, block_pairs in blocks]
     else:
         pairs = sorted(
             pair for _, block_pairs in blocks for s, t in block_pairs
             for pair in ((s, t), (t, s))
         )
+        rng = random.Random(seed)
+        m = len(g.edges)
+        searches = [(tuple(e.id for e in g.edges), pairs,
+                     ([rng.randint(1, m) for _ in range(m)] for _ in range(samples)))]
 
     static = TemporalGraph.make(g, {e.id: 1 for e in g.edges})
     vertices = sorted(g.vertices)
@@ -709,17 +740,6 @@ def falsify_mengerian(
             continue
         paths = _routes(static, s, t)
         routes[(s, t)] = (_interior_masks(paths, vertices), [p.vertices for p in paths])
-
-    # each search ranks some edges, tests some pairs, and lists labelings
-    # as label sequences over those edges; other edges get label 1
-    if samples is None:
-        searches = [(edge_ids, block_pairs, _rank_assignments(len(edge_ids)))
-                    for edge_ids, block_pairs in blocks]
-    else:
-        rng = random.Random(seed)
-        m = len(g.edges)
-        searches = [(tuple(e.id for e in g.edges), pairs,
-                     ([rng.randint(1, m) for _ in range(m)] for _ in range(samples)))]
 
     # kept route sets, as bitmasks over a pair's routes, found gap-free
     gap_free: dict[tuple[int, int], set[int]] = {pair: set() for pair in pairs}

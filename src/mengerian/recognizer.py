@@ -87,16 +87,27 @@ class Proof:
 
 
 def recognize(g: Multigraph) -> Verdict:
-    """Mengerian verdict or the first forbidden embedding found."""
-    emb, crossed, examined = _scan(g, stop_early=True)
-    if emb is None:
-        return Verdict(True, None, crossed, examined)
-    return Verdict(False, emb, crossed, examined)
-
-
-def find_crossed_structures(g: Multigraph) -> tuple[CrossedStructure, ...]:
-    """Crossed shapes around every chain, scanning past any embeddings."""
-    return _scan(g, stop_early=False)[1]
+    """Mengerian verdict or the first forbidden embedding found, with the
+    crossed shapes met before it: all of them on a Mengerian verdict."""
+    crossed: list[CrossedStructure] = []
+    examined = 0
+    for block in biconnected_components(g):
+        if len(block.edges) < 2:
+            continue
+        if block.max_simple_degree() >= 4:
+            emb = find_f3_subdivision(block)
+            if emb is not None:
+                return Verdict(False, emb, tuple(crossed), examined)
+        if not block.has_parallel_edges():
+            continue
+        for chain in maximal_chains(block):
+            examined += 1
+            got = _analyze_chain(block, chain)
+            if isinstance(got, MEmbedding):
+                return Verdict(False, got, tuple(crossed), examined)
+            if got is not None:
+                crossed.append(got)
+    return Verdict(True, None, tuple(crossed), examined)
 
 
 def recognize_with_proof(
@@ -125,36 +136,6 @@ def recognize_with_proof(
 
 
 # ----------------------------------------------------------------------
-
-
-def _scan(g: Multigraph, stop_early: bool):
-    first: MEmbedding | None = None
-    crossed: list[CrossedStructure] = []
-    examined = 0
-    for block in biconnected_components(g):
-        if len(block.edges) < 2:
-            continue
-        if block.max_simple_degree() >= 4:
-            emb = find_f3_subdivision(block)
-            if emb is not None:
-                if stop_early:
-                    return emb, tuple(crossed), examined
-                if first is None:
-                    first = emb
-                continue  # chain analysis below assumes no free F3
-        if not block.has_parallel_edges():
-            continue
-        for chain in maximal_chains(block):
-            examined += 1
-            got = _analyze_chain(block, chain)
-            if isinstance(got, MEmbedding):
-                if stop_early:
-                    return got, tuple(crossed), examined
-                if first is None:
-                    first = got
-            elif got is not None:
-                crossed.append(got)
-    return first, tuple(crossed), examined
 
 
 def _leg_path(end: int, leg: tuple[int, ...]) -> tuple[int, ...]:

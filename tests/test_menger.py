@@ -21,6 +21,7 @@ from mengerian.menger import (
     _rank_assignments,
     _route_paths,
     _route_trie,
+    _weak_orders,
     edge_menger,
     falsify_mengerian,
     max_disjoint_paths,
@@ -449,20 +450,23 @@ class TestFalsify:
             assert a.labeled.times == b.labeled.times
 
     def test_edge_budget_guard(self):
-        # the bound applies to the largest block searched: an 8-edge path
-        # has no block holding a non-adjacent pair, an 8-cycle is one
+        # the work budget bounds the weak orders of each block searched:
+        # an 8-edge path has no block holding a non-adjacent pair, an
+        # 8-cycle's 545835 fit, a 9-cycle's 7087261 do not
         path = mg([(i, i + 1) for i in range(8)])
         assert falsify_mengerian(path) is None
-        cycle = mg([(i, (i + 1) % 8) for i in range(8)])
-        with pytest.raises(ResourceLimitError, match="exceeds the bound"):
-            falsify_mengerian(cycle)
-        assert falsify_mengerian(cycle, max_edges=8) is None
+        assert falsify_mengerian(mg([(i, (i + 1) % 8) for i in range(8)])) is None
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="at least 7087261 labelings, past "
+                                                     "the work budget of 1048576"):
+            falsify_mengerian(mg([(i, (i + 1) % 9) for i in range(9)]))
+        assert time.perf_counter() - start < 0.1
 
     def test_doubled_path_has_no_pair_to_test(self):
         # every non-adjacent pair is split by a cut vertex, so c <= 1
         g = mg([(i, i + 1) for i in range(6) for _ in range(2)])
         start = time.perf_counter()
-        assert falsify_mengerian(g, max_edges=12) is None
+        assert falsify_mengerian(g) is None
         assert time.perf_counter() - start < 1.0
 
     def test_gem_block_with_pendant_path(self):
@@ -479,7 +483,7 @@ class TestFalsify:
         # keep one label, so nine edges cost no more than seven
         g = mg([e.pair for e in GEM.graph.edges] + [(3, 5), (5, 6)])
         start = time.perf_counter()
-        cx = falsify_mengerian(g, max_edges=9)
+        cx = falsify_mengerian(g)
         assert time.perf_counter() - start < 1.0
         assert cx is not None and cx.s < cx.t
         assert cx.labeled.graph == g
@@ -491,20 +495,19 @@ class TestFalsify:
         gem = [(a + 1, b + 1) for a, b in (e.pair for e in GEM.graph.edges)]
         g = mg([(0, 1), (1, 6), (6, 7), (7, 0)] + gem
                + [(5, 8), (8, 9), (9, 10), (10, 5)])
-        cx = falsify_mengerian(g, max_edges=15)
+        cx = falsify_mengerian(g)
         assert cx is not None and 1 <= cx.s < cx.t <= 5
         assert menger_gap(cx.labeled, cx.s, cx.t).gap == 1
         no_gem = mg([(0, 1), (1, 6), (6, 7), (7, 0), (1, 2), (2, 3), (3, 4), (4, 1)])
-        assert falsify_mengerian(no_gem, max_edges=8) is None
+        assert falsify_mengerian(no_gem) is None
 
     def test_memo_cap_changes_no_result(self, monkeypatch):
         g = mg([e.pair for e in GEM.graph.edges] + [(3, 5), (5, 6)])
-        runs = [(None, 9, 0), (3000, 7, 7), (500, 7, 3)]
-        remembered = [falsify_mengerian(g, samples=n, seed=seed, max_edges=m)
-                      for n, m, seed in runs]
+        runs = [(None, 0), (3000, 7), (500, 3)]
+        remembered = [falsify_mengerian(g, samples=n, seed=seed) for n, seed in runs]
         monkeypatch.setattr(menger, "_MEMO_CAP", 0)
-        for (n, m, seed), cx in zip(runs, remembered):
-            fresh = falsify_mengerian(g, samples=n, seed=seed, max_edges=m)
+        for (n, seed), cx in zip(runs, remembered):
+            fresh = falsify_mengerian(g, samples=n, seed=seed)
             assert (fresh is None) == (cx is None)
             if cx is not None:
                 assert (fresh.s, fresh.t, fresh.labeled) == (cx.s, cx.t, cx.labeled)
@@ -521,7 +524,7 @@ class TestFalsify:
         results = {}
         for chunk in (menger._CHUNK, 1, 3):
             monkeypatch.setattr(menger, "_CHUNK", chunk)
-            results[chunk] = [falsify_mengerian(g, samples=n, seed=seed, max_edges=9)
+            results[chunk] = [falsify_mengerian(g, samples=n, seed=seed)
                               for g, n, seed in runs]
         for got in results.values():
             assert [(cx.s, cx.t, cx.labeled) for cx in got] == \
@@ -562,15 +565,25 @@ class TestFalsify:
         assert cx is not None and cx.gap == 1
         assert max(labels) <= menger._CHUNK_LABELS
 
-    @pytest.mark.parametrize("m", range(6))
+    @pytest.mark.parametrize("m", range(7))
     def test_rank_assignments_list_each_weak_order_once(self, m):
         listed = [tuple(r) for r in _rank_assignments(m)]
         dense = [r for r in product(range(1, m + 1), repeat=m)
                  if set(r) == set(range(1, max(r, default=0) + 1))]
         assert sorted(listed) == sorted(dense)
-        assert len(set(listed)) == len(listed) == [1, 1, 3, 13, 75, 541][m]
+        assert len(set(listed)) == len(listed) == [1, 1, 3, 13, 75, 541, 4683][m]
+        # the count the exhaustive guard weighs against the work budget
+        assert _weak_orders(m) == len(listed)
         # closed under reversal, so one orientation per pair suffices
         assert {tuple(max(r) + 1 - x for x in r) for r in listed if r} == set(listed) - {()}
+
+    def test_weak_order_counts_of_larger_blocks(self):
+        # 8 edges fit the work budget of 2^20 labelings, 9 do not; past
+        # the budget counting stops, so a long block is weighed at once
+        assert [_weak_orders(m) for m in (7, 8, 9)] == [47293, 545835, 7087261]
+        start = time.perf_counter()
+        assert _weak_orders(3000) > menger._WORK_BUDGET
+        assert time.perf_counter() - start < 0.1
 
     @given(st.integers(0, 60))
     def test_agrees_with_naive_search(self, seed):

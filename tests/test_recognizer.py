@@ -12,7 +12,6 @@ from mengerian.recognizer import (
     CrossedStructure,
     Proof,
     Verdict,
-    find_crossed_structures,
     recognize,
     recognize_with_proof,
 )
@@ -137,7 +136,7 @@ class TestWheels:
         # pairwise then share a vertex, so p = c.  A pendant vertex adds
         # no pair that shares the wheel's block.
         g = mg(self.WHEEL + list(extra))
-        assert falsify_mengerian(g, max_edges=len(g.edges)) is None
+        assert falsify_mengerian(g) is None
 
     def test_wheel_terminals_are_adjacent_so_proof_is_unconfirmed(self):
         # every gem in the 4-wheel puts its path ends on a rim edge, so the
@@ -263,10 +262,10 @@ class TestCrossedStructure:
             assert len(nbrs & ends) == 1
             assert nbrs - ends <= partners
 
-    def test_find_crossed_structures_full_scan(self):
-        assert len(find_crossed_structures(crossed_graph())) == 1
-        assert find_crossed_structures(F1.graph) == ()
-        assert find_crossed_structures(mg([(0, 1), (1, 2)])) == ()
+    def test_mengerian_verdict_lists_every_crossed_shape(self):
+        v = recognize(crossed_graph())
+        assert v.mengerian and len(v.crossed) == 1
+        assert recognize(mg([(0, 1), (1, 2)])).crossed == ()
 
     def test_cross_part_can_be_long(self):
         g, z = m_subdivide(crossed_graph(), 6, 7)
