@@ -18,7 +18,6 @@ from .multigraph import (
     Multigraph,
     biconnected_components,
     identify,
-    is_connected,
     m_subdivide,
     maximal_chains,
 )
@@ -27,7 +26,6 @@ from .temporal import (
     TemporalPath,
     TemporalWalk,
     WalkError,
-    remove,
     reverse,
     validate_walk,
 )
@@ -51,7 +49,6 @@ from .patterns import (
     Pattern,
     check_m_subdivision,
     find_f3_subdivision,
-    is_m_subdivision,
 )
 from .witness import WitnessReport, make_witness, verify_witness
 from .recognizer import (
@@ -94,8 +91,6 @@ __all__ = [
     "falsify_mengerian",
     "find_f3_subdivision",
     "identify",
-    "is_connected",
-    "is_m_subdivision",
     "m_subdivide",
     "make_witness",
     "max_disjoint_paths",
@@ -104,7 +99,6 @@ __all__ = [
     "min_vertex_cut",
     "recognize",
     "recognize_with_proof",
-    "remove",
     "reverse",
     "validate_walk",
     "verify_witness",

@@ -654,24 +654,19 @@ def _kept_sets(keep: list[int], universe: int) -> list[tuple[int, int]]:
     return sorted(((labs & -labs).bit_length() - 1, kept | common) for labs, kept in groups)
 
 
-def _block_pairs(g: Multigraph) -> list[tuple[tuple[int, ...], list[tuple[int, int]]]]:
-    """Each block's edge ids with its non-adjacent vertex pairs s < t.
+def _searched_blocks(g: Multigraph) -> list[Multigraph]:
+    """The blocks that hold a non-adjacent vertex pair.
 
     Any pair outside a common block is split by a cut vertex (or lies in
     two components), so c <= 1 under every labeling and p < c cannot
     happen.  Two vertices share at most one block, and every simple
-    route between them stays inside it.  Blocks without such a pair
-    are left out.
+    route between them stays inside it.  An edge between two vertices of
+    a block lies in that block, so a block of n vertices holds a
+    non-adjacent pair exactly when it has fewer than C(n, 2) adjacent
+    pairs; no pair is listed to find out.
     """
-    out = []
-    for block in biconnected_components(g):
-        pairs = [
-            (s, t) for s, t in combinations(sorted(block.vertices), 2)
-            if not g.adjacent(s, t)
-        ]
-        if pairs:
-            out.append((tuple(e.id for e in block.edges), pairs))
-    return out
+    return [block for block in biconnected_components(g)
+            if len({e.pair for e in block.edges}) < comb(len(block.vertices), 2)]
 
 
 def falsify_mengerian(
@@ -703,18 +698,23 @@ def falsify_mengerian(
     splits by kept set, and the gap with the lowest labeling, then the
     first pair, wins, as it would one labeling at a time.
     """
-    blocks = _block_pairs(g)
-    if not blocks:
+    searched = _searched_blocks(g)
+    if not searched:
         return None
+    largest = max(len(block.edges) for block in searched)
+    if samples is None and (orders := _weak_orders(largest)) > _WORK_BUDGET:
+        raise ResourceLimitError(
+            f"exhaustive falsification over a block of {largest} edges would try "
+            f"at least {orders} labelings, past the work budget of {_WORK_BUDGET}")
+    # each block's edge ids with its non-adjacent pairs s < t
+    blocks = [
+        (tuple(e.id for e in block.edges),
+         [(s, t) for s, t in combinations(sorted(block.vertices), 2) if not g.adjacent(s, t)])
+        for block in searched
+    ]
     # each search ranks some edges, tests some pairs, and lists labelings
     # as label sequences over those edges; other edges get label 1
     if samples is None:
-        largest = max(len(edge_ids) for edge_ids, _ in blocks)
-        orders = _weak_orders(largest)
-        if orders > _WORK_BUDGET:
-            raise ResourceLimitError(
-                f"exhaustive falsification over a block of {largest} edges would try "
-                f"at least {orders} labelings, past the work budget of {_WORK_BUDGET}")
         pairs = [pair for _, block_pairs in blocks for pair in block_pairs]
         searches = [(edge_ids, block_pairs, _rank_assignments(len(edge_ids)))
                     for edge_ids, block_pairs in blocks]

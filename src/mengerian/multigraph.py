@@ -168,14 +168,6 @@ class Multigraph:
         """Number of distinct neighbors."""
         return len(self.neighbors(v))
 
-    def edge_degree(self, v: int) -> int:
-        """Number of incident edges, parallels counted separately."""
-        return len(self.incident_edges(v))
-
-    def adjacent_pairs(self) -> tuple[tuple[int, int], ...]:
-        """All adjacent unordered pairs, sorted."""
-        return tuple(sorted(self._parallel))
-
     def has_parallel_edges(self) -> bool:
         return any(len(ids) >= 2 for ids in self._parallel.values())
 
@@ -197,12 +189,6 @@ class Multigraph:
             raise GraphError(f"unknown vertices {sorted(unknown)}")
         keep_edges = tuple(e for e in self.edges if e.u not in ds and e.v not in ds)
         return Multigraph(self.vertices - ds, keep_edges)
-
-    def remove_edges(self, drop: Iterable[int]) -> "Multigraph":
-        ds = set(drop)
-        for i in ds:
-            self.edge(i)
-        return Multigraph(self.vertices, tuple(e for e in self.edges if e.id not in ds))
 
     def subgraph_from_edges(self, edge_ids: Iterable[int]) -> "Multigraph":
         """Subgraph on exactly the given edges; vertices are their endpoints."""
@@ -347,40 +333,6 @@ def maximal_chains(g: Multigraph) -> tuple[Chain, ...]:
 
 # ----------------------------------------------------------------------
 # connectivity
-
-
-def reachable(
-    g: Multigraph,
-    start: int,
-    banned_vertices: Iterable[int] = (),
-    banned_edges: Iterable[int] = (),
-) -> frozenset[int]:
-    """Vertices reachable from start avoiding the given vertices and edges."""
-    bv = set(banned_vertices)
-    be = set(banned_edges)
-    if start in bv:
-        return frozenset()
-    if start not in g.vertices:
-        raise GraphError(f"unknown vertex {start}")
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        for eid in g.incident_edges(x):
-            if eid in be:
-                continue
-            y = g.edge(eid).other(x)
-            if y in bv or y in seen:
-                continue
-            seen.add(y)
-            queue.append(y)
-    return frozenset(seen)
-
-
-def is_connected(g: Multigraph) -> bool:
-    if len(g.vertices) <= 1:
-        return True
-    return len(reachable(g, min(g.vertices))) == len(g.vertices)
 
 
 def find_path(

@@ -122,9 +122,6 @@ class MEmbedding:
     def target(self) -> int:
         return self.branch[self.pattern.target]
 
-    def used_edges(self) -> frozenset[int]:
-        return frozenset(e for hops in self.hop_edges.values() for h in hops for e in h)
-
 
 def _pattern_pairs(pattern: Pattern) -> dict[tuple[int, int], int]:
     out: dict[tuple[int, int], int] = {}
@@ -181,10 +178,6 @@ def check_m_subdivision(host: Multigraph, emb: MEmbedding) -> str | None:
             return f"route for {(a, b)} shares interior vertices"
         seen_interior |= interior
     return None
-
-
-def is_m_subdivision(host: Multigraph, emb: MEmbedding) -> bool:
-    return check_m_subdivision(host, emb) is None
 
 
 # ----------------------------------------------------------------------

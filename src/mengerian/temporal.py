@@ -3,8 +3,7 @@
 A time-function assigns a positive integer label to every edge.  A walk
 is temporal when consecutive edge labels never decrease, so an edge can
 be traversed at its own label after arriving at the same label
-(non-strict model).  Only the relative order of labels matters to any
-question asked here, which `canonicalize_labels` makes explicit.
+(non-strict model).
 """
 
 from __future__ import annotations
@@ -69,26 +68,6 @@ class TemporalWalk:
     def __post_init__(self) -> None:
         if len(self.vertices) != len(self.edge_ids) + 1 or not self.vertices:
             raise GraphError("walk needs n edges and n+1 vertices")
-
-    @property
-    def first(self) -> int:
-        return self.vertices[0]
-
-    @property
-    def last(self) -> int:
-        return self.vertices[-1]
-
-    @property
-    def internal(self) -> frozenset[int]:
-        return frozenset(self.vertices[1:-1])
-
-    def as_sequence(self) -> tuple[int, ...]:
-        """Interleaved v0, e1, v1, ... form accepted by validate_walk."""
-        out = [self.vertices[0]]
-        for eid, v in zip(self.edge_ids, self.vertices[1:]):
-            out.append(eid)
-            out.append(v)
-        return tuple(out)
 
     def __len__(self) -> int:
         return len(self.edge_ids)
@@ -170,43 +149,13 @@ def earliest_arrival(
     reachable from an arrival so far is followed, because an arrival can
     be extended at the same label.
     """
-    arr, _ = _earliest(tg, source, set(banned_vertices), set(banned_edges))
-    return arr
-
-
-def earliest_path(
-    tg: TemporalGraph,
-    source: int,
-    target: int,
-    banned_vertices: Iterable[int] = (),
-    banned_edges: Iterable[int] = (),
-) -> TemporalPath | None:
-    """A temporal path realizing the earliest arrival, None when unreachable."""
-    arr, parent = _earliest(tg, source, set(banned_vertices), set(banned_edges))
-    if target not in arr:
-        return None
-    if target == source:
-        return TemporalPath((source,), ())
-    vs = [target]
-    es = []
-    cur = target
-    while cur != source:
-        p, eid = parent[cur]
-        vs.append(p)
-        es.append(eid)
-        cur = p
-    return TemporalPath(tuple(reversed(vs)), tuple(reversed(es)))
-
-
-def _earliest(
-    tg: TemporalGraph, source: int, bv: set[int], be: set[int]
-) -> tuple[dict[int, int], dict[int, tuple[int, int]]]:
     if not tg.graph.has_vertex(source):
         raise GraphError(f"unknown vertex {source}")
+    bv = set(banned_vertices)
+    be = set(banned_edges)
     arr: dict[int, int] = {}
-    parent: dict[int, tuple[int, int]] = {}
     if source in bv:
-        return arr, parent
+        return arr
     arr[source] = 0
     ordered = sorted(tg.entries, key=lambda it: (it[1], it[0]))
     i = 0
@@ -232,10 +181,9 @@ def _earliest(
             for b, eid in links[a]:
                 if b not in arr:
                     arr[b] = lab
-                    parent[b] = (a, eid)
                     frontier.append(b)
         i = j
-    return arr, parent
+    return arr
 
 
 def reverse(tg: TemporalGraph) -> TemporalGraph:
@@ -246,23 +194,3 @@ def reverse(tg: TemporalGraph) -> TemporalGraph:
     """
     t = tg.lifetime
     return TemporalGraph(tg.graph, tuple((i, t + 1 - lab) for i, lab in tg.entries))
-
-
-def remove(
-    tg: TemporalGraph, vertices: Iterable[int] = (), edges: Iterable[int] = ()
-) -> TemporalGraph:
-    """Delete vertices and edges, keeping the labels of what survives."""
-    drop = set(edges)
-    for i in drop:
-        tg.graph.edge(i)  # unknown ids are an error even if a vertex removal covers them
-    g = tg.graph.remove_vertices(vertices)
-    g = g.remove_edges(drop & {e.id for e in g.edges})
-    keep = {e.id for e in g.edges}
-    return TemporalGraph(g, tuple(it for it in tg.entries if it[0] in keep))
-
-
-def canonicalize_labels(tg: TemporalGraph) -> TemporalGraph:
-    """Replace labels by their dense ranks 1..k; the weak order is preserved."""
-    distinct = sorted({lab for _, lab in tg.entries})
-    rank = {lab: i + 1 for i, lab in enumerate(distinct)}
-    return TemporalGraph(tg.graph, tuple((i, rank[lab]) for i, lab in tg.entries))

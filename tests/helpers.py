@@ -1,8 +1,10 @@
 """Shared construction and brute-force comparison helpers for the tests."""
 
+from collections import Counter
 from itertools import permutations
 
 from mengerian.multigraph import Multigraph
+from mengerian.temporal import TemporalGraph
 
 
 def mg(pairs, vertices=None):
@@ -13,7 +15,42 @@ def mg(pairs, vertices=None):
 
 
 def mult_map(g):
-    return {p: g.multiplicity(*p) for p in g.adjacent_pairs()}
+    """Multiplicity of each adjacent pair."""
+    return dict(Counter(e.pair for e in g.edges))
+
+
+def components(g):
+    """Vertex sets of the connected components, by breadth-first search."""
+    left = set(g.vertices)
+    while left:
+        comp = {min(left)}
+        queue = list(comp)
+        while queue:
+            for y in g.neighbors(queue.pop()):
+                if y not in comp:
+                    comp.add(y)
+                    queue.append(y)
+        left -= comp
+        yield comp
+
+
+def is_connected(g):
+    return sum(1 for _ in components(g)) <= 1
+
+
+def walk_sequence(walk):
+    """Interleaved v0, e1, v1, ... form accepted by validate_walk."""
+    out = [walk.vertices[0]]
+    for eid, v in zip(walk.edge_ids, walk.vertices[1:]):
+        out += [eid, v]
+    return out
+
+
+def without_edge(tg, eid):
+    """tg with edge eid deleted; every vertex and every other label stays."""
+    kept = tuple(e for e in tg.graph.edges if e.id != eid)
+    return TemporalGraph.make(Multigraph(tg.graph.vertices, kept),
+                              {e.id: tg.label(e.id) for e in kept})
 
 
 def multigraph_isomorphic(g1, g2, max_vertices=9):
@@ -23,8 +60,8 @@ def multigraph_isomorphic(g1, g2, max_vertices=9):
         return False
     if len(v1) > max_vertices:
         raise ValueError(f"refusing brute-force isomorphism beyond {max_vertices} vertices")
-    deg1 = sorted((g1.simple_degree(v), g1.edge_degree(v)) for v in v1)
-    deg2 = sorted((g2.simple_degree(v), g2.edge_degree(v)) for v in v2)
+    deg1 = sorted((g1.simple_degree(v), len(g1.incident_edges(v))) for v in v1)
+    deg2 = sorted((g2.simple_degree(v), len(g2.incident_edges(v))) for v in v2)
     if deg1 != deg2:
         return False
     m2 = mult_map(g2)

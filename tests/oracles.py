@@ -10,10 +10,16 @@ from itertools import combinations, permutations
 
 
 def brute_reachable(tg, s, banned_vertices=(), banned_edges=()):
+    return set(brute_arrival(tg, s, banned_vertices, banned_edges))
+
+
+def brute_arrival(tg, s, banned_vertices=(), banned_edges=()):
+    """Each reachable vertex's earliest arrival label: the smallest over its
+    (vertex, arrival) states; s arrives at 0."""
     bv = set(banned_vertices)
     be = set(banned_edges)
     if s in bv:
-        return set()
+        return {}
     states = {(s, 0)}
     frontier = [(s, 0)]
     while frontier:
@@ -30,7 +36,10 @@ def brute_reachable(tg, s, banned_vertices=(), banned_edges=()):
             if (w, lab) not in states:
                 states.add((w, lab))
                 frontier.append((w, lab))
-    return {v for v, _ in states}
+    arrival = {}
+    for v, a in states:
+        arrival[v] = min(a, arrival.get(v, a))
+    return arrival
 
 
 def brute_temporal_paths(tg, s, t):

@@ -18,12 +18,12 @@ from mengerian.menger import (
     max_disjoint_paths,
     min_vertex_cut,
 )
-from mengerian.multigraph import is_connected, m_subdivide
-from mengerian.patterns import PATTERNS, check_m_subdivision
+from mengerian.multigraph import m_subdivide
+from mengerian.patterns import F3, PATTERNS, check_m_subdivision
 from mengerian.recognizer import recognize, recognize_with_proof
-from mengerian.temporal import remove, reverse, TemporalGraph
+from mengerian.temporal import reverse, TemporalGraph
 
-from helpers import canonical_key, mg, random_multigraph
+from helpers import canonical_key, is_connected, mg, random_multigraph, without_edge
 from oracles import brute_c, brute_edge_c, brute_edge_p, brute_p
 
 
@@ -99,15 +99,15 @@ class TestChordedPattern:
 
 
 # connected multigraph isomorphism classes with <= 5 vertices and
-# <= 6 edges, counted by edge number
-EXPECTED_CLASSES = {0: 1, 1: 1, 2: 2, 3: 5, 4: 12, 5: 27, 6: 63}
+# <= 7 edges, counted by edge number
+EXPECTED_CLASSES = {0: 1, 1: 1, 2: 2, 3: 5, 4: 12, 5: 27, 6: 63, 7: 130}
 
 
 def small_connected_classes():
     seen = {}
     for n in range(1, 6):
         slots = list(combinations(range(n), 2))
-        for m in range(0, 7):
+        for m in range(0, 8):
             for combo in combinations_with_replacement(slots, m):
                 g = mg(list(combo), vertices=range(n))
                 if is_connected(g):
@@ -123,13 +123,21 @@ class TestSmallGraphSweep:
         classes = small_connected_classes()
         by_edges = Counter(len(g.edges) for g in classes)
         assert dict(by_edges) == EXPECTED_CLASSES
-        assert len(classes) == 111
+        assert len(classes) == 241
+        negative = []
         for g in classes:
             verdict = recognize(g)
             found = falsify_mengerian(g)
             assert verdict.mengerian == (found is None)
-            # the smallest forbidden shape needs seven edges
-            assert verdict.mengerian
+            if found is not None:
+                assert len(found.paths) < len(found.cut)
+                negative.append((g, verdict))
+        # the smallest forbidden shape, the gem, is the only one with at
+        # most seven edges
+        assert len(negative) == 1
+        (g, verdict), = negative
+        assert canonical_key(g) == canonical_key(F3.graph)
+        assert verdict.embedding.pattern.name == "F3"
         assert time.perf_counter() - start < 1800.0
 
 
@@ -184,7 +192,7 @@ class TestOracleInvariants:
             # removing an edge cannot make the endpoints adjacent
             ids = sorted(tg.times)
             for eid in rng.sample(ids, min(3, len(ids))):
-                sub = remove(tg, edges=[eid])
+                sub = without_edge(tg, eid)
                 assert len(max_disjoint_paths(sub, s, t)) <= p, seed
                 assert len(edge_menger(sub, s, t)[0]) <= pe, seed
                 if c is not None:

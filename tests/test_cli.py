@@ -25,7 +25,7 @@ from mengerian.multigraph import InternalError
 from mengerian.patterns import F1, F2, F3, check_m_subdivision
 from mengerian.temporal import TemporalGraph
 
-from helpers import mg, mult_map, multigraph_isomorphic
+from helpers import is_connected, mg, mult_map, multigraph_isomorphic
 
 import random
 
@@ -468,7 +468,6 @@ class TestGenCommand:
         assert max(mult_map(g).values()) <= 2
 
     def test_spanning_tree_keeps_it_connected(self):
-        from mengerian.multigraph import is_connected
         rng = random.Random(2)
         for seed in range(10):
             g = random_multigraph(7, 9, 3, random.Random(seed))

@@ -29,7 +29,7 @@ from mengerian.menger import (
     min_vertex_cut,
 )
 
-from helpers import mg, random_multigraph
+from helpers import mg, random_multigraph, walk_sequence
 from oracles import (
     brute_c,
     brute_edge_c,
@@ -130,7 +130,7 @@ class TestRoutes:
         s, d = rng.sample(sorted(t.graph.vertices), 2)
         routes = list(_route_paths(t, s, d))
         for p in routes:
-            validate_walk(t, p.as_sequence())
+            validate_walk(t, walk_sequence(p))
         seqs = [p.vertices for p in routes]
         assert len(seqs) == len(set(seqs))
         assert set(seqs) == {vs for vs, _ in brute_temporal_paths(t, s, d)}
@@ -177,7 +177,7 @@ class TestDisjointPaths:
         assert len(paths) == 2
         seen = set()
         for p in paths:
-            validate_walk(TWO_ROUTES, p.as_sequence())
+            validate_walk(TWO_ROUTES, walk_sequence(p))
             inner = set(p.vertices[1:-1])
             assert not inner & seen
             seen |= inner
@@ -374,7 +374,7 @@ class TestEdgeMenger:
         assert len(paths) == 3
         used = set()
         for p in paths:
-            validate_walk(t, p.as_sequence())
+            validate_walk(t, walk_sequence(p))
             assert not set(p.edge_ids) & used
             used |= set(p.edge_ids)
 
@@ -431,7 +431,7 @@ class TestFalsify:
     def test_witness_claims_check_out(self):
         cx = falsify_mengerian(GEM.graph)
         for p in cx.paths:
-            validate_walk(cx.labeled, p.as_sequence())
+            validate_walk(cx.labeled, walk_sequence(p))
         assert cx.t not in brute_reachable(cx.labeled, cx.s,
                                            banned_vertices=cx.cut)
 
@@ -452,15 +452,18 @@ class TestFalsify:
     def test_edge_budget_guard(self):
         # the work budget bounds the weak orders of each block searched:
         # an 8-edge path has no block holding a non-adjacent pair, an
-        # 8-cycle's 545835 fit, a 9-cycle's 7087261 do not
+        # 8-cycle's 545835 fit, a 9-cycle's 7087261 do not; a 2000-cycle
+        # is refused before its two million non-adjacent pairs are listed
         path = mg([(i, i + 1) for i in range(8)])
         assert falsify_mengerian(path) is None
         assert falsify_mengerian(mg([(i, (i + 1) % 8) for i in range(8)])) is None
-        start = time.perf_counter()
-        with pytest.raises(ResourceLimitError, match="at least 7087261 labelings, past "
-                                                     "the work budget of 1048576"):
-            falsify_mengerian(mg([(i, (i + 1) % 9) for i in range(9)]))
-        assert time.perf_counter() - start < 0.1
+        for n in (9, 2000):
+            cycle = mg([(i, (i + 1) % n) for i in range(n)])
+            start = time.perf_counter()
+            with pytest.raises(ResourceLimitError, match="at least 7087261 labelings, past "
+                                                         "the work budget of 1048576"):
+                falsify_mengerian(cycle)
+            assert time.perf_counter() - start < 0.1
 
     def test_doubled_path_has_no_pair_to_test(self):
         # every non-adjacent pair is split by a cut vertex, so c <= 1

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -62,3 +63,56 @@ def test_tracer_finds_every_name_it_rebinds(monkeypatch):
         for name in set(sys.modules) - before:
             if str(PERFBENCH) in str(getattr(sys.modules[name], "__file__", "")):
                 del sys.modules[name]
+
+
+
+def _names_used(tree):
+    """(name, line) for every name a module reads: variables, attributes,
+    and strings that spell an identifier, as the tracer names attributes."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            yield node.value, node.lineno
+
+
+def _public_definitions(tree):
+    """(qualified name, node) of each public top-level function or class
+    and each public method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                        yield f"{node.name}.{sub.name}", sub
+
+
+def test_every_public_name_has_a_user():
+    # a public name must be read by another part of the package (its own
+    # body and __init__'s re-export do not count), by the benchmark, or
+    # open a code span of the README; otherwise only tests keep it alive.
+    # Attributes match by name alone: `chain.first` would keep a `first`
+    # method of any class.
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SOURCE.glob("*.py")) if path.name != "__init__.py"}
+    uses = [(path, name, line) for path, tree in trees.items()
+            for name, line in _names_used(tree)]
+    outside = {name for path in sorted(PERFBENCH.glob("*.py"))
+               for name, _ in _names_used(ast.parse(path.read_text(), filename=str(path)))}
+    readme = (ROOT / "README.md").read_text()
+    outside |= {word for span in re.findall(r"`([A-Za-z_][\w.]*)[^`\n]*`", readme)
+                for word in span.split(".")}
+    unused = [
+        f"{path.stem}.{qualname}"
+        for path, tree in trees.items()
+        for qualname, node in _public_definitions(tree)
+        if node.name not in outside
+        and not any(name == node.name
+                    and (where != path or not node.lineno <= line <= node.end_lineno)
+                    for where, name, line in uses)
+    ]
+    assert unused == [], unused

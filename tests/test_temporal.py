@@ -10,15 +10,13 @@ from mengerian.temporal import (
     TemporalPath,
     TemporalWalk,
     WalkError,
-    canonicalize_labels,
     earliest_arrival,
-    earliest_path,
-    remove,
     reverse,
     validate_walk,
     walk_to_path,
 )
-from helpers import mg, random_multigraph
+from helpers import mg, random_multigraph, walk_sequence
+from oracles import brute_arrival
 
 
 def tg(pairs_with_labels, vertices=None):
@@ -65,8 +63,8 @@ class TestWalkValidation:
     def test_valid_walk(self):
         w = validate_walk(LINE, [0, 0, 1, 1, 2, 2, 3])
         assert isinstance(w, TemporalWalk)
-        assert w.first == 0 and w.last == 3
-        assert w.internal == frozenset({1, 2})
+        assert w.vertices == (0, 1, 2, 3)
+        assert w.edge_ids == (0, 1, 2)
 
     def test_single_vertex_walk(self):
         w = validate_walk(LINE, [2])
@@ -97,7 +95,7 @@ class TestWalkValidation:
     def test_equal_labels_allowed(self):
         t = tg([(0, 1, 2), (1, 2, 2)])
         w = validate_walk(t, [0, 0, 1, 1, 2])
-        assert w.last == 2
+        assert w.vertices[-1] == 2
 
 
 class TestWalkToPath:
@@ -134,12 +132,10 @@ class TestWalkToPath:
             seq += [eid, cur]
         walk = validate_walk(t, seq)
         path = walk_to_path(t, walk)
-        assert path.first == walk.first and path.last == walk.last
+        assert path.vertices[0] == walk.vertices[0]
+        assert path.vertices[-1] == walk.vertices[-1]
         # the path must itself validate as a temporal walk
-        flat = [path.vertices[0]]
-        for eid, v in zip(path.edge_ids, path.vertices[1:]):
-            flat += [eid, v]
-        validate_walk(t, flat)
+        validate_walk(t, walk_sequence(path))
         assert isinstance(path, TemporalPath)
 
 
@@ -173,54 +169,15 @@ class TestEarliestArrival:
         assert earliest_arrival(LINE, 0, banned_vertices=[2], banned_edges=[3]) == {0: 0, 1: 1}
         assert earliest_arrival(LINE, 0, banned_vertices=[0]) == {}
 
-    def test_earliest_path_extracts(self):
-        p = earliest_path(LINE, 0, 3)
-        assert p.vertices == (0, 1, 2, 3)
-        assert p.edge_ids == (0, 1, 2)
-        assert earliest_path(LINE, 0, 0).vertices == (0,)
-        t = tg([(0, 1, 3), (1, 2, 1)])
-        assert earliest_path(t, 0, 2) is None
-
-    @given(st.integers(0, 5000))
-    def test_path_realizes_arrival(self, seed):
-        rng = random.Random(seed)
-        t = random_temporal(rng, rng.randint(2, 7), rng.randint(1, 12))
-        arr = earliest_arrival(t, 0)
-        for v in sorted(t.graph.vertices):
-            p = earliest_path(t, 0, v)
-            if v not in arr:
-                assert p is None
-                continue
-            assert p is not None and p.last == v
-            if p.edge_ids:
-                labs = [t.label(e) for e in p.edge_ids]
-                assert labs == sorted(labs)
-                assert labs[-1] == arr[v]
-
     @given(st.integers(0, 5000))
     def test_matches_bruteforce_reachability(self, seed):
         rng = random.Random(seed)
-        t = random_temporal(rng, rng.randint(2, 6), rng.randint(1, 9))
-        reach = set(earliest_arrival(t, 1 % len(t.graph.vertices)))
-        brute = brute_reachable(t, 1 % len(t.graph.vertices))
-        assert reach == brute
-
-
-def brute_reachable(t, s):
-    """Grow (vertex, arrival) states edge by edge; no path structure reused."""
-    states = {(s, 0)}
-    frontier = [(s, 0)]
-    while frontier:
-        v, a = frontier.pop()
-        for eid in t.graph.incident_edges(v):
-            lab = t.label(eid)
-            if lab < a:
-                continue
-            w = t.graph.edge(eid).other(v)
-            if (w, lab) not in states:
-                states.add((w, lab))
-                frontier.append((w, lab))
-    return {v for v, _ in states}
+        t = random_temporal(rng, rng.randint(2, 7), rng.randint(1, 12))
+        vs = sorted(t.graph.vertices)
+        s = rng.choice(vs)
+        bv = rng.sample(vs, rng.randint(0, len(vs) // 2))
+        be = rng.sample(sorted(t.times), rng.randint(0, len(t.times) // 2))
+        assert earliest_arrival(t, s, bv, be) == brute_arrival(t, s, bv, be)
 
 
 class TestReverse:
@@ -248,36 +205,14 @@ class TestReverse:
                 assert (v in fwd) == (s in earliest_arrival(r, v))
 
 
-class TestRemove:
-    def test_remove_vertices_and_edges(self):
-        t = remove(LINE, vertices=[2])
-        assert set(t.times) == {0, 3}
-        t = remove(LINE, edges=[0, 3])
-        assert set(t.times) == {1, 2}
-
-    def test_unknown_edge_rejected(self):
-        with pytest.raises(GraphError):
-            remove(LINE, edges=[55])
-
-    def test_vertex_removal_covers_edge_ids(self):
-        t = remove(LINE, vertices=[2], edges=[1])
-        assert set(t.times) == {0, 3}
-
-
 class TestCanonicalize:
-    def test_dense_ranks(self):
-        t = tg([(0, 1, 5), (1, 2, 17), (2, 3, 17), (0, 3, 99)])
-        c = canonicalize_labels(t)
-        assert c.times == {0: 1, 1: 2, 2: 2, 3: 3}
-
-    def test_idempotent(self):
-        c = canonicalize_labels(LINE)
-        assert canonicalize_labels(c) == c
+    """Only the order of labels matters: dense ranks reach the same vertices."""
 
     @given(st.integers(0, 3000))
     def test_reachability_invariant(self, seed):
         rng = random.Random(seed)
         t = random_temporal(rng, rng.randint(2, 6), rng.randint(1, 9), max_label=40)
-        c = canonicalize_labels(t)
+        rank = {lab: i + 1 for i, lab in enumerate(sorted(set(t.times.values())))}
+        c = TemporalGraph.make(t.graph, {i: rank[lab] for i, lab in t.times.items()})
         for s in sorted(t.graph.vertices):
             assert set(earliest_arrival(t, s)) == set(earliest_arrival(c, s))
