@@ -6,7 +6,8 @@ For a labeled multigraph and distinct vertices s, t:
 * c(s, t): minimum number of vertices (excluding s, t) whose removal leaves
   no temporal s,t-path, defined only when s and t are non-adjacent;
 * the edge-disjoint analogues, which always coincide; both certificates
-  come out of one time-expanded max-flow computation.
+  come out of one max flow in the time-expanded network, with one node
+  per vertex and label at it and one unit arc per edge (`edge_menger`).
 
 The vertex-disjoint side rests on one route engine.  `_route_paths`
 lists the temporal s,t-routes, one per realizable vertex sequence, and
@@ -30,8 +31,11 @@ them forces c <= 1.  Every route of a pair that shares a block stays
 inside it, so exhaustive search ranks one block's edges at a time, and
 it tests each pair in one orientation only, since time reversal swaps
 source and target, and only on blocks with at most _WORK_BUDGET weak
-orders (8 edges).  p and c depend only on which of a pair's routes a
-labeling keeps, so each kept set found gap-free is decided once.
+orders (8 edges).  Sampling lists routes for both orientations of every
+pair, so it is refused when the ordered pairs, each weighted by the
+edges of its block, outweigh _WORK_BUDGET.  p and c depend only on
+which of a pair's routes a labeling keeps, so each kept set found
+gap-free is decided once.
 
 Labelings are tested a chunk at a time.  Each pair's routes form a
 prefix trie, and one walk of it carries, per label L, the set of the
@@ -310,171 +314,102 @@ def menger_gap(tg: TemporalGraph, s: int, t: int) -> MengerGap:
 # edge-disjoint paths and cuts via time-expanded max flow
 
 
-class _Dinic:
-    def __init__(self) -> None:
-        self.adj: list[list[list[int]]] = []
-
-    def node(self) -> int:
-        self.adj.append([])
-        return len(self.adj) - 1
-
-    def arc(self, a: int, b: int, cap: int) -> None:
-        self.adj[a].append([b, cap, len(self.adj[b]), cap])
-        self.adj[b].append([a, 0, len(self.adj[a]) - 1, 0])
-
-    def maxflow(self, s: int, t: int) -> tuple[int, list[int]]:
-        """The max flow value and the levels of the last, failed BFS.
-
-        That BFS follows every arc with residual capacity, so the nodes
-        it reached (level >= 0) are the source side of a minimum cut.
-        """
-        total = 0
-        n = len(self.adj)
-        while True:
-            level = [-1] * n
-            level[s] = 0
-            queue = [s]
-            for x in queue:
-                for arc in self.adj[x]:
-                    if arc[1] > 0 and level[arc[0]] < 0:
-                        level[arc[0]] = level[x] + 1
-                        queue.append(arc[0])
-            if level[t] < 0:
-                return total, level
-            it = [0] * n
-            while True:
-                got = self._push(s, t, level, it)
-                if not got:
-                    break
-                total += got
-
-    def _push(self, s: int, t: int, level: list[int], it: list[int]) -> int:
-        """One augmenting path along the level graph; the flow it carried.
-
-        A depth-first walk with an explicit stack, so the depth of the
-        network is not bounded by the interpreter's recursion limit.  A
-        dead end advances its parent's arc pointer, as in textbook Dinic.
-        """
-        nodes = [s]
-        arcs: list[list[int]] = []
-        while nodes:
-            x = nodes[-1]
-            if x == t:
-                got = min(arc[1] for arc in arcs)
-                for arc in arcs:
-                    arc[1] -= got
-                    self.adj[arc[0]][arc[2]][1] += got
-                return got
-            out = self.adj[x]
-            i = it[x]
-            while i < len(out) and not (out[i][1] > 0 and level[out[i][0]] == level[x] + 1):
-                i += 1
-            it[x] = i
-            if i < len(out):
-                arcs.append(out[i])
-                nodes.append(out[i][0])
-            else:
-                nodes.pop()
-                if arcs:
-                    arcs.pop()
-                    it[nodes[-1]] += 1
-        return 0
-
-
 def edge_menger(
     tg: TemporalGraph, s: int, t: int
 ) -> tuple[tuple[TemporalPath, ...], frozenset[int]]:
     """Maximum edge-disjoint temporal s,t-paths and a matching minimum edge cut.
 
-    Both certificates have the same size: the time-expanded network gives
-    an integral max flow whose only finite capacities sit on per-edge
-    gadgets, so its min cut is a set of edges of the original graph.
+    The time-expanded network has one node per vertex and label at it,
+    an uncapacitated waiting arc from each label of a vertex to its next,
+    and each edge with label L as one unit of capacity between its ends'
+    L nodes, usable in either direction.  Flow enters at the first node
+    of s and leaves at any node of t.  Each augmenting path comes from a
+    breadth-first search that stops as soon as it pushes a node of t.
+    The flow is one signed value per edge id (+1 carries a unit from e.u
+    to e.v) and one value per waiting arc.
+
+    The last, failed search reaches the source side of the minimal
+    minimum cut, which only edges cross: the cut is the edges with
+    exactly one end node reached.  Each path follows positive flow from
+    s, leaving each vertex by its flow edge of smallest label (then id)
+    not before the arrival, up to t; `walk_to_path` splices out revisits.
     """
     _check_pair(tg, s, t)
     g = tg.graph
-
-    label_sets: dict[int, set[int]] = {}
-    for e in g.edges:
-        lab = tg.label(e.id)
-        for v in e.pair:
-            label_sets.setdefault(v, set()).add(lab)
-    labels_of = {v: sorted(labs) for v, labs in label_sets.items()}
-
-    if s not in labels_of or t not in labels_of:
+    times = tg.times
+    # node ids run through each vertex's labels in ascending order, so a
+    # node's waiting arc leads to the next id when that has the same vertex
+    nodes = sorted({(v, times[e.id]) for e in g.edges for v in e.pair})
+    index = {vl: i for i, vl in enumerate(nodes)}
+    vertex_of = [v for v, _ in nodes] + [-1]  # the last node waits nowhere
+    if s not in vertex_of or t not in vertex_of:
         return (), frozenset()
-
-    net = _Dinic()
-    src = net.node()
-    snk = net.node()
-    inf = len(g.edges) + 1
-    vnode: dict[tuple[int, int], int] = {}
-    for v, labs in sorted(labels_of.items()):
-        for lab in labs:
-            vnode[(v, lab)] = net.node()
-        for a, b in zip(labs, labs[1:]):
-            net.arc(vnode[(v, a)], vnode[(v, b)], inf)
-    gadget: dict[int, tuple[int, int]] = {}
+    arcs: list[list[tuple[int, int, int]]] = [[] for _ in vertex_of]
     for e in g.edges:
-        lab = tg.label(e.id)
-        node_in = net.node()
-        node_out = net.node()
-        net.arc(node_in, node_out, 1)
-        net.arc(vnode[(e.u, lab)], node_in, inf)
-        net.arc(vnode[(e.v, lab)], node_in, inf)
-        net.arc(node_out, vnode[(e.u, lab)], inf)
-        net.arc(node_out, vnode[(e.v, lab)], inf)
-        gadget[e.id] = (node_in, node_out)
+        a, b = index[(e.u, times[e.id])], index[(e.v, times[e.id])]
+        arcs[a].append((b, e.id, 1))
+        arcs[b].append((a, e.id, -1))
+    flow = dict.fromkeys(times, 0)
+    wait = [0] * len(vertex_of)  # flow on the waiting arc out of each node
+    src = vertex_of.index(s)
 
-    net.arc(src, vnode[(s, labels_of[s][0])], inf)
-    for lab in labels_of[t]:
-        net.arc(vnode[(t, lab)], snk, inf)
+    value = 0
+    while True:
+        # parent[y] = (x, edge id or None for a waiting arc, direction)
+        parent: dict[int, tuple[int, int | None, int]] = {src: (src, None, 0)}
+        queue = [src]
+        end = None
+        for x in queue:
+            steps = [(y, eid, sign) for y, eid, sign in arcs[x] if flow[eid] * sign < 1]
+            if vertex_of[x + 1] == vertex_of[x]:
+                steps.append((x + 1, None, 1))
+            if wait[x - 1] > 0:
+                steps.append((x - 1, None, -1))
+            for y, eid, sign in steps:
+                if y not in parent:
+                    parent[y] = (x, eid, sign)
+                    if vertex_of[y] == t:
+                        end = y
+                        break
+                    queue.append(y)
+            if end is not None:
+                break
+        if end is None:
+            break
+        value += 1
+        while end != src:
+            x, eid, sign = parent[end]
+            if eid is None:
+                wait[min(x, end)] += sign
+            else:
+                flow[eid] += sign
+            end = x
+    cut = frozenset(eid for x in parent for y, eid, _ in arcs[x] if y not in parent)
 
-    value, level = net.maxflow(src, snk)
-    cut = frozenset(
-        eid for eid, (node_in, node_out) in gadget.items()
-        if level[node_in] >= 0 and level[node_out] < 0
-    )
-
-    # walk decomposition with in-place cancellation of incidental cycles
-    node_owner: dict[int, tuple[int, int]] = {}
-    for eid, (node_in, node_out) in gadget.items():
-        node_owner[node_in] = (eid, 0)
-        node_owner[node_out] = (eid, 1)
-
+    # each vertex's edges carrying flow away from it, by label then id
+    leaving: dict[int, list[tuple[int, int, int]]] = {}
+    for e in g.edges:
+        if flow[e.id]:
+            a, b = e.pair if flow[e.id] > 0 else e.pair[::-1]
+            leaving.setdefault(a, []).append((times[e.id], e.id, b))
+    for out in leaving.values():
+        out.sort()
     paths = []
     for _ in range(value):
-        node_path = [src]
-        position = {src: 0}
-        while node_path[-1] != snk:
-            x = node_path[-1]
-            nxt = None
-            for arc in net.adj[x]:
-                if arc[3] > 0 and arc[3] - arc[1] > 0:
-                    arc[1] += 1
-                    nxt = arc[0]
-                    break
-            if nxt is None:
+        seq, v, arrived = [s], s, 0
+        while v != t:
+            out = leaving.get(v, [])
+            i = bisect_left(out, (arrived,))
+            if i == len(out):
                 raise InternalError("flow conservation")
-            if nxt in position:
-                for dropped in node_path[position[nxt] + 1:]:
-                    del position[dropped]
-                del node_path[position[nxt] + 1:]
-            else:
-                position[nxt] = len(node_path)
-                node_path.append(nxt)
-        seq = [s]
-        cur = s
-        for a, b in zip(node_path, node_path[1:]):
-            if a in node_owner and b in node_owner and node_owner[a][0] == node_owner[b][0]:
-                eid = node_owner[a][0]
-                cur = g.edge(eid).other(cur)
-                seq += [eid, cur]
+            arrived, eid, v = out.pop(i)
+            seq += [eid, v]
         paths.append(walk_to_path(tg, validate_walk(tg, seq)))
 
     if len(cut) != value:
-        raise InternalError("max flow must equal the gadget cut")
+        raise InternalError("max flow must equal the edge cut")
     if t in earliest_arrival(tg, s, banned_edges=cut):
-        raise InternalError("the gadget cut must separate the pair")
+        raise InternalError("the edge cut must separate the pair")
     used = [e for p in paths for e in p.edge_ids]
     if len(used) != len(set(used)):
         raise InternalError("paths must be edge-disjoint")
@@ -654,19 +589,24 @@ def _kept_sets(keep: list[int], universe: int) -> list[tuple[int, int]]:
     return sorted(((labs & -labs).bit_length() - 1, kept | common) for labs, kept in groups)
 
 
+def _free_pairs(block: Multigraph) -> int:
+    """How many non-adjacent vertex pairs a block holds, none of them listed.
+
+    An edge between two vertices of a block lies in that block, so a
+    block of n vertices holds C(n, 2) less its adjacent pairs.
+    """
+    return comb(len(block.vertices), 2) - len({e.pair for e in block.edges})
+
+
 def _searched_blocks(g: Multigraph) -> list[Multigraph]:
     """The blocks that hold a non-adjacent vertex pair.
 
     Any pair outside a common block is split by a cut vertex (or lies in
     two components), so c <= 1 under every labeling and p < c cannot
     happen.  Two vertices share at most one block, and every simple
-    route between them stays inside it.  An edge between two vertices of
-    a block lies in that block, so a block of n vertices holds a
-    non-adjacent pair exactly when it has fewer than C(n, 2) adjacent
-    pairs; no pair is listed to find out.
+    route between them stays inside it.
     """
-    return [block for block in biconnected_components(g)
-            if len({e.pair for e in block.edges}) < comb(len(block.vertices), 2)]
+    return [block for block in biconnected_components(g) if _free_pairs(block)]
 
 
 def falsify_mengerian(
@@ -686,7 +626,10 @@ def falsify_mengerian(
     s < t.  An integer draws that many seeded uniform assignments with
     labels in 1..len(edges) and tests both orientations of each pair, in
     sorted order; the first counterexample is the first in that order.
-    Returns None when the search finds none.
+    Before any route is listed, sampling weighs the ordered pairs, each
+    times the edges of its block, and past _WORK_BUDGET raises
+    ResourceLimitError (a 100-cycle weighs 970,000, a 200-cycle
+    7,880,000).  Returns None when the search finds none.
 
     Each pair's static routes are enumerated once, as the temporal routes
     under a constant labeling; a labeling then keeps the routes whose
@@ -701,11 +644,18 @@ def falsify_mengerian(
     searched = _searched_blocks(g)
     if not searched:
         return None
-    largest = max(len(block.edges) for block in searched)
-    if samples is None and (orders := _weak_orders(largest)) > _WORK_BUDGET:
-        raise ResourceLimitError(
-            f"exhaustive falsification over a block of {largest} edges would try "
-            f"at least {orders} labelings, past the work budget of {_WORK_BUDGET}")
+    if samples is None:
+        largest = max(len(block.edges) for block in searched)
+        if (orders := _weak_orders(largest)) > _WORK_BUDGET:
+            raise ResourceLimitError(
+                f"exhaustive falsification over a block of {largest} edges would try "
+                f"at least {orders} labelings, past the work budget of {_WORK_BUDGET}")
+    else:
+        weight = sum(2 * _free_pairs(block) * len(block.edges) for block in searched)
+        if weight > _WORK_BUDGET:
+            raise ResourceLimitError(
+                f"sampled falsification would list routes for ordered pairs weighing {weight} "
+                f"(pairs times the edges of their block), past the work budget of {_WORK_BUDGET}")
     # each block's edge ids with its non-adjacent pairs s < t
     blocks = [
         (tuple(e.id for e in block.edges),

@@ -277,10 +277,6 @@ class Chain:
     def last(self) -> int:
         return self.vertices[-1]
 
-    def pairs(self) -> Iterator[tuple[int, int]]:
-        for a, b in zip(self.vertices, self.vertices[1:]):
-            yield _norm(a, b)
-
     def __len__(self) -> int:
         return len(self.vertices)
 
@@ -340,9 +336,8 @@ def find_path(
     sources: Iterable[int],
     targets: Iterable[int],
     banned_vertices: Iterable[int] = (),
-    banned_edges: Iterable[int] = (),
-) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Shortest path from any source to any target, as (vertices, edge ids).
+) -> tuple[int, ...] | None:
+    """Vertices of a shortest path from any source to any target.
 
     Sources and targets must be disjoint.  The search never walks through
     a source or a target, so interior vertices lie outside both sets.
@@ -353,29 +348,21 @@ def find_path(
     bv = set(banned_vertices)
     if tgt & set(src):
         raise GraphError("sources and targets must be disjoint")
-    be = set(banned_edges)
-    parent: dict[int, tuple[int, int]] = {}
+    parent: dict[int, int] = {}
     seen = set(s for s in src if s not in bv)
     queue = deque(s for s in src if s not in bv)
     while queue:
         x = queue.popleft()
         for eid in g.incident_edges(x):
-            if eid in be:
-                continue
             y = g.edge(eid).other(x)
             if y in bv or y in seen:
                 continue
-            parent[y] = (x, eid)
+            parent[y] = x
             if y in tgt:
                 vs = [y]
-                es = []
-                cur = y
-                while cur not in src:
-                    p, pe = parent[cur]
-                    vs.append(p)
-                    es.append(pe)
-                    cur = p
-                return tuple(reversed(vs)), tuple(reversed(es))
+                while vs[-1] not in src:
+                    vs.append(parent[vs[-1]])
+                return tuple(reversed(vs))
             seen.add(y)
             queue.append(y)
     return None

@@ -47,8 +47,8 @@ from .menger import ResourceLimitError
 class CrossedStructure:
     """A chain pinched between two crossing paths; F1/F2 cannot use it.
 
-    crossing1 runs end to end through corners[0] and corners[1],
-    crossing2 through corners[2] and corners[3].  b2 holds the interior
+    One crossing path runs end to end through corners[0] and corners[1],
+    the other through corners[2] and corners[3].  b2 holds the interior
     of the built-in cross connection; b1 is the interior of an extra
     corner-to-corner connection when one exists (an empty set means a
     direct edge), or None when there is none.
@@ -56,8 +56,6 @@ class CrossedStructure:
 
     chain: Chain
     corners: tuple[int, int, int, int]
-    crossing1: tuple[int, ...]
-    crossing2: tuple[int, ...]
     a1: frozenset[int]
     a2: frozenset[int]
     b2: frozenset[int]
@@ -229,9 +227,8 @@ def _external_connections(
     search = block.remove_vertices(set(chain.vertices) | {b, c})
     aside = a1 | {x1} | a2 | {x4}
 
-    hit = find_path(search, sorted(b2), sorted(aside))
-    if hit is not None:
-        vs = hit[0]
+    vs = find_path(search, sorted(b2), sorted(aside))
+    if vs is not None:
         y_b, y_a = vs[0], vs[-1]
         k = seg_bc.index(y_b)
         if y_a in a1 or y_a == x1:
@@ -240,24 +237,19 @@ def _external_connections(
         joint = seg_bc[:k] + vs
         return assemble_f1(block, chain, c1, c2, b, y_a, joint)
 
-    hit = find_path(search, sorted(a1), sorted(a2 | {x4}),
-                    banned_vertices=b2 | {x1})
-    if hit is not None:
-        vs = hit[0]
+    vs = find_path(search, sorted(a1), sorted(a2 | {x4}), banned_vertices=b2 | {x1})
+    if vs is not None:
         return assemble_f1(block, chain, c1, c2, vs[0], vs[-1], vs)
 
-    hit = find_path(search, [x1], sorted(a2), banned_vertices=b2 | a1 | {x4})
-    if hit is not None:
-        vs = hit[0]
+    vs = find_path(search, [x1], sorted(a2), banned_vertices=b2 | a1 | {x4})
+    if vs is not None:
         return assemble_f1(block, chain, c1, c2, x1, vs[-1], vs)
 
-    hit = find_path(search, [x1], [x4], banned_vertices=b2 | a1 | a2)
-    b1 = frozenset(hit[0][1:-1]) if hit is not None else None
+    vs = find_path(search, [x1], [x4], banned_vertices=b2 | a1 | a2)
+    b1 = frozenset(vs[1:-1]) if vs is not None else None
     return CrossedStructure(
         chain=chain,
         corners=(x1, b, c, x4),
-        crossing1=c1,
-        crossing2=c2,
         a1=frozenset(a1),
         a2=frozenset(a2),
         b2=frozenset(b2),

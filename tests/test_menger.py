@@ -388,6 +388,21 @@ class TestEdgeMenger:
         assert len(paths) == brute_edge_p(t, s, d)
         assert len(cut) == brute_edge_c(t, s, d)
 
+    @pytest.mark.parametrize("top", [1, 50])
+    def test_large_flow_value(self, top):
+        # K2,1200 between hubs 0 and 1: with every label 1, 1200 paths
+        # and a cut of 1200 edges; with seeded labels in 1..top, p' = c'
+        n = 1200
+        g = mg([(hub, m) for hub in (0, 1) for m in range(2, n + 2)])
+        rng = random.Random(5)
+        t = TemporalGraph.make(g, {e.id: rng.randint(1, top) for e in g.edges})
+        start = time.perf_counter()
+        paths, cut = edge_menger(t, 0, 1)
+        assert time.perf_counter() - start < 2.0
+        assert len(paths) == len(cut)
+        if top == 1:
+            assert len(paths) == n
+
 
 def naive_search_all_labelings(g):
     """Try every labeling with labels in [1, m] outright.
@@ -464,6 +479,17 @@ class TestFalsify:
                                                          "the work budget of 1048576"):
                 falsify_mengerian(cycle)
             assert time.perf_counter() - start < 0.1
+
+    def test_sampled_budget_guard(self):
+        # sampling weighs its ordered pairs, each times the edges of its
+        # block, before it lists a route: a 200-cycle has 39400 ordered
+        # non-adjacent pairs on 200 edges
+        cycle = mg([(i, (i + 1) % 200) for i in range(200)])
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="weighing 7880000 .* past the work "
+                                                     "budget of 1048576"):
+            falsify_mengerian(cycle, samples=1)
+        assert time.perf_counter() - start < 0.1
 
     def test_doubled_path_has_no_pair_to_test(self):
         # every non-adjacent pair is split by a cut vertex, so c <= 1
