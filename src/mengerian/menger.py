@@ -15,7 +15,8 @@ each route's interior becomes an int bitmask over the vertices.  p is
 the size of a largest pairwise-disjoint set of interiors, and c the size
 of a smallest vertex set meeting every interior (a minimum hitting set),
 because a vertex set destroys every temporal s,t-path exactly when it
-meets every route.
+meets every route.  One query lists its pair's routes once: the graph
+keeps its last listing, so the cut and the packing share it.
 
 Both problems are NP-hard, so guards bound the work, not the graph: at
 most _ROUTE_CAP routes per pair, and _WORK_BUDGET steps for each search
@@ -70,9 +71,14 @@ from .temporal import (
 _ROUTE_CAP = 5000
 # Steps each exact search may take on one pair: stack pushes of the route
 # engine, candidates the packing search tries, subsets the hitting-set
-# search tries.  A step costs under a microsecond, so a refused search
-# has run for under a second.  Exhaustive falsification may try as many
-# labelings on one block, and is refused before it starts otherwise.
+# search tries.  On a shared 2-vCPU Xeon VM, on inputs that run each
+# search to the budget, a push cost 1.4-2.0 us (about 4 us on a small
+# listing, set-up included), a subset 1.1-1.5 us and a candidate about
+# 0.1 us, so a refused search has run for up to about 2 s.  Exhaustive
+# falsification may try as many labelings on one block (1.8-2.1 us each
+# on an 8-cycle), and is refused before it starts otherwise.  Sampled
+# falsification weighs its ordered pairs times block edges against it,
+# at 5-6 us a unit: a 100-cycle weighs 970,000 and takes 5-6 s.
 _WORK_BUDGET = 1 << 20
 # Gap-free kept route sets one falsify run remembers.  A key holds one
 # bit per static route, so at most _ROUTE_CAP / 8 bytes, and the memo
@@ -268,12 +274,33 @@ def _min_hitting(masks: list[int], vertices: list[int], s: int, t: int) -> tuple
     raise InternalError("a route with an empty interior cannot be hit")
 
 
+def _listing(tg: TemporalGraph, s: int, t: int) -> tuple[list[TemporalPath], list[int]]:
+    """The routes of `_routes` and their interior bitmasks, listed once per query.
+
+    The cut and the packing of one query ask for the same pair in turn,
+    so the last listing is kept on the frozen instance, where its cached
+    properties live, keyed by the pair and the guards it ran under.  It
+    dies with tg and holds one pair; a listing under other guards is not
+    reused, and a refused one is not kept.
+    """
+    key = (s, t, _ROUTE_CAP, _WORK_BUDGET)
+    last = vars(tg).get("_last_listing")
+    if last is None or last[0] != key:
+        paths = _routes(tg, s, t)
+        last = vars(tg)["_last_listing"] = (
+            key, paths, _interior_masks(paths, sorted(tg.graph.vertices)))
+    return last[1], last[2]
+
+
 def max_disjoint_paths(tg: TemporalGraph, s: int, t: int) -> tuple[TemporalPath, ...]:
-    """A maximum set of internally vertex-disjoint temporal s,t-paths."""
+    """A maximum set of internally vertex-disjoint temporal s,t-paths.
+
+    A query lists its pair's routes once: after `min_vertex_cut` on the
+    same graph and pair, the packing reuses that listing.
+    """
     _check_pair(tg, s, t)
-    paths = _routes(tg, s, t)
-    chosen = _max_packing(_interior_masks(paths, sorted(tg.graph.vertices)), s, t)
-    return tuple(paths[i] for i in chosen)
+    paths, masks = _listing(tg, s, t)
+    return tuple(paths[i] for i in _max_packing(masks, s, t))
 
 
 def min_vertex_cut(tg: TemporalGraph, s: int, t: int) -> frozenset[int]:
@@ -283,14 +310,15 @@ def min_vertex_cut(tg: TemporalGraph, s: int, t: int) -> frozenset[int]:
     every route, so the cut is the first minimum hitting set of the route
     interiors (empty when t is unreachable).  Undefined (raises
     CutUndefinedError) when s and t are adjacent: no vertex set can
-    separate endpoints that share an edge.
+    separate endpoints that share an edge.  A query lists its pair's
+    routes once: after `max_disjoint_paths` on the same graph and pair,
+    the cut reuses that listing.
     """
     _check_pair(tg, s, t)
     if tg.graph.adjacent(s, t):
         raise CutUndefinedError(f"vertices {s} and {t} are adjacent")
-    vertices = sorted(tg.graph.vertices)
-    masks = _interior_masks(_routes(tg, s, t), vertices)
-    return frozenset(_min_hitting(masks, vertices, s, t))
+    _, masks = _listing(tg, s, t)
+    return frozenset(_min_hitting(masks, sorted(tg.graph.vertices), s, t))
 
 
 class MengerGap(NamedTuple):

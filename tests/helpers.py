@@ -3,6 +3,7 @@
 from collections import Counter
 from itertools import permutations
 
+from mengerian import menger
 from mengerian.multigraph import Multigraph
 from mengerian.temporal import TemporalGraph
 
@@ -51,6 +52,19 @@ def without_edge(tg, eid):
     kept = tuple(e for e in tg.graph.edges if e.id != eid)
     return TemporalGraph.make(Multigraph(tg.graph.vertices, kept),
                               {e.id: tg.label(e.id) for e in kept})
+
+
+def count_listings(monkeypatch):
+    """From now on, the graph of every route listing, one entry per listing."""
+    listed = []
+    engine = menger._route_paths
+
+    def counted(tg, s, t):
+        listed.append(tg)
+        return engine(tg, s, t)
+
+    monkeypatch.setattr(menger, "_route_paths", counted)
+    return listed
 
 
 def multigraph_isomorphic(g1, g2, max_vertices=9):

@@ -25,7 +25,7 @@ from mengerian.multigraph import InternalError
 from mengerian.patterns import F1, F2, F3, check_m_subdivision
 from mengerian.temporal import TemporalGraph
 
-from helpers import is_connected, mg, mult_map, multigraph_isomorphic
+from helpers import count_listings, is_connected, mg, mult_map, multigraph_isomorphic
 
 import random
 
@@ -329,7 +329,8 @@ class TestMengerCommand:
 
     def test_adjacent_pair_refused_before_size_guard_and_search(
             self, tmp_path, capsys, monkeypatch):
-        # a 20-cycle with a chord: above the default guard of 15 vertices
+        # a 20-cycle with a chord: the pair shares an edge, so it is refused
+        # before any route is listed or the packing search runs
         n = 20
         lines = [f"v {i}" for i in range(n)]
         lines += [f"e {i} {(i + 1) % n} {i + 1}" for i in range(n)]
@@ -340,9 +341,20 @@ class TestMengerCommand:
             raise AssertionError("packing searched for an adjacent pair")
 
         monkeypatch.setattr(cli, "max_disjoint_paths", no_packing)
+        listed = count_listings(monkeypatch)
         code, out, err = run(capsys, "menger", path, "--source", "0", "--target", "1")
         assert code == 2 and out == ""
         assert "adjacent" in err and "--edge" in err
+        assert listed == []
+
+    def test_one_route_listing_per_query(self, tmp_path, capsys, monkeypatch):
+        # the cut lists the pair's routes, and the packing reuses them
+        path = pattern_file(tmp_path, F1, labeled=True)
+        _, expected, _ = run(capsys, "menger", path, "--source", "0", "--target", "5")
+        listed = count_listings(monkeypatch)
+        for queries in (1, 2):
+            assert run(capsys, "menger", path, "--source", "0", "--target", "5") == (0, expected, "")
+            assert len(listed) == queries
 
     def test_env_var_sets_guard(self, tmp_path, capsys, monkeypatch):
         # the environment variable that set a vertex guard is gone

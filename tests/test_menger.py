@@ -29,7 +29,7 @@ from mengerian.menger import (
     min_vertex_cut,
 )
 
-from helpers import mg, random_multigraph, walk_sequence
+from helpers import count_listings, mg, random_multigraph, walk_sequence
 from oracles import (
     brute_c,
     brute_edge_c,
@@ -341,6 +341,47 @@ class TestMengerGap:
         monkeypatch.setattr(menger, "max_disjoint_paths", no_packing)
         with pytest.raises(CutUndefinedError):
             menger_gap(big, 0, 1)
+
+
+class TestOneListingPerQuery:
+    def test_menger_gap_lists_once(self, monkeypatch):
+        gem = TemporalGraph(GEM.graph, GEM.entries)  # no listing of earlier tests
+        listed = count_listings(monkeypatch)
+        assert menger_gap(gem, 0, 3) == (1, 2, 1)
+        assert [g is gem for g in listed] == [True]
+
+    def test_counterexample_certificate_lists_once(self, monkeypatch):
+        # the static graph's listings are the search's own; the labeling
+        # found is listed once for both certificates
+        listed = count_listings(monkeypatch)
+        cx = falsify_mengerian(GEM.graph)
+        assert cx is not None
+        assert sum(g is cx.labeled for g in listed) == 1
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_never_stale(self, seed):
+        # one graph asked about (s, t), (t, s), (s, u) and (s, t) again,
+        # with the oracles in both orders, answers as a fresh graph does
+        rng = random.Random(seed)
+        t = TemporalGraph(GEM.graph, GEM.entries) if seed == 0 else random_temporal(rng, 7, 10)
+        free = [(a, b) for a, b in permutations(sorted(t.graph.vertices), 2)
+                if not t.graph.adjacent(a, b)]
+        s, d = next((a, b) for a, b in free if any(x == a and y != b for x, y in free))
+        u = next(y for x, y in free if x == s and y != d)
+        oracles = (min_vertex_cut, max_disjoint_paths)
+        for pair in ((s, d), (d, s), (s, u), (s, d)):
+            for order in (oracles, oracles[::-1]):
+                for oracle in order:
+                    assert oracle(t, *pair) == oracle(TemporalGraph(t.graph, t.entries), *pair)
+
+    def test_refused_listing_is_refused_again(self, monkeypatch):
+        # K10 minus the edge 0-1: more than _ROUTE_CAP routes join 0 and 1
+        t = tg([(a, b, 1) for a, b in combinations(range(10), 2) if (a, b) != (0, 1)])
+        listed = count_listings(monkeypatch)
+        for oracle in (min_vertex_cut, max_disjoint_paths, min_vertex_cut):
+            with pytest.raises(ResourceLimitError, match="more than 5000 simple routes"):
+                oracle(t, 0, 1)
+        assert [g is t for g in listed] == [True] * 3
 
 
 class TestEdgeMenger:

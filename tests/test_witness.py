@@ -15,6 +15,7 @@ from mengerian.witness import (
 
 import pytest
 
+from helpers import count_listings
 from oracles import brute_c, brute_p
 from test_patterns import identity_embedding
 
@@ -84,6 +85,17 @@ class TestVerify:
         assert report.confirmed
         assert (report.path_count, report.cut_size) == (1, 2)
         assert brute_p(tg, 0, 5) == 1 and brute_c(tg, 0, 5) == 2
+
+    def test_one_route_listing_per_verification(self, monkeypatch):
+        # the packing lists the pair's routes and the cut reuses them; with
+        # a source-target chord the packing lists once and the cut is refused
+        listed = count_listings(monkeypatch)
+        for pat in PATTERNS:
+            verify_witness(make_witness(pat.graph, identity_embedding(pat)),
+                           pat.source, pat.target)
+        chorded = Multigraph.build(6, [e.pair for e in F1.graph.edges] + [(0, 5)])
+        verify_witness(make_witness(chorded, identity_embedding(F1)), 0, 5)
+        assert len(listed) == len(PATTERNS) + 1
 
     def test_source_target_chord_leaves_cut_undefined(self):
         base = F1.graph
