@@ -33,7 +33,6 @@ from .multigraph import GraphError, Multigraph, m_subdivide
 from .patterns import PATTERNS, MEmbedding
 from .recognizer import recognize, recognize_with_proof
 from .temporal import TemporalGraph
-from .witness import DEFAULT_VERIFY_MAX_VERTICES
 
 
 class GraphFileError(ValueError):
@@ -197,6 +196,7 @@ def _witness_json(named: NamedGraph, proof) -> dict:
         "status": status,
         "measured_p": None if report is None else report.path_count,
         "measured_c": None if report is None else report.cut_size,
+        "refused": None if proof.refused is None else proof.refused.named(named.name),
     }
 
 
@@ -307,7 +307,7 @@ def cmd_recognize(args) -> int:
     named = load_graphfile(args.path)
     start = time.perf_counter()
     if args.proof:
-        verdict, proof = recognize_with_proof(named.graph, verify_max_size=args.max_size)
+        verdict, proof = recognize_with_proof(named.graph)
     else:
         verdict, proof = recognize(named.graph), None
     elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -316,8 +316,8 @@ def cmd_recognize(args) -> int:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(emit_dot(named, verdict.embedding))
     if args.as_json:
-        print(json.dumps(report_json(named, verdict, proof, elapsed_ms),
-                         indent=2, sort_keys=True))
+        # no indent: it would force the pure-Python encoder
+        print(json.dumps(report_json(named, verdict, proof, elapsed_ms), sort_keys=True))
     elif verdict.mengerian:
         print("Mengerian")
         if verdict.crossed:
@@ -330,7 +330,8 @@ def cmd_recognize(args) -> int:
             print(f"  {emb.pattern.display_name(i)} -> {named.name(v)}")
         if proof is not None:
             wj = _witness_json(named, proof)
-            print(f"  witness: s={wj['s']} t={wj['t']} status={wj['status']}")
+            line = f"  witness: s={wj['s']} t={wj['t']} status={wj['status']}"
+            print(line if wj["refused"] is None else f"{line}: {wj['refused']}")
     return 0 if verdict.mengerian else 1
 
 
@@ -443,8 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit a JSON report")
     r.add_argument("--dot", metavar="FILE",
                    help="write a DOT drawing, embedding highlighted")
-    r.add_argument("--max-size", type=_positive, default=DEFAULT_VERIFY_MAX_VERTICES, metavar="N",
-                   help="vertex bound for witness verification (default %(default)s)")
     r.set_defaults(func=cmd_recognize)
 
     q = sub.add_parser("menger", help="exact p/c or p'/c' for one pair")

@@ -34,12 +34,7 @@ from .patterns import (
     find_f3_subdivision,
 )
 from .temporal import TemporalGraph
-from .witness import (
-    DEFAULT_VERIFY_MAX_VERTICES,
-    WitnessReport,
-    make_witness,
-    verify_witness,
-)
+from .witness import WitnessReport, make_witness, verify_witness
 from .menger import ResourceLimitError
 
 
@@ -82,6 +77,7 @@ class Proof:
     source: int
     target: int
     report: WitnessReport | None  # None when verification was refused
+    refused: ResourceLimitError | None  # why, when it was
 
 
 def recognize(g: Multigraph) -> Verdict:
@@ -108,14 +104,12 @@ def recognize(g: Multigraph) -> Verdict:
     return Verdict(True, None, tuple(crossed), examined)
 
 
-def recognize_with_proof(
-    g: Multigraph, verify_max_size: int = DEFAULT_VERIFY_MAX_VERTICES
-) -> tuple[Verdict, Proof | None]:
+def recognize_with_proof(g: Multigraph) -> tuple[Verdict, Proof | None]:
     """recognize(), plus a labeled counterexample for negative verdicts.
 
-    The labeling is measured by the exact oracles.  `verify_witness`
-    refuses hosts above verify_max_size vertices, and the oracles refuse
-    work past their budgets; the proof then ships unverified (report None).
+    The labeling is measured by the exact oracles, on a host of any size.
+    When an oracle refuses work past its budget, the proof ships
+    unverified (report None) and keeps the refusal.
     """
     verdict = recognize(g)
     if verdict.mengerian:
@@ -126,11 +120,10 @@ def recognize_with_proof(
         raise InternalError(f"embedding does not hold in the full graph: {reason}")
     labeled = make_witness(g, emb)
     try:
-        report = verify_witness(labeled, emb.source, emb.target,
-                                max_size=verify_max_size)
-    except ResourceLimitError:
-        report = None
-    return verdict, Proof(labeled, emb.source, emb.target, report)
+        report, refused = verify_witness(labeled, emb.source, emb.target), None
+    except ResourceLimitError as exc:
+        report, refused = None, exc
+    return verdict, Proof(labeled, emb.source, emb.target, report, refused)
 
 
 # ----------------------------------------------------------------------

@@ -12,12 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .menger import CutUndefinedError, ResourceLimitError, max_disjoint_paths, min_vertex_cut
+from .menger import CutUndefinedError, max_disjoint_paths, min_vertex_cut
 from .multigraph import Multigraph
 from .patterns import MEmbedding
 from .temporal import TemporalGraph
-
-DEFAULT_VERIFY_MAX_VERTICES = 12
 
 
 def lift_labeling(emb: MEmbedding) -> dict[int, int]:
@@ -79,19 +77,12 @@ class WitnessReport:
         return self.cut_size is not None and self.path_count < self.cut_size
 
 
-def verify_witness(
-    tg: TemporalGraph, s: int, t: int,
-    max_size: int = DEFAULT_VERIFY_MAX_VERTICES,
-) -> WitnessReport:
+def verify_witness(tg: TemporalGraph, s: int, t: int) -> WitnessReport:
     """Measure a claimed counterexample with the exact oracles.
 
-    Hosts above max_size vertices are refused with ResourceLimitError, as
-    is any oracle past its work budget.
+    An oracle past its work budget raises ResourceLimitError; the host's
+    size alone never does.
     """
-    n = len(tg.graph.vertices)
-    if n > max_size:
-        raise ResourceLimitError(
-            f"witness verification is limited to {max_size} vertices, the host has {n}")
     paths = max_disjoint_paths(tg, s, t)
     try:
         cut = min_vertex_cut(tg, s, t)

@@ -73,6 +73,12 @@ class TestSubdividedPatterns:
             self.assert_refuted(subdivided_pattern(seed), seed)
         assert time.perf_counter() - start < 60.0
 
+    def test_thousand_vertex_host(self):
+        # verification has no vertex-count rule, only work budgets
+        g = cli.subdivided_pattern("F1", 1000, random.Random(3))
+        assert len(g.vertices) == 1006
+        self.assert_refuted(g)
+
 
 class TestChordedPattern:
     """Chords on a large subdivided pattern give the gem search many
@@ -95,7 +101,7 @@ class TestChordedPattern:
         assert time.perf_counter() - start < 5.0
         assert not verdict.mengerian
         assert check_m_subdivision(g, verdict.embedding) is None
-        assert proof is not None
+        assert proof.report is not None and proof.report.confirmed
 
 
 # connected multigraph isomorphism classes with <= 5 vertices and
@@ -245,8 +251,9 @@ class TestLargeRandomInstances:
     def test_hundred_vertices_three_hundred_edges(self, seed):
         g = dense_random_multigraph(100, 300, 3, random.Random(seed))
         start = time.perf_counter()
-        verdict = recognize(g)
+        verdict, proof = recognize_with_proof(g)
         assert time.perf_counter() - start < 10.0
         # this dense: parallel pairs and high degrees everywhere
         assert not verdict.mengerian
         assert check_m_subdivision(g, verdict.embedding) is None
+        assert proof.report is not None and proof.report.confirmed

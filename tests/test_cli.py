@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mengerian import cli
+from mengerian import cli, menger
 from mengerian.cli import (
     GraphFileError,
     build_parser,
@@ -182,6 +182,7 @@ class TestRecognizeCommand:
         path = pattern_file(tmp_path, F1)
         code, out, _ = run(capsys, "recognize", "--proof", "--json", path)
         assert code == 1
+        assert out.count("\n") == 1  # one line: no indent
         report = json.loads(out)
         assert report["verdict"] == "non_mengerian"
         assert report["pattern"] == "F1"
@@ -200,6 +201,24 @@ class TestRecognizeCommand:
         s, t = named.id(witness["s"]), named.id(witness["t"])
         assert len(max_disjoint_paths(tg, s, t)) == witness["measured_p"] == 1
         assert len(min_vertex_cut(tg, s, t)) == witness["measured_c"] == 2
+        assert witness["refused"] is None
+
+    def test_budget_refusal_says_why(self, tmp_path, capsys, monkeypatch):
+        # a proof past the work budget ships as skipped, and the refusal
+        # names the pair by the graph file's names
+        names = ("s", "i1", "i2", "h1", "h2", "t")
+        path = write(tmp_path, "f1.graph", emit_graphfile(F1.graph, names))
+        monkeypatch.setattr(menger, "_WORK_BUDGET", 1)
+        code, out, _ = run(capsys, "recognize", "--proof", "--json", path)
+        assert code == 1
+        witness = json.loads(out)["witness"]
+        assert witness["status"] == "skipped"
+        assert witness["measured_p"] is None and witness["measured_c"] is None
+        why = "between s and t exceeds the work budget of 1 steps"
+        assert why in witness["refused"]
+        code, out, _ = run(capsys, "recognize", "--proof", path)
+        assert code == 1
+        assert out.splitlines()[-1] == f"  witness: s=s t=t status=skipped: {witness['refused']}"
 
     def test_json_mengerian_report(self, tmp_path, capsys):
         path = write(tmp_path, "c4.graph",
@@ -313,6 +332,10 @@ class TestMengerCommand:
             with pytest.raises(SystemExit) as exc:
                 main(["menger", path, "--source", "0", "--target", str(n - 1), *flag])
             assert exc.value.code == 2
+        # witness verification lost its vertex-count option too
+        with pytest.raises(SystemExit) as exc:
+            main(["recognize", "--proof", path, "--max-size", "20"])
+        assert exc.value.code == 2
 
     def test_dense_small_graph_refused_quickly(self, tmp_path, capsys):
         # K10 minus the edge ab: 109600 routes join a and b

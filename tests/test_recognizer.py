@@ -5,7 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mengerian.menger import falsify_mengerian, menger_gap
+from mengerian import menger
+from mengerian.menger import ResourceLimitError, falsify_mengerian, menger_gap
 from mengerian.multigraph import Multigraph, m_subdivide
 from mengerian.patterns import F1, F2, F3, PATTERNS, check_m_subdivision
 from mengerian.recognizer import (
@@ -192,13 +193,27 @@ class TestProofs:
         assert proof.report.confirmed
         assert set(proof.labeled.times) == edge_ids(g)
 
-    def test_large_host_skips_verification(self):
+    def test_large_host_confirms(self):
+        # no vertex-count rule: a 14-vertex host is measured like any other
         pairs = pairs_of(F1.graph) + [(v, v + 1) for v in range(5, 13)]
         g = mg(pairs)
-        verdict, proof = recognize_with_proof(g, verify_max_size=10)
+        assert len(g.vertices) == 14
+        verdict, proof = recognize_with_proof(g)
         assert not verdict.mengerian
-        assert proof is not None
+        assert proof.refused is None
+        assert (proof.report.path_count, proof.report.cut_size) == (1, 2)
+        assert set(proof.labeled.times) == edge_ids(g)
+
+    def test_budget_refusal_skips_verification(self, monkeypatch):
+        # only the work budgets refuse: the proof then ships unverified,
+        # with the refusal that stopped it
+        g = mg(pairs_of(F1.graph) + [(5, 6), (6, 7)])
+        monkeypatch.setattr(menger, "_WORK_BUDGET", 1)
+        verdict, proof = recognize_with_proof(g)
+        assert not verdict.mengerian
         assert proof.report is None
+        assert isinstance(proof.refused, ResourceLimitError)
+        assert "work budget of 1 steps" in str(proof.refused)
         assert set(proof.labeled.times) == edge_ids(g)
 
 
