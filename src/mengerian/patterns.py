@@ -11,7 +11,8 @@ interior vertices.
 `MEmbedding` records such a containment explicitly; `check_m_subdivision`
 verifies one against a host graph edge by edge.  `assemble_f1` /
 `assemble_f2` build certified embeddings of F1 and F2 out of path
-material.
+material.  Every embedding found here gets its hops' lowest-id parallel
+edges, and the check, from one constructor.
 
 `find_f3_subdivision` searches for the F3 shape, a gem: a path through
 four teeth, each joined to an apex.  Per apex w it takes the BFS tree of
@@ -180,18 +181,30 @@ def check_m_subdivision(host: Multigraph, emb: MEmbedding) -> str | None:
     return None
 
 
+def _embedding(host: Multigraph, pattern: Pattern, branch: dict[int, int],
+               routes: dict[tuple[int, int], tuple[int, ...]]) -> tuple[MEmbedding, str | None]:
+    """The embedding along `routes`, with `check_m_subdivision`'s reason.
+
+    Each hop takes its lowest-id parallel edges, as many as its pattern
+    pair's multiplicity.
+    """
+    mult = _pattern_pairs(pattern)
+    hop_edges = {}
+    for key, route in routes.items():
+        mu = mult[key]
+        hops = []
+        for x, y in zip(route, route[1:]):
+            par = host.parallel_edges(x, y)
+            if len(par) < mu:
+                raise AssemblyError(f"pair {x},{y} has multiplicity below {mu}")
+            hops.append(tuple(par[:mu]))
+        hop_edges[key] = tuple(hops)
+    emb = MEmbedding(pattern, branch, routes, hop_edges)
+    return emb, check_m_subdivision(host, emb)
+
+
 # ----------------------------------------------------------------------
 # F3: one linear gem search per apex
-
-
-def _min_parallels(host: Multigraph, route: tuple[int, ...], mu: int):
-    hops = []
-    for x, y in zip(route, route[1:]):
-        par = host.parallel_edges(x, y)
-        if len(par) < mu:
-            raise AssemblyError(f"pair {x},{y} has multiplicity below {mu}")
-        hops.append(tuple(par[:mu]))
-    return tuple(hops)
 
 
 def find_f3_subdivision(host: Multigraph, apex: int | None = None) -> MEmbedding | None:
@@ -383,13 +396,8 @@ def _gem_embedding(host: Multigraph, w: int, spine: list[int],
     cut = [spine.index(leg[0]) for leg in legs]
     routes = {(k, k + 1): tuple(spine[cut[k]:cut[k + 1] + 1]) for k in range(3)}
     routes.update({(k, 4): tuple(leg) for k, leg in enumerate(legs)})
-    emb = MEmbedding(
-        pattern=F3,
-        branch={**{k: leg[0] for k, leg in enumerate(legs)}, 4: w},
-        routes=routes,
-        hop_edges={key: _min_parallels(host, r, 1) for key, r in routes.items()},
-    )
-    reason = check_m_subdivision(host, emb)
+    emb, reason = _embedding(host, F3, {**{k: leg[0] for k, leg in enumerate(legs)}, 4: w},
+                             routes)
     if reason is not None:
         raise InternalError(f"gem search produced a bad embedding: {reason}")
     return emb
@@ -405,11 +413,6 @@ def _oriented(route: tuple[int, ...], start: int) -> tuple[int, ...]:
     if route[-1] == start:
         return tuple(reversed(route))
     raise AssemblyError(f"route {route} does not start or end at {start}")
-
-
-def _chain_hops(host: Multigraph, chain: Chain, start: int):
-    route = _oriented(chain.vertices, start)
-    return route, _min_parallels(host, route, 2)
 
 
 def assemble_f1(
@@ -441,8 +444,7 @@ def assemble_f1(
             continue
         other = zq if hub == z0 else z0
         s, t = r1[1], r2[1]
-        chain_route, chain_edges = _chain_hops(host, chain, hub)
-        routes = {
+        emb, reason = _embedding(host, F1, {0: s, 1: j1, 2: j2, 3: hub, 4: other, 5: t}, {
             (0, 1): r1[1:i1 + 1],
             (0, 3): (s, hub),
             (1, 4): r1[i1:],
@@ -450,18 +452,8 @@ def assemble_f1(
             (2, 5): tuple(reversed(r2[1:i2 + 1])),
             (2, 4): r2[i2:],
             (1, 2): joint,
-            (3, 4): chain_route,
-        }
-        emb = MEmbedding(
-            pattern=F1,
-            branch={0: s, 1: j1, 2: j2, 3: hub, 4: other, 5: t},
-            routes=routes,
-            hop_edges={
-                k: (chain_edges if k == (3, 4) else _min_parallels(host, r, 1))
-                for k, r in routes.items()
-            },
-        )
-        reason = check_m_subdivision(host, emb)
+            (3, 4): _oriented(chain.vertices, hub),
+        })
         if reason is None:
             return emb
         reasons.append(f"hub {hub}: {reason}")
@@ -501,7 +493,6 @@ def assemble_f2(
     arc_c = cyc2[: k2 + 1]                       # zq .. j2
     arc_d = cyc2[k2:]                             # j2 .. zq
 
-    chain_route, chain_edges = _chain_hops(host, chain, z0)
     reasons = []
     for s_arc, u_arc in ((arc_a, arc_b), (tuple(reversed(arc_b)), tuple(reversed(arc_a)))):
         if len(s_arc) < 3:
@@ -512,26 +503,16 @@ def assemble_f2(
                 reasons.append("no spare vertex on the second cycle")
                 continue
             s, t = s_arc[1], t_arc[1]
-            routes = {
+            emb, reason = _embedding(host, F2, {0: s, 1: jj1, 2: jj2, 3: z0, 4: zq, 5: t}, {
                 (0, 1): s_arc[1:],
                 (0, 3): (s, z0),
                 (1, 3): u_arc,
                 (1, 2): joint,
-                (3, 4): chain_route,
+                (3, 4): _oriented(chain.vertices, z0),
                 (4, 5): (zq, t),
                 (2, 5): tuple(reversed(t_arc[1:])),
                 (2, 4): v_arc,
-            }
-            emb = MEmbedding(
-                pattern=F2,
-                branch={0: s, 1: jj1, 2: jj2, 3: z0, 4: zq, 5: t},
-                routes=routes,
-                hop_edges={
-                    k: (chain_edges if k == (3, 4) else _min_parallels(host, r, 1))
-                    for k, r in routes.items()
-                },
-            )
-            reason = check_m_subdivision(host, emb)
+            })
             if reason is None:
                 return emb
             reasons.append(reason)

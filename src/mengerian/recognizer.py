@@ -3,12 +3,15 @@
 The test runs per 2-connected block.  A block fails outright when it
 contains the F3 shape.  Otherwise each maximal doubled chain gets
 contracted to a single vertex, and an F3 search pinned to that vertex
-looks for four attachment legs plus an outer path around the chain.  A
-hit splits two legs to each chain end (any other split would mean an F3
-the block check already excluded); the split pattern either assembles
-into a certified F1 or F2 embedding, or the block is pinched around the
-chain in a crossed shape that cannot carry those patterns and is kept
-as a diagnostic.
+looks for a gem there: four legs from the contracted chain to four
+teeth along a spine outside it.  A hit sends two legs to each chain end
+(any other split would mean an F3 the block check already excluded),
+so legs 0 and 1 with the spine between their teeth make one path
+between chain ends, and legs 2 and 3 another.  When legs 0 and 1 meet
+the same end, the two paths are cycles, one through each end, and they
+assemble into a certified F2 embedding.  Otherwise the paths cross the
+chain and assemble into F1, or the block is pinched around the chain in
+a crossed shape that cannot carry F1 or F2 and is kept as a diagnostic.
 """
 
 from __future__ import annotations
@@ -129,65 +132,54 @@ def recognize_with_proof(g: Multigraph) -> tuple[Verdict, Proof | None]:
 # ----------------------------------------------------------------------
 
 
-def _leg_path(end: int, leg: tuple[int, ...]) -> tuple[int, ...]:
-    """Leg rerooted at a concrete chain end instead of the contraction."""
-    return (end,) + leg[1:]
-
-
 def _analyze_chain(block: Multigraph, chain: Chain):
-    """One chain's verdict: an embedding, a crossed structure, or None."""
+    """One chain's verdict: an embedding, a crossed structure, or None.
+
+    For each way the gem's legs can reach the chain ends, c1 runs from
+    leg 0's end along leg 0, the spine to tooth 1 and leg 1 to its end;
+    c2 likewise along legs 2 and 3.  Closed c1 and c2 give F2.  Open
+    ones cross, and give F1 with the spine between teeth 1 and 2 as the
+    joint; when that fails, both middle legs are bare edges, and F1
+    needs a connection outside the two paths.  Without one the shape is
+    crossed.
+    """
     g_l, ell = identify(block, chain.vertices)
     gem = find_f3_subdivision(g_l, apex=ell)
     if gem is None:
         return None
-    corner = [gem.branch[i] for i in range(4)]
-    legs = [tuple(reversed(gem.routes[(i, 4)])) for i in range(4)]
-    seg_ab = gem.routes[(0, 1)]
-    seg_bc = gem.routes[(1, 2)]
-    seg_cd = gem.routes[(2, 3)]
+    legs = [gem.routes[(i, 4)] for i in range(4)]  # tooth i .. ell
+    b, c, seg_bc = gem.branch[1], gem.branch[2], gem.routes[(1, 2)]
     z0, zq = chain.first, chain.last
 
     options = []
     for leg in legs:
-        x = leg[1]
-        opts = [e for e in (z0, zq) if block.adjacent(e, x)]
+        opts = [e for e in (z0, zq) if block.adjacent(e, leg[-2])]
         if not opts:
             raise InternalError("every leg must reach a chain end")
         options.append(opts)
 
+    def path(ends: tuple[int, ...], i: int) -> tuple[int, ...]:
+        """Chain end, leg i, the spine to tooth i+1, leg i+1, chain end."""
+        return ((ends[i],) + legs[i][-2::-1] + gem.routes[(i, i + 1)][1:]
+                + legs[i + 1][1:-1] + (ends[i + 1],))
+
     fallback: CrossedStructure | None = None
-    for assign in product(*options):
-        u1, u2, u3, u4 = assign
-        if assign.count(z0) != 2:
+    for ends in product(*options):
+        if ends.count(z0) != 2:
             raise InternalError(
                 "an uneven split would re-create an F3 the block check excluded"
             )
-        if u1 == u4:
-            c1 = (_leg_path(u1, legs[0]) + seg_ab[1:]
-                  + tuple(reversed(legs[1]))[1:-1] + (u2,))
-            c2 = (_leg_path(u4, legs[3]) + tuple(reversed(seg_cd))[1:]
-                  + tuple(reversed(legs[2]))[1:-1] + (u3,))
-            return assemble_f1(block, chain, c1, c2, corner[1], corner[2], seg_bc)
-        if u1 == u2:
-            cyc1 = (_leg_path(u1, legs[0]) + seg_ab[1:]
-                    + tuple(reversed(legs[1]))[1:-1] + (u1,))
-            cyc2 = (_leg_path(u3, legs[2]) + seg_cd[1:]
-                    + tuple(reversed(legs[3]))[1:-1] + (u3,))
-            return assemble_f2(block, chain, cyc1, corner[1], cyc2, corner[2], seg_bc)
-
-        # alternating: legs 1 and 3 on one end, 2 and 4 on the other
-        c1 = (_leg_path(u1, legs[0]) + seg_ab[1:]
-              + tuple(reversed(legs[1]))[1:-1] + (u2,))
-        c2 = (_leg_path(u3, legs[2]) + seg_cd[1:]
-              + tuple(reversed(legs[3]))[1:-1] + (u4,))
+        c1, c2 = path(ends, 0), path(ends, 2)
+        if ends[0] == ends[1]:
+            return assemble_f2(block, chain, c1, b, c2, c, seg_bc)
         try:
-            return assemble_f1(block, chain, c1, c2, corner[1], corner[2], seg_bc)
+            return assemble_f1(block, chain, c1, c2, b, c, seg_bc)
         except AssemblyError:
-            pass  # both middle legs are bare edges; look outside the shape
-        got = _external_connections(
-            block, chain, c1, c2, corner[1], corner[2], seg_bc,
-            legs[0][1], legs[3][1],
-        )
+            if ends[0] == ends[3]:
+                raise
+        # legs 0 and 2 share an end, and both middle legs are bare edges
+        got = _external_connections(block, chain, c1, c2, b, c, seg_bc,
+                                    legs[0][-2], legs[3][-2])
         if isinstance(got, MEmbedding):
             return got
         if fallback is None:

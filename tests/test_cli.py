@@ -3,6 +3,7 @@
 import argparse
 import json
 import re
+import shlex
 import time
 from pathlib import Path
 
@@ -536,12 +537,46 @@ class TestGenCommand:
 
 
 class TestReadme:
+    README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+    def test_quick_start_transcript(self, capsys, tmp_path, monkeypatch):
+        # each `$ mengerian` line of the Quick start block prints the lines
+        # after it, or writes them where it redirects; `echo $?` prints
+        # the last exit code
+        section = self.README.split("\n## Quick start\n", 1)[1]
+        block = section.split("```sh\n", 1)[1].split("\n```", 1)[0].splitlines()
+        monkeypatch.chdir(tmp_path)
+        transcript, code = [], None
+        for line in block:
+            if not line.startswith("$ "):
+                continue
+            transcript.append(line)
+            argv = shlex.split(line[2:])
+            if argv == ["echo", "$?"]:
+                transcript.append(str(code))
+                continue
+            assert argv[0] == "mengerian"
+            if ">" in argv:
+                code, out, _ = run(capsys, *argv[1:argv.index(">")])
+                Path(argv[-1]).write_text(out)
+            else:
+                code, out, _ = run(capsys, *argv[1:])
+                transcript += out.splitlines()
+        assert transcript == block
+
+    def test_python_examples_run(self):
+        # the ```python blocks run one after another, as a reader would
+        blocks = re.findall(r"```python\n(.*?)```", self.README, re.S)
+        assert blocks
+        namespace = {}
+        for block in blocks:
+            exec(block, namespace)
+
     def test_commands_section_names_the_parsers_flags(self):
         # each subcommand's paragraphs under "## Commands" name exactly
         # the --flags its parser takes, so no option goes undocumented
         # and no documented option is gone
-        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-        section = readme.split("\n## Commands\n", 1)[1].split("\n## ", 1)[0]
+        section = self.README.split("\n## Commands\n", 1)[1].split("\n## ", 1)[0]
         documented: dict[str, set[str]] = {}
         for paragraph in section.strip().split("\n\n"):
             if paragraph.startswith("`mengerian "):

@@ -280,6 +280,19 @@ class TestAssembleF1:
         assert emb.branch[3] == 0 and emb.branch[4] == 2
         assert emb.branch[0] == 3 and emb.branch[5] == 5
 
+    @pytest.mark.parametrize("flip1", [False, True])
+    @pytest.mark.parametrize("flip2", [False, True])
+    def test_either_direction_of_each_path(self, flip1, flip2):
+        # the recognizer hands over its crossing paths in whichever
+        # direction it read them off the gem
+        c1, c2 = (0, 3, 4, 2), (0, 5, 6, 2)
+        want = assemble_f1(self.HOST, chain_of(self.HOST), c1, c2, 4, 6, (4, 6))
+        emb = assemble_f1(self.HOST, chain_of(self.HOST),
+                          c1[::-1] if flip1 else c1, c2[::-1] if flip2 else c2,
+                          4, 6, (4, 6))
+        assert (emb.branch, emb.routes, emb.hop_edges) == \
+            (want.branch, want.routes, want.hop_edges)
+
     def test_hub_flips_when_spares_sit_past_the_attachments(self):
         host = mg([
             (0, 1), (0, 1), (1, 2), (1, 2),

@@ -116,3 +116,21 @@ def test_every_public_name_has_a_user():
                     for where, name, line in uses)
     ]
     assert unused == [], unused
+
+
+def test_one_place_builds_embeddings():
+    # every embedding the package finds takes its hop edges from one
+    # constructor that also checks it; only the JSON reader rebuilds
+    # one, from the hops a report names
+    allowed = {("patterns", "_embedding"), ("cli", "embedding_from_json")}
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            where = (path.stem, getattr(top, "name", None))
+            found += [
+                f"{where[0]}.{where[1]}:{node.lineno}"
+                for node in ast.walk(top)
+                if where not in allowed and isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) == "MEmbedding"
+            ]
+    assert found == []
