@@ -206,7 +206,8 @@ def _interior_masks(paths: list[TemporalPath], vertices: list[int]) -> list[int]
     return masks
 
 
-def _max_packing(masks: list[int], s: int, t: int) -> tuple[int, ...]:
+def _max_packing(masks: list[int], s: int, t: int,
+                 bound: int | None = None) -> tuple[int, ...]:
     """Indices of a largest pairwise-disjoint subset; deterministic first optimum.
 
     Index tuples are searched depth first in lexicographic order, with
@@ -214,6 +215,11 @@ def _max_packing(masks: list[int], s: int, t: int) -> tuple[int, ...]:
     candidates after it cannot beat the best, and a level tried out pops
     its index and resumes after it.  Past _WORK_BUDGET candidates tried
     it raises ResourceLimitError for the pair s, t.
+
+    `bound`, when given, is at least the largest size (the cut size is,
+    as p <= c), and the search stops at the first subset that reaches
+    it: the best only ever grows, so the lexicographic search would have
+    kept that one.
     """
     n = len(masks)
     best: tuple[int, ...] = ()
@@ -225,6 +231,8 @@ def _max_packing(masks: list[int], s: int, t: int) -> tuple[int, ...]:
                 chosen.append(i)
                 if len(chosen) > len(best):
                     best = tuple(chosen)
+                    if len(best) == bound:
+                        return best
                 if len(chosen) + n - i - 1 > len(best):
                     used |= masks[i]
                     tried += i + 1 - start
@@ -274,33 +282,45 @@ def _min_hitting(masks: list[int], vertices: list[int], s: int, t: int) -> tuple
     raise InternalError("a route with an empty interior cannot be hit")
 
 
-def _listing(tg: TemporalGraph, s: int, t: int) -> tuple[list[TemporalPath], list[int]]:
+@dataclass
+class _Listing:
+    """One pair's routes, their interior bitmasks, and its cut size once known."""
+
+    key: tuple[int, int, int, int]
+    paths: list[TemporalPath]
+    masks: list[int]
+    cut: int | None = None
+
+
+def _listing(tg: TemporalGraph, s: int, t: int) -> _Listing:
     """The routes of `_routes` and their interior bitmasks, listed once per query.
 
     The cut and the packing of one query ask for the same pair in turn,
     so the last listing is kept on the frozen instance, where its cached
     properties live, keyed by the pair and the guards it ran under.  It
     dies with tg and holds one pair; a listing under other guards is not
-    reused, and a refused one is not kept.
+    reused, and a refused one is not kept.  The cut's size rides on it,
+    so a packing after the cut stops once it reaches that size.
     """
     key = (s, t, _ROUTE_CAP, _WORK_BUDGET)
     last = vars(tg).get("_last_listing")
-    if last is None or last[0] != key:
+    if last is None or last.key != key:
         paths = _routes(tg, s, t)
-        last = vars(tg)["_last_listing"] = (
+        last = vars(tg)["_last_listing"] = _Listing(
             key, paths, _interior_masks(paths, sorted(tg.graph.vertices)))
-    return last[1], last[2]
+    return last
 
 
 def max_disjoint_paths(tg: TemporalGraph, s: int, t: int) -> tuple[TemporalPath, ...]:
     """A maximum set of internally vertex-disjoint temporal s,t-paths.
 
     A query lists its pair's routes once: after `min_vertex_cut` on the
-    same graph and pair, the packing reuses that listing.
+    same graph and pair, the packing reuses that listing, and stops as
+    soon as it holds as many paths as the cut has vertices.
     """
     _check_pair(tg, s, t)
-    paths, masks = _listing(tg, s, t)
-    return tuple(paths[i] for i in _max_packing(masks, s, t))
+    listing = _listing(tg, s, t)
+    return tuple(listing.paths[i] for i in _max_packing(listing.masks, s, t, listing.cut))
 
 
 def min_vertex_cut(tg: TemporalGraph, s: int, t: int) -> frozenset[int]:
@@ -317,8 +337,10 @@ def min_vertex_cut(tg: TemporalGraph, s: int, t: int) -> frozenset[int]:
     _check_pair(tg, s, t)
     if tg.graph.adjacent(s, t):
         raise CutUndefinedError(f"vertices {s} and {t} are adjacent")
-    _, masks = _listing(tg, s, t)
-    return frozenset(_min_hitting(masks, sorted(tg.graph.vertices), s, t))
+    listing = _listing(tg, s, t)
+    cut = frozenset(_min_hitting(listing.masks, sorted(tg.graph.vertices), s, t))
+    listing.cut = len(cut)
+    return cut
 
 
 class MengerGap(NamedTuple):
@@ -745,7 +767,7 @@ def falsify_mengerian(
                     kept = [mask for i, mask in enumerate(masks) if alive >> i & 1]
                     c = len(_min_hitting(kept, vertices, s, t))
                     # c <= 1: p = c = 0, or one path exists and p >= 1 = c
-                    p = len(_max_packing(kept, s, t)) if c > 1 else c
+                    p = len(_max_packing(kept, s, t, c)) if c > 1 else c
                     if p < c:
                         first, found = k, (s, t, p, c)
                         break

@@ -1,17 +1,22 @@
 """Deciding whether every labeling of a multigraph obeys path = cut.
 
 The test runs per 2-connected block.  A block fails outright when it
-contains the F3 shape.  Otherwise each maximal doubled chain gets
-contracted to a single vertex, and an F3 search pinned to that vertex
-looks for a gem there: four legs from the contracted chain to four
-teeth along a spine outside it.  A hit sends two legs to each chain end
-(any other split would mean an F3 the block check already excluded),
-so legs 0 and 1 with the spine between their teeth make one path
-between chain ends, and legs 2 and 3 another.  When legs 0 and 1 meet
-the same end, the two paths are cycles, one through each end, and they
-assemble into a certified F2 embedding.  Otherwise the paths cross the
-chain and assemble into F1, or the block is pinched around the chain in
-a crossed shape that cannot carry F1 or F2 and is kept as a diagnostic.
+contains the F3 shape.  Otherwise each maximal doubled chain is asked
+for a gem with the chain, contracted to a single vertex, as its apex:
+four legs from the contracted chain to four teeth along a spine outside
+it.  Such a gem needs the contracted vertex to have four distinct
+neighbours and two other vertices to have three.  Both counts are read
+off the chain's ends without building anything, and a chain short of
+either is settled there.  Any other chain is contracted, and an F3
+search pinned to its vertex looks for the gem.  A hit sends two legs to
+each chain end (any other split would mean an F3 the block check
+already excluded), so legs 0 and 1 with the spine between their teeth
+make one path between chain ends, and legs 2 and 3 another.  When legs
+0 and 1 meet the same end, the two paths are cycles, one through each
+end, and they assemble into a certified F2 embedding.  Otherwise the
+paths cross the chain and assemble into F1, or the block is pinched
+around the chain in a crossed shape that cannot carry F1 or F2 and is
+kept as a diagnostic.
 """
 
 from __future__ import annotations
@@ -97,8 +102,12 @@ def recognize(g: Multigraph) -> Verdict:
                 return Verdict(False, emb, tuple(crossed), examined)
         if not block.has_parallel_edges():
             continue
+        branching = sum(block.simple_degree(v) >= 3 for v in block.vertices)
         for chain in maximal_chains(block):
             examined += 1
+            apex_degree, others = _contracted_degrees(block, chain, branching)
+            if apex_degree < 4 or others < 2:
+                continue  # no gem can have the contracted chain as its apex
             got = _analyze_chain(block, chain)
             if isinstance(got, MEmbedding):
                 return Verdict(False, got, tuple(crossed), examined)
@@ -132,8 +141,50 @@ def recognize_with_proof(g: Multigraph) -> tuple[Verdict, Proof | None]:
 # ----------------------------------------------------------------------
 
 
+def _contracted_degrees(block: Multigraph, chain: Chain, branching: int) -> tuple[int, int]:
+    """Two simple degrees of `identify(block, chain.vertices)`, unbuilt.
+
+    Returns the contracted vertex ell's number of distinct neighbours,
+    and how many vertices other than ell have 3 or more; `branching`
+    counts the block's vertices with 3 or more.
+
+    Both come from the chain's two ends.  An inner chain vertex has two
+    neighbours, both on the chain, so ell's neighbours are the ends'
+    neighbours off the chain.  A vertex off the chain keeps its
+    neighbours, except that its edges to both ends (when it has both)
+    become parallel edges to ell: it loses one distinct neighbour
+    exactly when it is adjacent to both ends.  Those common neighbours
+    are read off the end of smaller degree, each tested against the
+    other end, so a chain costs O(|chain| + that degree), however many
+    neighbours a hub at its other end has.
+
+    A gem with apex ell needs ell's degree to be 4 or more: its four
+    legs meet only at ell, so they reach it through four distinct
+    neighbours.  It also needs two vertices other than ell of degree 3
+    or more: each middle tooth is not an end of the spine, so it has two
+    spine neighbours and the next vertex of its leg, which leaves the
+    spine at once, and the spine avoids ell.  So when either number
+    falls short, `find_f3_subdivision(g_l, apex=ell)` returns None.
+    """
+    z0, zq = chain.first, chain.last
+    degree = block.simple_degree
+    small, big = (z0, zq) if degree(z0) <= degree(zq) else (zq, z0)
+    on_chain = set(chain.vertices)
+    shared = [x for x in block.neighbors(small)
+              if x not in on_chain and block.adjacent(x, big)]
+    off_chain = sum(degree(z) - sum(block.adjacent(z, y) for y in chain.vertices if y != z)
+                    for z in (z0, zq))
+    others = (branching - sum(degree(v) >= 3 for v in chain.vertices)
+              - sum(degree(x) == 3 for x in shared))
+    return off_chain - len(shared), others
+
+
 def _analyze_chain(block: Multigraph, chain: Chain):
     """One chain's verdict: an embedding, a crossed structure, or None.
+
+    `recognize` calls it only on chains that pass the degree check of
+    `_contracted_degrees`; on the others the pinned search below would
+    come back empty.
 
     For each way the gem's legs can reach the chain ends, c1 runs from
     leg 0's end along leg 0, the spine to tooth 1 and leg 1 to its end;

@@ -80,12 +80,13 @@ class WitnessReport:
 def verify_witness(tg: TemporalGraph, s: int, t: int) -> WitnessReport:
     """Measure a claimed counterexample with the exact oracles.
 
-    An oracle past its work budget raises ResourceLimitError; the host's
+    The cut comes first, so the packing stops once it reaches the cut's
+    size; when the ends are adjacent the packing runs unbounded.  An
+    oracle past its work budget raises ResourceLimitError; the host's
     size alone never does.
     """
-    paths = max_disjoint_paths(tg, s, t)
     try:
-        cut = min_vertex_cut(tg, s, t)
+        cut_size = len(min_vertex_cut(tg, s, t))
     except CutUndefinedError:
-        return WitnessReport(s, t, len(paths), None)
-    return WitnessReport(s, t, len(paths), len(cut))
+        cut_size = None
+    return WitnessReport(s, t, len(max_disjoint_paths(tg, s, t)), cut_size)

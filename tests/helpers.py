@@ -15,6 +15,11 @@ def mg(pairs, vertices=None):
     return Multigraph.build(vertices, pairs)
 
 
+def doubled_k2n(n):
+    """K2,n on hubs 0, 1 with every edge at hub 0 doubled: n one-hop chains."""
+    return mg([p for m in range(2, n + 2) for p in ((0, m), (0, m), (m, 1))])
+
+
 def mult_map(g):
     """Multiplicity of each adjacent pair."""
     return dict(Counter(e.pair for e in g.edges))

@@ -23,7 +23,14 @@ from mengerian.patterns import F3, PATTERNS, check_m_subdivision
 from mengerian.recognizer import recognize, recognize_with_proof
 from mengerian.temporal import reverse, TemporalGraph
 
-from helpers import canonical_key, is_connected, mg, random_multigraph, without_edge
+from helpers import (
+    canonical_key,
+    doubled_k2n,
+    is_connected,
+    mg,
+    random_multigraph,
+    without_edge,
+)
 from oracles import brute_c, brute_edge_c, brute_edge_p, brute_p
 
 
@@ -235,11 +242,16 @@ class TestDoubledSideK2n:
     pinned gem search around each must come back empty."""
 
     def test_three_hundred_middles(self):
-        n = 300
-        g = mg([p for m in range(2, n + 2) for p in ((0, m), (0, m), (m, 1))])
+        self._recognized_within(300, 1.0)
+
+    def test_twelve_hundred_middles(self):
+        self._recognized_within(1200, 1.0)
+
+    def _recognized_within(self, n, seconds):
+        g = doubled_k2n(n)
         start = time.perf_counter()
         verdict = recognize(g)
-        assert time.perf_counter() - start < 3.0
+        assert time.perf_counter() - start < seconds
         assert verdict.mengerian
         assert verdict.chains_examined == n
 

@@ -241,6 +241,18 @@ class TestDisjointPaths:
                         for idx in combinations(range(len(masks)), size) if disjoint(idx))
         assert _max_packing(masks, 0, 1) == expected
 
+    @given(st.lists(st.integers(1, 63), max_size=9), st.integers(0, 3))
+    def test_bound_at_or_above_the_largest_changes_nothing(self, masks, slack):
+        full = _max_packing(masks, 0, 1)
+        assert _max_packing(masks, 0, 1, len(full) + slack) == full
+
+    def test_bound_stops_the_search(self, monkeypatch):
+        # as in test_packing_budget, three fit at once, and only showing
+        # that four do not runs past 20 candidates
+        masks = [(1 << a) | (1 << b) for a, b in combinations(range(6), 2)]
+        monkeypatch.setattr(menger, "_WORK_BUDGET", 20)
+        assert _max_packing(masks, 0, 1, 3) == (0, 9, 14)
+
     @given(st.integers(0, 400))
     def test_matches_brute(self, seed):
         rng = random.Random(seed)

@@ -5,11 +5,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mengerian import menger
+from mengerian import menger, recognizer
 from mengerian.menger import ResourceLimitError, falsify_mengerian, menger_gap
-from mengerian.multigraph import Multigraph, m_subdivide
-from mengerian.patterns import F1, F2, F3, PATTERNS, check_m_subdivision
+from mengerian.multigraph import (
+    Multigraph,
+    biconnected_components,
+    identify,
+    m_subdivide,
+    maximal_chains,
+)
+from mengerian.patterns import F1, F2, F3, PATTERNS, check_m_subdivision, find_f3_subdivision
 from mengerian.recognizer import (
+    _contracted_degrees,
     CrossedStructure,
     Proof,
     Verdict,
@@ -17,7 +24,8 @@ from mengerian.recognizer import (
     recognize_with_proof,
 )
 
-from helpers import mg, random_multigraph
+from helpers import doubled_k2n, mg, random_multigraph
+from oracles import brute_has_gem
 
 
 def edge_ids(g):
@@ -394,6 +402,68 @@ class TestBlocks:
         v = recognize(mg(pairs))
         assert not v.mengerian
         assert v.embedding.pattern.name == "F2"
+
+
+def long_spoke_k25(hops):
+    """K2,5 on hubs 0, 1 whose spokes are paths of `hops` hops, the first
+    doubled along its length: one chain from hub to hub."""
+    pairs, n = [], 2
+    for spoke in range(5):
+        path = [0] + list(range(n, n + hops - 1)) + [1]
+        n += hops - 1
+        pairs += [p for p in zip(path, path[1:]) for _ in range(2 if spoke == 0 else 1)]
+    return mg(pairs)
+
+
+class TestContractedDegrees:
+    """The degrees a chain's contraction would have, read off its ends."""
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=300)
+    def test_exact_and_never_skips_a_gem(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(3, 12)
+        g = random_multigraph(rng, n, rng.randint(n, 3 * n), max_mult=3)
+        for block in biconnected_components(g):
+            if not block.has_parallel_edges():
+                continue
+            branching = sum(block.simple_degree(v) >= 3 for v in block.vertices)
+            for chain in maximal_chains(block):
+                g_l, ell = identify(block, chain.vertices)
+                got = _contracted_degrees(block, chain, branching)
+                others = sum(g_l.simple_degree(v) >= 3 for v in g_l.vertices if v != ell)
+                assert got == (g_l.simple_degree(ell), others)
+                if got[0] < 4 or got[1] < 2:
+                    assert find_f3_subdivision(g_l, apex=ell) is None
+                    if len(g_l.vertices) <= 7:
+                        assert not brute_has_gem(g_l, apex=ell)
+
+
+class TestChainWork:
+    """Chains whose contraction cannot hold a pinned gem are never built."""
+
+    @pytest.fixture
+    def identified(self, monkeypatch):
+        calls = []
+        real = recognizer.identify
+
+        def counted(g, zset):
+            calls.append(tuple(zset))
+            return real(g, zset)
+
+        monkeypatch.setattr(recognizer, "identify", counted)
+        return calls
+
+    @pytest.mark.parametrize("n", [5, 50])
+    def test_doubled_k2n_builds_nothing(self, identified, n):
+        verdict = recognize(doubled_k2n(n))
+        assert verdict.mengerian and verdict.chains_examined == n
+        assert identified == []
+
+    def test_long_spoke_builds_nothing(self, identified):
+        verdict = recognize(long_spoke_k25(12))
+        assert verdict.mengerian and verdict.chains_examined == 1
+        assert identified == []
 
 
 class TestFalsifierAgreement:
