@@ -26,9 +26,9 @@ naming the guard and the pair.
 `falsify_mengerian` searches time-functions for a pair with p < c, either
 exhaustively over all label weak orders or by seeded random sampling.
 Only the relative order of labels matters, so exhaustive enumeration
-ranges over dense rank assignments: ordered set partitions of the edge
-set.  Pairs without a common block are skipped: a cut vertex between
-them forces c <= 1.  Every route of a pair that shares a block stays
+ranges over weak orders of the edges (ordered set partitions), labeled
+1, 2, ... by rank.  Pairs without a common block are skipped: a cut
+vertex between them forces c <= 1.  Every route of a pair that shares a block stays
 inside it, so exhaustive search ranks one block's edges at a time, and
 it tests each pair in one orientation only, since time reversal swaps
 source and target, and only on blocks with at most _WORK_BUDGET weak
@@ -38,22 +38,26 @@ edges of its block, outweigh _WORK_BUDGET.  p and c depend only on
 which of a pair's routes a labeling keeps, so each kept set found
 gap-free is decided once.
 
-Labelings are tested a chunk at a time.  Each pair's routes form a
-prefix trie, and one walk of it carries, per label L, the set of the
-chunk's labelings (an int, one bit each) under which the prefix can
-arrive by L.  A leaf then holds the labelings that keep its route, and
-the chunk splits into groups by kept set, each decided once.
+Labelings are tested a chunk at a time, carried as one byte column per
+edge: byte k codes the edge's label under labeling k.  Exhaustive
+columns are cut from tables of the permutations of 1..n, sampled ones
+transpose the drawn chunk.  Each pair's routes form a prefix trie, and
+one walk of it carries, per label L, the set of the chunk's labelings
+(an int, one bit each) under which the prefix can arrive by L; those
+sets are read off the columns in C.  A leaf then holds the labelings
+that keep its route, and the chunk splits into groups by kept set,
+each decided once.
 """
 
 from __future__ import annotations
 
 import random
-from math import comb
+from math import comb, factorial
 from dataclasses import dataclass
 from bisect import bisect_left
-from itertools import combinations, islice, permutations
-from operator import itemgetter
-from typing import Callable, Iterator, NamedTuple
+from functools import cache
+from itertools import chain, combinations, islice, permutations
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .multigraph import GraphError, InternalError, Multigraph, biconnected_components
 from .temporal import (
@@ -75,10 +79,11 @@ _ROUTE_CAP = 5000
 # search to the budget, a push cost 1.4-2.0 us (about 4 us on a small
 # listing, set-up included), a subset 1.1-1.5 us and a candidate about
 # 0.1 us, so a refused search has run for up to about 2 s.  Exhaustive
-# falsification may try as many labelings on one block (1.8-2.1 us each
-# on an 8-cycle), and is refused before it starts otherwise.  Sampled
-# falsification weighs its ordered pairs times block edges against it,
-# at 5-6 us a unit: a 100-cycle weighs 970,000 and takes 5-6 s.
+# falsification may try as many labelings on one block (0.55-0.8 us each
+# on W4 and an 8-cycle, on the same VM in a slow spell), and is refused
+# before it starts otherwise.  Sampled falsification weighs its ordered
+# pairs times block edges against it, at 5-6 us a unit: a 100-cycle
+# weighs 970,000 and takes 5-6 s.
 _WORK_BUDGET = 1 << 20
 # Gap-free kept route sets one falsify run remembers.  A key holds one
 # bit per static route, so at most _ROUTE_CAP / 8 bytes, and the memo
@@ -88,9 +93,13 @@ _MEMO_CAP = 1 << 15
 # Labelings one falsify step decides together, one bit each in the
 # route feasibility planes.  A step holds at most _CHUNK_LABELS labels
 # (or one labeling), so labelings over more than 32 edges come fewer at
-# a time: memory and the labels drawn past a gap stay bounded.
+# a time: memory and the labels drawn past a gap stay bounded.  So past
+# 255 edges a chunk holds at most 256 labelings, and a column's distinct
+# labels always fit a byte as rank codes (see `_hop_planes`).
 _CHUNK = 2048
 _CHUNK_LABELS = 1 << 16
+_Column = tuple[bytes, Sequence[int]]
+_ZEROS = b"0" * 256
 
 
 class ResourceLimitError(RuntimeError):
@@ -485,30 +494,66 @@ class Counterexample:
         return len(self.cut) - len(self.paths)
 
 
-def _rank_assignments(m: int) -> Iterator[tuple[int, ...]]:
-    """All dense label sequences on m edges, each weak order exactly once.
+@cache
+def _permutation_columns(n: int) -> tuple[bytes, ...]:
+    """Position i of every permutation of 1..n, in `permutations` order, as bytes."""
+    flat = bytes(chain.from_iterable(permutations(range(1, n + 1))))
+    return tuple(flat[i::n] for i in range(n))
 
-    Restricted-growth strings enumerate the set partitions; permuting the
-    blocks then assigns their ranks.  Plain growth strings alone would
-    conflate orders like (1,2) and (2,1).  The list is closed under
-    reversal (rank r becomes top + 1 - r), which the one-orientation
-    search of `falsify_mengerian` relies on.
+
+def _weak_order_columns(m: int, step: int) -> Iterator[tuple[int, list[_Column]]]:
+    """Each weak order on m edges once, labeled by rank, step labelings a chunk.
+
+    Yields (count, columns), one column per edge (see `_hop_planes`).
+    Restricted-growth strings r list the set partitions depth first in
+    lexicographic order, and permuting each one's parts ranks them, so
+    edge j takes position r[j] of the permutation table: one slice per
+    edge and string.  The list is closed under reversal (rank q becomes
+    top + 1 - q), which the one-orientation search relies on.
     """
-    if m < 2:
-        yield (1,) * m
-        return
-    # growth strings depth first, in lexicographic order, with their top
-    stack = [((0,), 0)]
+    labels = range(m + 1)
+    parts: list[list[bytes]] = [[] for _ in range(m)]
+    filled = 0
+    stack: list[tuple[tuple[int, ...], int]] = [((), -1)]
     while stack:
         rgs, top = stack.pop()
         if len(rgs) < m:
             stack.extend((rgs + (val,), max(top, val)) for val in reversed(range(top + 2)))
-        else:
-            yield from map(itemgetter(*rgs), permutations(range(1, top + 2)))
+            continue
+        table = _permutation_columns(top + 1)
+        start, size = 0, factorial(top + 1)
+        while start < size:
+            end = min(size, start + step - filled)
+            for part, rank in zip(parts, rgs):
+                part.append(table[rank][start:end])
+            filled += end - start
+            start = end
+            if filled == step:
+                yield filled, [(b"".join(part), labels) for part in parts]
+                parts, filled = [[] for _ in range(m)], 0
+    if filled:
+        yield filled, [(b"".join(part), labels) for part in parts]
+
+
+def _rank_coded(labels: tuple[int, ...]) -> _Column:
+    """One edge's labels as a column of codes, each the rank of its label."""
+    distinct = sorted(set(labels))
+    rank = dict(zip(distinct, range(len(distinct))))
+    return bytes(map(rank.__getitem__, labels)), distinct
+
+
+def _sampled_columns(
+    rng: random.Random, m: int, samples: int, step: int
+) -> Iterator[tuple[int, list[_Column]]]:
+    """samples seeded labelings of m edges in 1..m, drawn one at a time
+    whatever the step, each chunk transposed once into rank-coded columns."""
+    for start in range(0, samples, step):
+        chunk = [[rng.randint(1, m) for _ in range(m)] for _ in range(min(step, samples - start))]
+        yield len(chunk), [_rank_coded(column) for column in zip(*chunk)]
 
 
 def _weak_orders(m: int) -> int:
-    """How many labelings `_rank_assignments` lists: the weak orders on m edges.
+    """How many labelings `_weak_order_columns` lists: the weak orders on m edges.
 
     A weak order ranks some k >= 1 edges first, then orders the rest.
     Counting stops past _WORK_BUDGET, at a lower bound for larger m.
@@ -543,23 +588,28 @@ def _route_trie(
 
 
 def _hop_planes(
-    hops: list[tuple[int, ...]], edge_ids: tuple[int, ...], chunk: list[tuple[int, ...]]
+    hops: list[tuple[int, ...]], columns: dict[int, _Column]
 ) -> list[list[tuple[int, int]]]:
     """Per hop, (label L, labelings) pairs by ascending L.
 
-    Labeling k of the chunk gives edge_ids[j] the label chunk[k][j].
-    Bit k of labelings is set when labeling k gives some edge of the hop
-    label L.  Only labels that occur get an entry, so a plane has at
-    most one entry per labeling whatever the range of labels.
+    columns maps each edge id to (codes, labels): under labeling k of the
+    chunk the edge has label labels[codes[k]].  Bit k of labelings is set
+    when labeling k gives some edge of the hop label L.  Only labels that
+    occur get an entry, so a plane has at most one entry per labeling
+    whatever the range of labels.  Each entry is built in C: the codes,
+    reversed, translated to '1' at one code and '0' elsewhere, and read
+    as a base-2 int.
     """
-    columns = dict(zip(edge_ids, zip(*chunk)))
-    bits = [1 << k for k in range(len(chunk))]
     planes = []
     for hop in hops:
         plane: dict[int, int] = {}
         for eid in hop:
-            for lab, bit in zip(columns[eid], bits):
-                plane[lab] = plane.get(lab, 0) | bit
+            codes, labels = columns[eid]
+            backwards = codes[::-1]  # int(..., 2) reads its last digit as bit 0
+            for code, lab in enumerate(labels):
+                if code in codes:
+                    bits = int(backwards.translate(_ZEROS[:code] + b"1" + _ZEROS[code + 1:]), 2)
+                    plane[lab] = plane.get(lab, 0) | bits
         planes.append(sorted(plane.items()))
     return planes
 
@@ -713,20 +763,22 @@ def falsify_mengerian(
         for block in searched
     ]
     # each search ranks some edges, tests some pairs, and lists labelings
-    # as label sequences over those edges; other edges get label 1
+    # in chunks of label columns over those edges; other edges get label 1.
+    # A block searched exhaustively has at most 8 edges, so its chunks
+    # stay far below _CHUNK_LABELS.
     if samples is None:
         pairs = [pair for _, block_pairs in blocks for pair in block_pairs]
-        searches = [(edge_ids, block_pairs, _rank_assignments(len(edge_ids)))
+        searches = [(edge_ids, block_pairs, _weak_order_columns(len(edge_ids), _CHUNK))
                     for edge_ids, block_pairs in blocks]
     else:
         pairs = sorted(
             pair for _, block_pairs in blocks for s, t in block_pairs
             for pair in ((s, t), (t, s))
         )
-        rng = random.Random(seed)
         m = len(g.edges)
+        step = max(1, min(_CHUNK, _CHUNK_LABELS // m))
         searches = [(tuple(e.id for e in g.edges), pairs,
-                     ([rng.randint(1, m) for _ in range(m)] for _ in range(samples)))]
+                     _sampled_columns(random.Random(seed), m, samples, step))]
 
     static = TemporalGraph.make(g, {e.id: 1 for e in g.edges})
     vertices = sorted(g.vertices)
@@ -748,11 +800,9 @@ def falsify_mengerian(
         hop_of: dict[tuple[int, int], int] = {}
         tries = {pair: _route_trie(routes[pair][1], hop_of) for pair in search_pairs}
         hops = [g.parallel_edges(a, b) for a, b in hop_of]
-        labelings = iter(labelings)
-        step = max(1, min(_CHUNK, _CHUNK_LABELS // len(edge_ids)))
-        while chunk := list(islice(labelings, step)):
-            planes = _hop_planes(hops, edge_ids, chunk)
-            first, found = len(chunk), None
+        for count, columns in labelings:
+            planes = _hop_planes(hops, dict(zip(edge_ids, columns)))
+            first, found = count, None
             for s, t in search_pairs:
                 if not first:
                     break
@@ -777,7 +827,8 @@ def falsify_mengerian(
             if found is None:
                 continue
             s, t, p, c = found
-            label_of = dict(zip(edge_ids, chunk[first]))
+            label_of = {eid: labels[codes[first]]
+                        for eid, (codes, labels) in zip(edge_ids, columns)}
             tg = TemporalGraph.make(g, {e.id: label_of.get(e.id, 1) for e in g.edges})
             path_cert = max_disjoint_paths(tg, s, t)
             cut_cert = min_vertex_cut(tg, s, t)

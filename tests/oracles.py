@@ -7,6 +7,7 @@ directly.  Slow but safe on small instances.
 """
 
 from itertools import combinations, permutations
+from operator import itemgetter
 
 
 def brute_reachable(tg, s, banned_vertices=(), banned_edges=()):
@@ -62,6 +63,46 @@ def brute_temporal_paths(tg, s, t):
     if s != t:
         dfs(s, 0, [s], [])
     return out
+
+
+def rank_assignments(m):
+    """All dense label sequences on m edges, each weak order exactly once,
+    in the order exhaustive falsification lists them.
+
+    Restricted-growth strings enumerate the set partitions; permuting the
+    blocks then assigns their ranks.  Plain growth strings alone would
+    conflate orders like (1,2) and (2,1).  The list is closed under
+    reversal (rank r becomes top + 1 - r).
+    """
+    if m < 2:
+        yield (1,) * m
+        return
+    # growth strings depth first, in lexicographic order, with their top
+    stack = [((0,), 0)]
+    while stack:
+        rgs, top = stack.pop()
+        if len(rgs) < m:
+            stack.extend((rgs + (val,), max(top, val)) for val in reversed(range(top + 2)))
+        else:
+            yield from map(itemgetter(*rgs), permutations(range(1, top + 2)))
+
+
+def hop_planes(hops, columns):
+    """Per hop, (label, labelings) pairs by ascending label, one labeling
+    at a time: bit k is set when labeling k gives some edge of the hop
+    that label.  columns maps an edge id to (codes, labels), and labeling
+    k gives it labels[codes[k]]."""
+    count = len(next(iter(columns.values()))[0])
+    planes = []
+    for hop in hops:
+        plane = {}
+        for k in range(count):
+            for eid in hop:
+                codes, labels = columns[eid]
+                lab = labels[codes[k]]
+                plane[lab] = plane.get(lab, 0) | 1 << k
+        planes.append(sorted(plane.items()))
+    return planes
 
 
 def brute_p(tg, s, t):

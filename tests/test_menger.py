@@ -2,7 +2,7 @@
 
 import random
 import time
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,9 +18,10 @@ from mengerian.menger import (
     _kept_routes,
     _kept_sets,
     _max_packing,
-    _rank_assignments,
+    _rank_coded,
     _route_paths,
     _route_trie,
+    _weak_order_columns,
     _weak_orders,
     edge_menger,
     falsify_mengerian,
@@ -38,6 +39,8 @@ from oracles import (
     brute_p,
     brute_reachable,
     brute_temporal_paths,
+    hop_planes,
+    rank_assignments,
 )
 
 
@@ -154,7 +157,8 @@ class TestRouteTrie:
         hop_of = {}
         sides = [(s, t, forward), (t, s, [seq[::-1] for seq in forward])]
         tries = [_route_trie(seqs, hop_of) for _, _, seqs in sides]
-        planes = _hop_planes([g.parallel_edges(a, b) for a, b in hop_of], edge_ids, chunk)
+        columns = dict(zip(edge_ids, map(_rank_coded, zip(*chunk))))
+        planes = _hop_planes([g.parallel_edges(a, b) for a, b in hop_of], columns)
         universe = (1 << len(chunk)) - 1
         for (a, b, seqs), trie in zip(sides, tries):
             keep = _kept_routes(trie, len(seqs), planes, universe)
@@ -169,6 +173,28 @@ class TestRouteTrie:
             for k, mask in enumerate(alive):
                 firsts.setdefault(mask, k)
             assert _kept_sets(keep, universe) == sorted((k, mask) for mask, k in firsts.items())
+
+
+class TestHopPlanes:
+    @given(st.lists(st.integers(1, 3), min_size=1, max_size=20), st.integers(1, 2048),
+           st.integers(1, 300), st.integers(0, 10_000))
+    def test_planes_agree_with_one_labeling_at_a_time(self, parallel, count, top, seed):
+        # hops of 1-3 parallel edges; a chunk holds at most _CHUNK_LABELS
+        # labels, and a column at most 256 distinct ones
+        rng = random.Random(seed)
+        ids = iter(range(sum(parallel)))
+        hops = [tuple(islice(ids, size)) for size in parallel]
+        count = min(count, max(1, menger._CHUNK_LABELS // sum(parallel)))
+        drawn = {}
+        for eid in range(sum(parallel)):
+            palette = rng.sample(range(1, top + 1), min(top, 256))
+            drawn[eid] = tuple(rng.choices(palette, k=count))
+        ranked = {eid: _rank_coded(labels) for eid, labels in drawn.items()}
+        assert _hop_planes(hops, ranked) == hop_planes(hops, ranked)
+        if top < 256:
+            # the exhaustive form: each code is its own label
+            direct = {eid: (bytes(labels), range(top + 1)) for eid, labels in drawn.items()}
+            assert _hop_planes(hops, direct) == hop_planes(hops, direct) == hop_planes(hops, ranked)
 
 
 class TestDisjointPaths:
@@ -457,6 +483,12 @@ class TestEdgeMenger:
             assert len(paths) == n
 
 
+def weak_order_labelings(m, step):
+    """The labelings of `_weak_order_columns`, one label tuple each."""
+    return [tuple(labels[codes[k]] for codes, labels in columns)
+            for count, columns in _weak_order_columns(m, step) for k in range(count)]
+
+
 def naive_search_all_labelings(g):
     """Try every labeling with labels in [1, m] outright.
 
@@ -636,9 +668,9 @@ class TestFalsify:
         labels = []
         planes = menger._hop_planes
 
-        def counting(hops, edge_ids, chunk):
-            labels.append(len(chunk) * len(edge_ids))
-            return planes(hops, edge_ids, chunk)
+        def counting(hops, columns):
+            labels.append(sum(len(codes) for codes, _ in columns.values()))
+            return planes(hops, columns)
 
         monkeypatch.setattr(menger, "_hop_planes", counting)
         path = [(3 if i == 0 else 4 + i, 5 + i) for i in range(1000)]
@@ -649,7 +681,7 @@ class TestFalsify:
 
     @pytest.mark.parametrize("m", range(7))
     def test_rank_assignments_list_each_weak_order_once(self, m):
-        listed = [tuple(r) for r in _rank_assignments(m)]
+        listed = weak_order_labelings(m, menger._CHUNK)
         dense = [r for r in product(range(1, m + 1), repeat=m)
                  if set(r) == set(range(1, max(r, default=0) + 1))]
         assert sorted(listed) == sorted(dense)
@@ -658,6 +690,16 @@ class TestFalsify:
         assert _weak_orders(m) == len(listed)
         # closed under reversal, so one orientation per pair suffices
         assert {tuple(max(r) + 1 - x for x in r) for r in listed if r} == set(listed) - {()}
+
+    @pytest.mark.parametrize("m", range(8))
+    @pytest.mark.parametrize("step", [1, 7, 2048])
+    def test_weak_order_columns_follow_the_reference_order(self, m, step):
+        # the first counterexample is the first in this order, and every
+        # chunk but the last holds exactly step labelings
+        chunks = list(_weak_order_columns(m, step))
+        assert all(count == step for count, _ in chunks[:-1])
+        assert all(len(codes) == count for count, columns in chunks for codes, _ in columns)
+        assert weak_order_labelings(m, step) == list(rank_assignments(m))
 
     def test_weak_order_counts_of_larger_blocks(self):
         # 8 edges fit the work budget of 2^20 labelings, 9 do not; past
