@@ -483,10 +483,10 @@ class TestEdgeMenger:
             assert len(paths) == n
 
 
-def weak_order_labelings(m, step):
-    """The labelings of `_weak_order_columns`, one label tuple each."""
+def column_labelings(chunks):
+    """The labelings of (count, columns) chunks, one label tuple each."""
     return [tuple(labels[codes[k]] for codes, labels in columns)
-            for count, columns in _weak_order_columns(m, step) for k in range(count)]
+            for count, columns in chunks for k in range(count)]
 
 
 def naive_search_all_labelings(g):
@@ -681,7 +681,7 @@ class TestFalsify:
 
     @pytest.mark.parametrize("m", range(7))
     def test_rank_assignments_list_each_weak_order_once(self, m):
-        listed = weak_order_labelings(m, menger._CHUNK)
+        listed = column_labelings(_weak_order_columns(m, menger._CHUNK))
         dense = [r for r in product(range(1, m + 1), repeat=m)
                  if set(r) == set(range(1, max(r, default=0) + 1))]
         assert sorted(listed) == sorted(dense)
@@ -699,7 +699,7 @@ class TestFalsify:
         chunks = list(_weak_order_columns(m, step))
         assert all(count == step for count, _ in chunks[:-1])
         assert all(len(codes) == count for count, columns in chunks for codes, _ in columns)
-        assert weak_order_labelings(m, step) == list(rank_assignments(m))
+        assert column_labelings(chunks) == list(rank_assignments(m))
 
     def test_weak_order_counts_of_larger_blocks(self):
         # 8 edges fit the work budget of 2^20 labelings, 9 do not; past

@@ -97,8 +97,12 @@ def main(argv: list[str] | None = None) -> int:
         bench = json.load(fh)
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     seeds = args.seed or [1, 2]
-    commit = subprocess.run(["git", "-C", ROOT, "rev-parse", "--verify", args.commit + "^{commit}"],
-                            check=True, capture_output=True, text=True).stdout.strip()
+    resolved = subprocess.run(["git", "-C", ROOT, "rev-parse", "--verify", args.commit + "^{commit}"],
+                              capture_output=True, text=True)
+    if resolved.returncode != 0:
+        print(f"error: no commit {args.commit!r} in {ROOT}", file=sys.stderr)
+        return 2
+    commit = resolved.stdout.strip()
     for workload in workloads:
         for seed in seeds:
             try:
