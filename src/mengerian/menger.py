@@ -41,17 +41,19 @@ gap-free is decided once.
 Labelings are tested a chunk at a time, carried as one byte column per
 edge: byte k codes the edge's label under labeling k.  Exhaustive
 columns are cut from tables of the permutations of 1..n, sampled ones
-transpose the drawn chunk.  Each pair's routes form a prefix trie, and
-one walk of it carries, per label L, the set of the chunk's labelings
-(an int, one bit each) under which the prefix can arrive by L; those
-sets are read off the columns in C.  A leaf then holds the labelings
-that keep its route, and the chunk splits into groups by kept set,
-each decided once.
+are slices of one bulk draw of random words per chunk.  Each pair's
+routes form a prefix trie, and one walk of it carries, per label L, the
+set of the chunk's labelings (an int, one bit each) under which the
+prefix can arrive by L; those sets are read off the columns in C.  A
+leaf then holds the labelings that keep its route, and the chunk splits
+into groups by kept set, each decided once.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 from math import comb, factorial
 from dataclasses import dataclass
 from bisect import bisect_left
@@ -83,7 +85,8 @@ _ROUTE_CAP = 5000
 # on W4 and an 8-cycle, on the same VM in a slow spell), and is refused
 # before it starts otherwise.  Sampled falsification weighs its ordered
 # pairs times block edges against it, at 5-6 us a unit: a 100-cycle
-# weighs 970,000 and takes 5-6 s.
+# weighs 970,000 and takes 5-6 s.  It also draws at most this many
+# labelings, the most the exhaustive search may try.
 _WORK_BUDGET = 1 << 20
 # Gap-free kept route sets one falsify run remembers.  A key holds one
 # bit per static route, so at most _ROUTE_CAP / 8 bytes, and the memo
@@ -93,9 +96,12 @@ _MEMO_CAP = 1 << 15
 # Labelings one falsify step decides together, one bit each in the
 # route feasibility planes.  A step holds at most _CHUNK_LABELS labels
 # (or one labeling), so labelings over more than 32 edges come fewer at
-# a time: memory and the labels drawn past a gap stay bounded.  So past
-# 255 edges a chunk holds at most 256 labelings, and a column's distinct
-# labels always fit a byte as rank codes (see `_hop_planes`).
+# a time: memory and the labels drawn past a gap stay bounded.  A
+# sampled chunk is drawn in bulk from the same seeded stream as drawing
+# its labels one at a time (see `_sampled_columns`).  Up to 255 edges
+# each label fits a byte as it is; past 255 edges a chunk holds at most
+# 256 labelings, so a column's distinct labels fit a byte as rank codes
+# (see `_hop_planes`).
 _CHUNK = 2048
 _CHUNK_LABELS = 1 << 16
 _Column = tuple[bytes, Sequence[int]]
@@ -535,7 +541,7 @@ def _weak_order_columns(m: int, step: int) -> Iterator[tuple[int, list[_Column]]
         yield filled, [(b"".join(part), labels) for part in parts]
 
 
-def _rank_coded(labels: tuple[int, ...]) -> _Column:
+def _rank_coded(labels: Sequence[int]) -> _Column:
     """One edge's labels as a column of codes, each the rank of its label."""
     distinct = sorted(set(labels))
     rank = dict(zip(distinct, range(len(distinct))))
@@ -545,11 +551,45 @@ def _rank_coded(labels: tuple[int, ...]) -> _Column:
 def _sampled_columns(
     rng: random.Random, m: int, samples: int, step: int
 ) -> Iterator[tuple[int, list[_Column]]]:
-    """samples seeded labelings of m edges in 1..m, drawn one at a time
-    whatever the step, each chunk transposed once into rank-coded columns."""
+    """samples seeded labelings of m edges in 1..m, step labelings a chunk.
+
+    The labels are those of drawing each one alone, edge by edge and
+    labeling by labeling, as `Random` draws an int in 1..m: the top
+    k = m.bit_length() bits of one 32-bit word, drawn again while they
+    reach m.  getrandbits(32 * n) returns n such words in that order,
+    the first in the lowest bits, so each chunk draws its words in one
+    call and accepted labels past its end carry into the next chunk.
+    Up to 255 edges (k <= 8) the top byte of each word is accepted and
+    coded in C, by one translate; more edges read whole words and code
+    each column by rank (see `_rank_coded`).
+    """
+    k = m.bit_length()
+    small = k <= 8
+    if small:
+        # top byte t holds the value t >> (8 - k), rejected when it reaches m
+        table = bytes(t >> (8 - k) for t in range(256))
+        reject = bytes(range(m << (8 - k), 256))
+        labels = range(1, m + 1)
+    flat: bytes | list[int] = b"" if small else []
     for start in range(0, samples, step):
-        chunk = [[rng.randint(1, m) for _ in range(m)] for _ in range(min(step, samples - start))]
-        yield len(chunk), [_rank_coded(column) for column in zip(*chunk)]
+        count = min(step, samples - start)
+        need = count * m
+        while len(flat) < need:
+            # an eighth more words than the expected need, so one call nearly always does
+            n = ((need - len(flat)) << k) // m * 9 // 8 + 8
+            raw = rng.getrandbits(32 * n).to_bytes(4 * n, "little")
+            if small:
+                flat += raw[3::4].translate(table, reject)
+                continue
+            words = array("I", raw)
+            if sys.byteorder == "big":
+                words.byteswap()
+            flat += [(w >> (32 - k)) + 1 for w in words if w < m << (32 - k)]
+        chunk, flat = flat[:need], flat[need:]
+        if small:
+            yield count, [(chunk[j::m], labels) for j in range(m)]
+        else:
+            yield count, [_rank_coded(chunk[j::m]) for j in range(m)]
 
 
 def _weak_orders(m: int) -> int:
@@ -726,9 +766,13 @@ def falsify_mengerian(
     s < t.  An integer draws that many seeded uniform assignments with
     labels in 1..len(edges) and tests both orientations of each pair, in
     sorted order; the first counterexample is the first in that order.
-    Before any route is listed, sampling weighs the ordered pairs, each
-    times the edges of its block, and past _WORK_BUDGET raises
-    ResourceLimitError (a 100-cycle weighs 970,000, a 200-cycle
+    The labels are those `random.Random(seed)` gives when each is drawn
+    alone in 1..len(edges), edge by edge, labeling by labeling; they are
+    drawn in bulk, one call per chunk (see `_sampled_columns`).  A count
+    above _WORK_BUDGET raises ResourceLimitError before anything is
+    drawn.  Before any route is listed, sampling weighs the ordered
+    pairs, each times the edges of its block, and past _WORK_BUDGET
+    raises ResourceLimitError (a 100-cycle weighs 970,000, a 200-cycle
     7,880,000).  Returns None when the search finds none.
 
     Each pair's static routes are enumerated once, as the temporal routes
@@ -741,6 +785,10 @@ def falsify_mengerian(
     splits by kept set, and the gap with the lowest labeling, then the
     first pair, wins, as it would one labeling at a time.
     """
+    if samples is not None and samples > _WORK_BUDGET:
+        raise ResourceLimitError(
+            f"sampled falsification of {samples} labelings is past the work budget "
+            f"of {_WORK_BUDGET} labelings")
     searched = _searched_blocks(g)
     if not searched:
         return None

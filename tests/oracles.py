@@ -6,6 +6,7 @@ reachability grows (vertex, arrival) states, and cuts try subsets
 directly.  Slow but safe on small instances.
 """
 
+import random
 from itertools import combinations, permutations
 from operator import itemgetter
 
@@ -85,6 +86,14 @@ def rank_assignments(m):
             stack.extend((rgs + (val,), max(top, val)) for val in reversed(range(top + 2)))
         else:
             yield from map(itemgetter(*rgs), permutations(range(1, top + 2)))
+
+
+def sampled_labelings(seed, m, samples):
+    """The labelings sampled falsification lists: samples seeded uniform
+    labelings of m edges in 1..m, each label drawn alone by randint, edge
+    by edge, labeling by labeling."""
+    rng = random.Random(seed)
+    return [tuple(rng.randint(1, m) for _ in range(m)) for _ in range(samples)]
 
 
 def hop_planes(hops, columns):

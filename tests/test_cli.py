@@ -446,6 +446,17 @@ class TestFalsifyCommand:
         assert out == ""
         assert "more than 5000 simple routes between a and b" in err and "too dense" in err
 
+    def test_too_many_samples_refused(self, tmp_path, capsys):
+        # the count is weighed before any labeling is drawn
+        path = write(tmp_path, "c4.graph", "v a\nv b\nv c\nv d\n"
+                     "e a b 1\ne b c 2\ne c d 3\ne d a 4\n")
+        code, out, err = run(capsys, "falsify", "--samples", "100000000000000000000", path)
+        assert code == 2
+        assert out == ""
+        assert "of 100000000000000000000 labelings is past the work budget of 1048576" in err
+        code, out, _ = run(capsys, "falsify", "--samples", "1048576", path)
+        assert (code, out) == (0, "no counterexample\n")
+
     def test_mode_is_required(self, tmp_path, capsys):
         path = pattern_file(tmp_path, F2)
         with pytest.raises(SystemExit) as exc:

@@ -21,6 +21,7 @@ from mengerian.menger import (
     _rank_coded,
     _route_paths,
     _route_trie,
+    _sampled_columns,
     _weak_order_columns,
     _weak_orders,
     edge_menger,
@@ -41,6 +42,7 @@ from oracles import (
     brute_temporal_paths,
     hop_planes,
     rank_assignments,
+    sampled_labelings,
 )
 
 
@@ -576,6 +578,21 @@ class TestFalsify:
             falsify_mengerian(cycle, samples=1)
         assert time.perf_counter() - start < 0.1
 
+    def test_sample_count_guard(self):
+        # sampling draws at most the labelings an exhaustive search may
+        # try, and a larger count is refused before anything is drawn,
+        # even where no pair would be tested
+        path = mg([(i, i + 1) for i in range(8)])
+        assert falsify_mengerian(path, samples=menger._WORK_BUDGET) is None
+        cycle = mg([(i, (i + 1) % 4) for i in range(4)])
+        for g in (path, cycle):
+            for samples in (menger._WORK_BUDGET + 1, 10 ** 20):
+                start = time.perf_counter()
+                with pytest.raises(ResourceLimitError, match=f"of {samples} labelings is past "
+                                                             "the work budget of 1048576"):
+                    falsify_mengerian(g, samples=samples)
+                assert time.perf_counter() - start < 0.1
+
     def test_doubled_path_has_no_pair_to_test(self):
         # every non-adjacent pair is split by a cut vertex, so c <= 1
         g = mg([(i, i + 1) for i in range(6) for _ in range(2)])
@@ -700,6 +717,21 @@ class TestFalsify:
         assert all(count == step for count, _ in chunks[:-1])
         assert all(len(codes) == count for count, columns in chunks for codes, _ in columns)
         assert column_labelings(chunks) == list(rank_assignments(m))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 12, 255, 256, 257, 1007])
+    @pytest.mark.parametrize("step", [1, 7, None])
+    def test_sampled_columns_follow_the_reference_stream(self, m, step):
+        # the bulk draw keeps exactly the labels drawing each alone would
+        # keep, in the same order (1 edge still rejects half its words),
+        # and every chunk but the last holds exactly step labelings
+        step = step or max(1, min(menger._CHUNK, menger._CHUNK_LABELS // m))
+        samples = 2 * step + 3
+        for seed in (0, 5, 37):
+            chunks = list(_sampled_columns(random.Random(seed), m, samples, step))
+            assert all(count == step for count, _ in chunks[:-1])
+            assert sum(count for count, _ in chunks) == samples
+            assert all(len(codes) == count for count, columns in chunks for codes, _ in columns)
+            assert column_labelings(chunks) == sampled_labelings(seed, m, samples)
 
     def test_weak_order_counts_of_larger_blocks(self):
         # 8 edges fit the work budget of 2^20 labelings, 9 do not; past
