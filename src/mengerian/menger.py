@@ -28,38 +28,38 @@ exhaustively over all label weak orders or by seeded random sampling.
 Only the relative order of labels matters, so exhaustive enumeration
 ranges over weak orders of the edges (ordered set partitions), labeled
 1, 2, ... by rank.  Pairs without a common block are skipped: a cut
-vertex between them forces c <= 1.  Every route of a pair that shares a block stays
-inside it, so exhaustive search ranks one block's edges at a time, and
-it tests each pair in one orientation only, since time reversal swaps
-source and target, and only on blocks with at most _WORK_BUDGET weak
-orders (8 edges).  Sampling lists routes for both orientations of every
-pair, so it is refused when the ordered pairs, each weighted by the
-edges of its block, outweigh _WORK_BUDGET.  p and c depend only on
-which of a pair's routes a labeling keeps, so each kept set found
-gap-free is decided once.
+vertex between them forces c <= 1.  Every route of a pair that shares a
+block stays inside it, so both modes rank only the edges of the blocks
+they search, and give every other edge label 1.  Exhaustive search
+ranks one block's edges at a time, and it tests each pair in one
+orientation only, since time reversal swaps source and target, and only
+on blocks with at most _WORK_BUDGET weak orders (8 edges).  Sampling
+lists routes for both orientations of every pair, so it is refused when
+the ordered pairs, each weighted by the edges of its block, outweigh
+_WORK_BUDGET.  p and c depend only on which of a pair's routes a
+labeling keeps, so each kept set found gap-free is decided once.
 
 Labelings are tested a chunk at a time, carried as one byte column per
-edge: byte k codes the edge's label under labeling k.  Exhaustive
-columns are cut from tables of the permutations of 1..n, sampled ones
-are slices of one bulk draw of random words per chunk.  Each pair's
-routes form a prefix trie, and one walk of it carries, per label L, the
-set of the chunk's labelings (an int, one bit each) under which the
-prefix can arrive by L; those sets are read off the columns in C.  A
-leaf then holds the labelings that keep its route, and the chunk splits
-into groups by kept set, each decided once.
+ranked edge: byte k is the edge's label under labeling k, so labels
+stay in 1..255.  Exhaustive columns are cut from tables of the
+permutations of 1..n, sampled ones are slices of one bulk draw of
+random words per chunk.  Each pair's routes form a prefix trie, and one
+walk of it carries, per label L, the set of the chunk's labelings (an
+int, one bit each) under which the prefix can arrive by L; those sets
+are read off the columns in C.  A leaf then holds the labelings that
+keep its route, and the chunk splits into groups by kept set, each
+decided once.
 """
 
 from __future__ import annotations
 
 import random
-import sys
-from array import array
 from math import comb, factorial
 from dataclasses import dataclass
 from bisect import bisect_left
 from functools import cache
 from itertools import chain, combinations, islice, permutations
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple
 
 from .multigraph import GraphError, InternalError, Multigraph, biconnected_components
 from .temporal import (
@@ -93,18 +93,11 @@ _WORK_BUDGET = 1 << 20
 # stays within about 25 MB however many labelings a run draws.  Past
 # the cap a kept set is decided afresh each time, which costs time only.
 _MEMO_CAP = 1 << 15
-# Labelings one falsify step decides together, one bit each in the
-# route feasibility planes.  A step holds at most _CHUNK_LABELS labels
-# (or one labeling), so labelings over more than 32 edges come fewer at
-# a time: memory and the labels drawn past a gap stay bounded.  A
-# sampled chunk is drawn in bulk from the same seeded stream as drawing
-# its labels one at a time (see `_sampled_columns`).  Up to 255 edges
-# each label fits a byte as it is; past 255 edges a chunk holds at most
-# 256 labelings, so a column's distinct labels fit a byte as rank codes
-# (see `_hop_planes`).
-_CHUNK = 2048
+# Labels one falsify step decides together, one bit per labeling in the
+# route feasibility planes: a chunk holds _CHUNK_LABELS // m labelings of
+# m ranked edges (at least one), so memory and the labels drawn past a
+# gap stay bounded however many edges a search ranks.
 _CHUNK_LABELS = 1 << 16
-_Column = tuple[bytes, Sequence[int]]
 _ZEROS = b"0" * 256
 
 
@@ -495,10 +488,6 @@ class Counterexample:
     paths: tuple[TemporalPath, ...]
     cut: frozenset[int]
 
-    @property
-    def gap(self) -> int:
-        return len(self.cut) - len(self.paths)
-
 
 @cache
 def _permutation_columns(n: int) -> tuple[bytes, ...]:
@@ -507,17 +496,17 @@ def _permutation_columns(n: int) -> tuple[bytes, ...]:
     return tuple(flat[i::n] for i in range(n))
 
 
-def _weak_order_columns(m: int, step: int) -> Iterator[tuple[int, list[_Column]]]:
+def _weak_order_columns(m: int, step: int) -> Iterator[tuple[int, list[bytes]]]:
     """Each weak order on m edges once, labeled by rank, step labelings a chunk.
 
-    Yields (count, columns), one column per edge (see `_hop_planes`).
-    Restricted-growth strings r list the set partitions depth first in
-    lexicographic order, and permuting each one's parts ranks them, so
-    edge j takes position r[j] of the permutation table: one slice per
-    edge and string.  The list is closed under reversal (rank q becomes
-    top + 1 - q), which the one-orientation search relies on.
+    Yields (count, columns), one column per edge: byte k is the edge's
+    label under labeling k.  Restricted-growth strings r list the set
+    partitions depth first in lexicographic order, and permuting each
+    one's parts ranks them, so edge j takes position r[j] of the
+    permutation table: one slice per edge and string.  The list is
+    closed under reversal (rank q becomes top + 1 - q), which the
+    one-orientation search relies on.
     """
-    labels = range(m + 1)
     parts: list[list[bytes]] = [[] for _ in range(m)]
     filled = 0
     stack: list[tuple[tuple[int, ...], int]] = [((), -1)]
@@ -535,61 +524,43 @@ def _weak_order_columns(m: int, step: int) -> Iterator[tuple[int, list[_Column]]
             filled += end - start
             start = end
             if filled == step:
-                yield filled, [(b"".join(part), labels) for part in parts]
+                yield filled, [b"".join(part) for part in parts]
                 parts, filled = [[] for _ in range(m)], 0
     if filled:
-        yield filled, [(b"".join(part), labels) for part in parts]
-
-
-def _rank_coded(labels: Sequence[int]) -> _Column:
-    """One edge's labels as a column of codes, each the rank of its label."""
-    distinct = sorted(set(labels))
-    rank = dict(zip(distinct, range(len(distinct))))
-    return bytes(map(rank.__getitem__, labels)), distinct
+        yield filled, [b"".join(part) for part in parts]
 
 
 def _sampled_columns(
     rng: random.Random, m: int, samples: int, step: int
-) -> Iterator[tuple[int, list[_Column]]]:
-    """samples seeded labelings of m edges in 1..m, step labelings a chunk.
+) -> Iterator[tuple[int, list[bytes]]]:
+    """samples seeded labelings of m edges in 1..r, r = min(m, 255), step a chunk.
 
-    The labels are those of drawing each one alone, edge by edge and
-    labeling by labeling, as `Random` draws an int in 1..m: the top
-    k = m.bit_length() bits of one 32-bit word, drawn again while they
-    reach m.  getrandbits(32 * n) returns n such words in that order,
-    the first in the lowest bits, so each chunk draws its words in one
-    call and accepted labels past its end carry into the next chunk.
-    Up to 255 edges (k <= 8) the top byte of each word is accepted and
-    coded in C, by one translate; more edges read whole words and code
-    each column by rank (see `_rank_coded`).
+    Yields (count, columns) as `_weak_order_columns` does.  The labels
+    are those of drawing each one alone, edge by edge and labeling by
+    labeling, as `Random` draws an int in 1..r: the top k = r.bit_length()
+    bits of one 32-bit word, drawn again while they reach r.
+    getrandbits(32 * n) returns n such words in that order, the first in
+    the lowest bits, so each chunk draws its words in one call, and
+    accepted labels past its end carry into the next chunk.  As k <= 8,
+    the top byte of each word holds the value, and one translate accepts
+    and labels them all in C.
     """
-    k = m.bit_length()
-    small = k <= 8
-    if small:
-        # top byte t holds the value t >> (8 - k), rejected when it reaches m
-        table = bytes(t >> (8 - k) for t in range(256))
-        reject = bytes(range(m << (8 - k), 256))
-        labels = range(1, m + 1)
-    flat: bytes | list[int] = b"" if small else []
+    r = min(m, 255)
+    k = r.bit_length()
+    # top byte t holds the label (t >> (8 - k)) + 1; rejected bytes are deleted
+    table = bytes(min((t >> (8 - k)) + 1, r) for t in range(256))
+    reject = bytes(range(r << (8 - k), 256))
+    flat = b""
     for start in range(0, samples, step):
         count = min(step, samples - start)
         need = count * m
         while len(flat) < need:
             # an eighth more words than the expected need, so one call nearly always does
-            n = ((need - len(flat)) << k) // m * 9 // 8 + 8
+            n = ((need - len(flat)) << k) // r * 9 // 8 + 8
             raw = rng.getrandbits(32 * n).to_bytes(4 * n, "little")
-            if small:
-                flat += raw[3::4].translate(table, reject)
-                continue
-            words = array("I", raw)
-            if sys.byteorder == "big":
-                words.byteswap()
-            flat += [(w >> (32 - k)) + 1 for w in words if w < m << (32 - k)]
+            flat += raw[3::4].translate(table, reject)
         chunk, flat = flat[:need], flat[need:]
-        if small:
-            yield count, [(chunk[j::m], labels) for j in range(m)]
-        else:
-            yield count, [_rank_coded(chunk[j::m]) for j in range(m)]
+        yield count, [chunk[j::m] for j in range(m)]
 
 
 def _weak_orders(m: int) -> int:
@@ -628,27 +599,27 @@ def _route_trie(
 
 
 def _hop_planes(
-    hops: list[tuple[int, ...]], columns: dict[int, _Column]
+    hops: list[tuple[int, ...]], columns: dict[int, bytes], top: int
 ) -> list[list[tuple[int, int]]]:
     """Per hop, (label L, labelings) pairs by ascending L.
 
-    columns maps each edge id to (codes, labels): under labeling k of the
-    chunk the edge has label labels[codes[k]].  Bit k of labelings is set
-    when labeling k gives some edge of the hop label L.  Only labels that
-    occur get an entry, so a plane has at most one entry per labeling
-    whatever the range of labels.  Each entry is built in C: the codes,
-    reversed, translated to '1' at one code and '0' elsewhere, and read
-    as a base-2 int.
+    columns maps each edge id to its column: under labeling k of the
+    chunk the edge has label columns[eid][k], in 1..top.  Bit k of
+    labelings is set when labeling k gives some edge of the hop label L.
+    Only labels that occur get an entry, so a plane has at most one
+    entry per labeling.  Each entry is found and built in C: a byte
+    search for L, then the column, reversed, translated to '1' at L and
+    '0' elsewhere, and read as a base-2 int.
     """
     planes = []
     for hop in hops:
         plane: dict[int, int] = {}
         for eid in hop:
-            codes, labels = columns[eid]
-            backwards = codes[::-1]  # int(..., 2) reads its last digit as bit 0
-            for code, lab in enumerate(labels):
-                if code in codes:
-                    bits = int(backwards.translate(_ZEROS[:code] + b"1" + _ZEROS[code + 1:]), 2)
+            column = columns[eid]
+            backwards = column[::-1]  # int(..., 2) reads its last digit as bit 0
+            for lab in range(1, top + 1):
+                if lab in column:
+                    bits = int(backwards.translate(_ZEROS[:lab] + b"1" + _ZEROS[lab + 1:]), 2)
                     plane[lab] = plane.get(lab, 0) | bits
         planes.append(sorted(plane.items()))
     return planes
@@ -754,36 +725,45 @@ def falsify_mengerian(
 ) -> Counterexample | None:
     """Search time-functions for a non-adjacent pair with p < c.
 
-    samples=None enumerates every weak order of labels.  It goes block
-    by block, ranking only the block's edges (every other edge gets
-    label 1).  Only blocks holding a non-adjacent pair are searched; a
-    graph with none returns None.  Before any search, a block with more
-    weak orders than _WORK_BUDGET raises ResourceLimitError (8 edges have
-    545,835, 9 edges 7,087,261).  It tests only the orientation s < t of
-    each pair: time reversal maps a counterexample for (t, s) to one for
-    (s, t), and reversing a weak order gives a weak order.  The first
-    counterexample is the first over blocks, then labelings, then pairs
-    s < t.  An integer draws that many seeded uniform assignments with
-    labels in 1..len(edges) and tests both orientations of each pair, in
-    sorted order; the first counterexample is the first in that order.
-    The labels are those `random.Random(seed)` gives when each is drawn
-    alone in 1..len(edges), edge by edge, labeling by labeling; they are
-    drawn in bulk, one call per chunk (see `_sampled_columns`).  A count
-    above _WORK_BUDGET raises ResourceLimitError before anything is
-    drawn.  Before any route is listed, sampling weighs the ordered
-    pairs, each times the edges of its block, and past _WORK_BUDGET
-    raises ResourceLimitError (a 100-cycle weighs 970,000, a 200-cycle
-    7,880,000).  Returns None when the search finds none.
+    Only blocks holding a non-adjacent pair are searched; a graph with
+    none returns None.  Both modes rank only the edges of those blocks,
+    since every route between two vertices of a block stays inside it;
+    every other edge gets label 1.
+
+    samples=None enumerates every weak order of labels, block by block,
+    ranking only the block's edges.  Before any search, a block with
+    more weak orders than _WORK_BUDGET raises ResourceLimitError (8 edges
+    have 545,835, 9 edges 7,087,261).  It tests only the orientation
+    s < t of each pair: time reversal maps a counterexample for (t, s)
+    to one for (s, t), and reversing a weak order gives a weak order.
+    The first counterexample is the first over blocks, then labelings,
+    then pairs s < t.
+
+    An integer draws that many seeded uniform assignments of the m
+    ranked edges, in id order, with labels in 1..min(m, 255), and tests
+    both orientations of each pair, in sorted order; the first
+    counterexample is the first in that order.  p and c depend only on
+    the relative order of labels, and 255 levels still give every weak
+    order with up to 255 ranks.  The labels are those
+    `random.Random(seed)` gives when each is drawn alone, edge by edge,
+    labeling by labeling; they are drawn in bulk, one call per chunk
+    (see `_sampled_columns`).  A count above _WORK_BUDGET raises
+    ResourceLimitError before anything is drawn.  Before any route is
+    listed, sampling weighs the ordered pairs, each times the edges of
+    its block, and past _WORK_BUDGET raises ResourceLimitError (a
+    100-cycle weighs 970,000, a 200-cycle 7,880,000).  Returns None when
+    the search finds none.
 
     Each pair's static routes are enumerated once, as the temporal routes
     under a constant labeling; a labeling then keeps the routes whose
     hops admit non-decreasing labels, and p and c are the packing and
     hitting numbers of the kept interiors.  They depend on the kept set
     alone, so a kept set already found gap-free is not decided again.
-    Labelings are taken up to _CHUNK at a time: one walk of a pair's
-    route trie gives the labelings that keep each route, the chunk
-    splits by kept set, and the gap with the lowest labeling, then the
-    first pair, wins, as it would one labeling at a time.
+    Labelings of m ranked edges are taken _CHUNK_LABELS // m at a time:
+    one walk of a pair's route trie gives the labelings that keep each
+    route, the chunk splits by kept set, and the gap with the lowest
+    labeling, then the first pair, wins, as it would one labeling at a
+    time.
     """
     if samples is not None and samples > _WORK_BUDGET:
         raise ResourceLimitError(
@@ -811,22 +791,21 @@ def falsify_mengerian(
         for block in searched
     ]
     # each search ranks some edges, tests some pairs, and lists labelings
-    # in chunks of label columns over those edges; other edges get label 1.
-    # A block searched exhaustively has at most 8 edges, so its chunks
-    # stay far below _CHUNK_LABELS.
+    # in chunks of label columns over those edges; other edges get label 1
     if samples is None:
         pairs = [pair for _, block_pairs in blocks for pair in block_pairs]
-        searches = [(edge_ids, block_pairs, _weak_order_columns(len(edge_ids), _CHUNK))
+        searches = [(edge_ids, block_pairs, _weak_order_columns(
+                        len(edge_ids), max(1, _CHUNK_LABELS // len(edge_ids))))
                     for edge_ids, block_pairs in blocks]
     else:
         pairs = sorted(
             pair for _, block_pairs in blocks for s, t in block_pairs
             for pair in ((s, t), (t, s))
         )
-        m = len(g.edges)
-        step = max(1, min(_CHUNK, _CHUNK_LABELS // m))
-        searches = [(tuple(e.id for e in g.edges), pairs,
-                     _sampled_columns(random.Random(seed), m, samples, step))]
+        edge_ids = tuple(sorted(eid for block_ids, _ in blocks for eid in block_ids))
+        m = len(edge_ids)
+        searches = [(edge_ids, pairs, _sampled_columns(
+                        random.Random(seed), m, samples, max(1, _CHUNK_LABELS // m)))]
 
     static = TemporalGraph.make(g, {e.id: 1 for e in g.edges})
     vertices = sorted(g.vertices)
@@ -848,8 +827,9 @@ def falsify_mengerian(
         hop_of: dict[tuple[int, int], int] = {}
         tries = {pair: _route_trie(routes[pair][1], hop_of) for pair in search_pairs}
         hops = [g.parallel_edges(a, b) for a, b in hop_of]
+        top = min(len(edge_ids), 255)
         for count, columns in labelings:
-            planes = _hop_planes(hops, dict(zip(edge_ids, columns)))
+            planes = _hop_planes(hops, dict(zip(edge_ids, columns)), top)
             first, found = count, None
             for s, t in search_pairs:
                 if not first:
@@ -875,8 +855,7 @@ def falsify_mengerian(
             if found is None:
                 continue
             s, t, p, c = found
-            label_of = {eid: labels[codes[first]]
-                        for eid, (codes, labels) in zip(edge_ids, columns)}
+            label_of = {eid: column[first] for eid, column in zip(edge_ids, columns)}
             tg = TemporalGraph.make(g, {e.id: label_of.get(e.id, 1) for e in g.edges})
             path_cert = max_disjoint_paths(tg, s, t)
             cut_cert = min_vertex_cut(tg, s, t)

@@ -277,9 +277,6 @@ class Chain:
     def last(self) -> int:
         return self.vertices[-1]
 
-    def __len__(self) -> int:
-        return len(self.vertices)
-
 
 def maximal_chains(g: Multigraph) -> tuple[Chain, ...]:
     """All maximal chains, each multiplicity->=2 pair covered at most once.

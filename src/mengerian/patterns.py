@@ -30,7 +30,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .multigraph import Chain, GraphError, InternalError, Multigraph
-from .temporal import TemporalGraph
 
 
 @dataclass(frozen=True)
@@ -43,10 +42,6 @@ class Pattern:
     source: int
     target: int
     vertex_names: tuple[tuple[int, str], ...]
-
-    def temporal(self) -> TemporalGraph:
-        """The pattern under its reference labeling."""
-        return TemporalGraph.make(self.graph, dict(self.labels))
 
     def pair_labels(self, a: int, b: int) -> tuple[int, ...]:
         """Reference labels of the a,b parallel class, by ascending edge id."""

@@ -90,25 +90,25 @@ def rank_assignments(m):
 
 def sampled_labelings(seed, m, samples):
     """The labelings sampled falsification lists: samples seeded uniform
-    labelings of m edges in 1..m, each label drawn alone by randint, edge
-    by edge, labeling by labeling."""
+    labelings of m edges in 1..min(m, 255), each label drawn alone by
+    randint, edge by edge, labeling by labeling."""
     rng = random.Random(seed)
-    return [tuple(rng.randint(1, m) for _ in range(m)) for _ in range(samples)]
+    r = min(m, 255)
+    return [tuple(rng.randint(1, r) for _ in range(m)) for _ in range(samples)]
 
 
 def hop_planes(hops, columns):
     """Per hop, (label, labelings) pairs by ascending label, one labeling
     at a time: bit k is set when labeling k gives some edge of the hop
-    that label.  columns maps an edge id to (codes, labels), and labeling
-    k gives it labels[codes[k]]."""
-    count = len(next(iter(columns.values()))[0])
+    that label.  columns maps an edge id to its labels, one per
+    labeling."""
+    count = len(next(iter(columns.values())))
     planes = []
     for hop in hops:
         plane = {}
         for k in range(count):
             for eid in hop:
-                codes, labels = columns[eid]
-                lab = labels[codes[k]]
+                lab = columns[eid][k]
                 plane[lab] = plane.get(lab, 0) | 1 << k
         planes.append(sorted(plane.items()))
     return planes

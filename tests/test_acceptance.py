@@ -40,7 +40,7 @@ class TestPatternGaps:
     @pytest.mark.parametrize("pattern", PATTERNS, ids=lambda p: p.name)
     def test_one_path_two_cut(self, pattern):
         start = time.perf_counter()
-        tg = pattern.temporal()
+        tg = TemporalGraph.make(pattern.graph, dict(pattern.labels))
         s, t = pattern.source, pattern.target
         assert len(max_disjoint_paths(tg, s, t)) == 1
         assert len(min_vertex_cut(tg, s, t)) == 2

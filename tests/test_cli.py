@@ -221,6 +221,21 @@ class TestRecognizeCommand:
         assert code == 1
         assert out.splitlines()[-1] == f"  witness: s=s t=t status=skipped: {witness['refused']}"
 
+    def test_wheel_proof_is_cut_undefined(self, tmp_path, capsys):
+        # W4, a hub e on the 4-cycle a b c d: the gem's ends c, d are
+        # adjacent, so the witness has no vertex cut to measure
+        wheel = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 1), (4, 2), (4, 3)]
+        path = write(tmp_path, "w4.graph", emit_graphfile(mg(wheel), tuple("abcde")))
+        code, out, _ = run(capsys, "recognize", "--proof", path)
+        assert code == 1
+        assert out.splitlines()[-1] == "  witness: s=c t=d status=cut-undefined"
+        code, out, _ = run(capsys, "recognize", "--proof", "--json", path)
+        assert code == 1
+        witness = json.loads(out)["witness"]
+        assert (witness["s"], witness["t"]) == ("c", "d")
+        assert witness["status"] == "cut-undefined"
+        assert witness["measured_c"] is None and witness["refused"] is None
+
     def test_json_mengerian_report(self, tmp_path, capsys):
         path = write(tmp_path, "c4.graph",
                      "v a\nv b\nv c\nv d\ne a b\ne b c\ne c d\ne d a\n")
@@ -259,6 +274,18 @@ class TestRecognizeCommand:
         assert text.count(" -- ") == 9
         assert text.count("penwidth") == 9
         assert text.count("fillcolor") == 6
+
+    def test_dot_greys_edges_off_the_embedding(self, tmp_path, capsys):
+        # the gem plus a pendant edge: the pendant edge is drawn grey
+        gem = [(0, 1), (1, 2), (2, 3), (4, 0), (4, 1), (4, 2), (4, 3)]
+        path = write(tmp_path, "gem.graph", emit_graphfile(mg(gem + [(3, 5)])))
+        dot = tmp_path / "gem.dot"
+        code, _, _ = run(capsys, "recognize", "--dot", str(dot), path)
+        assert code == 1
+        lines = dot.read_text().splitlines()
+        assert '  "3" -- "5" [color="#bbbbbb"];' in lines
+        assert sum("#bbbbbb" in line for line in lines) == 1
+        assert sum("penwidth" in line for line in lines) == 7
 
     def test_dot_plain_when_mengerian(self, tmp_path, capsys):
         path = write(tmp_path, "p2.graph", "v a\nv b\ne a b\ne a b\n")

@@ -18,7 +18,6 @@ from mengerian.menger import (
     _kept_routes,
     _kept_sets,
     _max_packing,
-    _rank_coded,
     _route_paths,
     _route_trie,
     _sampled_columns,
@@ -159,8 +158,8 @@ class TestRouteTrie:
         hop_of = {}
         sides = [(s, t, forward), (t, s, [seq[::-1] for seq in forward])]
         tries = [_route_trie(seqs, hop_of) for _, _, seqs in sides]
-        columns = dict(zip(edge_ids, map(_rank_coded, zip(*chunk))))
-        planes = _hop_planes([g.parallel_edges(a, b) for a, b in hop_of], columns)
+        columns = dict(zip(edge_ids, map(bytes, zip(*chunk))))
+        planes = _hop_planes([g.parallel_edges(a, b) for a, b in hop_of], columns, top)
         universe = (1 << len(chunk)) - 1
         for (a, b, seqs), trie in zip(sides, tries):
             keep = _kept_routes(trie, len(seqs), planes, universe)
@@ -179,24 +178,17 @@ class TestRouteTrie:
 
 class TestHopPlanes:
     @given(st.lists(st.integers(1, 3), min_size=1, max_size=20), st.integers(1, 2048),
-           st.integers(1, 300), st.integers(0, 10_000))
+           st.integers(1, 255), st.integers(0, 10_000))
     def test_planes_agree_with_one_labeling_at_a_time(self, parallel, count, top, seed):
-        # hops of 1-3 parallel edges; a chunk holds at most _CHUNK_LABELS
-        # labels, and a column at most 256 distinct ones
+        # hops of 1-3 parallel edges, labels in 1..top; a chunk holds at
+        # most _CHUNK_LABELS labels
         rng = random.Random(seed)
         ids = iter(range(sum(parallel)))
         hops = [tuple(islice(ids, size)) for size in parallel]
         count = min(count, max(1, menger._CHUNK_LABELS // sum(parallel)))
-        drawn = {}
-        for eid in range(sum(parallel)):
-            palette = rng.sample(range(1, top + 1), min(top, 256))
-            drawn[eid] = tuple(rng.choices(palette, k=count))
-        ranked = {eid: _rank_coded(labels) for eid, labels in drawn.items()}
-        assert _hop_planes(hops, ranked) == hop_planes(hops, ranked)
-        if top < 256:
-            # the exhaustive form: each code is its own label
-            direct = {eid: (bytes(labels), range(top + 1)) for eid, labels in drawn.items()}
-            assert _hop_planes(hops, direct) == hop_planes(hops, direct) == hop_planes(hops, ranked)
+        columns = {eid: bytes(rng.choices(range(1, top + 1), k=count))
+                   for eid in range(sum(parallel))}
+        assert _hop_planes(hops, columns, top) == hop_planes(hops, columns)
 
 
 class TestDisjointPaths:
@@ -487,7 +479,7 @@ class TestEdgeMenger:
 
 def column_labelings(chunks):
     """The labelings of (count, columns) chunks, one label tuple each."""
-    return [tuple(labels[codes[k]] for codes, labels in columns)
+    return [tuple(column[k] for column in columns)
             for count, columns in chunks for k in range(count)]
 
 
@@ -601,13 +593,22 @@ class TestFalsify:
         assert time.perf_counter() - start < 1.0
 
     def test_gem_block_with_pendant_path(self):
-        # pairs reaching into the pendant path are skipped; the first
-        # counterexample is the one the unpruned search finds
+        # pairs reaching into the pendant path are skipped, and its edges
+        # get no rank: they keep label 1, as in the exhaustive search
         g = mg([e.pair for e in GEM.graph.edges] + [(3, 5), (5, 6)])
         cx = falsify_mengerian(g, samples=3000, seed=7)
-        assert cx is not None and (cx.s, cx.t) == (3, 0)
+        assert cx is not None and (cx.s, cx.t) == (0, 3)
+        assert [cx.labeled.label(i) for i in range(9)] == [1, 6, 7, 6, 4, 6, 4, 1, 1]
         assert cx.cut == frozenset({1, 2}) and len(cx.paths) == 1
         assert menger_gap(cx.labeled, cx.s, cx.t) == (1, 2, 1)
+
+    def test_long_pendant_path_costs_nothing(self):
+        # a 4-cycle with a 2000-edge pendant path: only the 4 cycle edges
+        # are ranked, so no label is drawn for the path
+        g = mg([(0, 1), (1, 2), (2, 3), (3, 0)] + [(3 + (i > 0) * i, 4 + i) for i in range(2000)])
+        start = time.perf_counter()
+        assert falsify_mengerian(g, samples=2000) is None
+        assert time.perf_counter() - start < 0.5
 
     def test_gem_block_with_pendant_path_exhaustive(self):
         # only the gem block's seven edges get ranks; the pendant edges
@@ -647,16 +648,17 @@ class TestFalsify:
         fan = mg([(0, 1), (1, 2), (2, 3), (3, 5)] + [(4, v) for v in (0, 1, 2, 3, 5)])
         runs = [
             (GEM.graph, None, 0),
-            # the first gap lies past labeling 2048, in a later chunk
+            # the first gap lies past labeling 2048, in a later chunk of
+            # 9 * 2048 labels over F1's 9 edges
             (PATTERNS[0].graph, 20000, 0),
             # (0, 3) and (0, 5) both gap on the first gap labeling
             (fan, 3000, 1),
         ]
         results = {}
-        for chunk in (menger._CHUNK, 1, 3):
-            monkeypatch.setattr(menger, "_CHUNK", chunk)
-            results[chunk] = [falsify_mengerian(g, samples=n, seed=seed)
-                              for g, n, seed in runs]
+        for labels in (menger._CHUNK_LABELS, 1, 27, 9 * 2048):
+            monkeypatch.setattr(menger, "_CHUNK_LABELS", labels)
+            results[labels] = [falsify_mengerian(g, samples=n, seed=seed)
+                               for g, n, seed in runs]
         for got in results.values():
             assert [(cx.s, cx.t, cx.labeled) for cx in got] == \
                 [(cx.s, cx.t, cx.labeled) for cx in results[1]]
@@ -668,37 +670,40 @@ class TestFalsify:
         assert (fan_cx.s, fan_cx.t) == gapping[0] == (0, 3) and len(gapping) >= 2
 
     def test_labels_above_255(self):
-        # sampled labels run up to the edge count: the gem's path 0-1-2-3
-        # is labeled 33, 260, 263, and only a label order past one byte
-        # keeps it
-        path = [(3 if i == 0 else 4 + i, 5 + i) for i in range(260)]
-        g = mg([e.pair for e in GEM.graph.edges] + path)
-        cx = falsify_mengerian(g, samples=50, seed=37)
+        # the gem with its pair 1-2 repeated 300 times ranks 306 edges,
+        # and their labels are drawn in 1..255, not 1..306: the labeling
+        # is a row of the reference stream over 255 levels
+        g = mg([e.pair for e in GEM.graph.edges] + [(1, 2)] * 299)
+        cx = falsify_mengerian(g, samples=2000, seed=0)
         assert cx is not None and (cx.s, cx.t) == (0, 3)
-        assert [cx.labeled.label(i) for i in range(7)] == [33, 260, 263, 173, 63, 182, 64]
+        labels = tuple(cx.labeled.label(i) for i in range(306))
+        assert labels[:7] == (84, 115, 247, 229, 102, 242, 223)
+        assert max(labels) == 255
+        assert labels in sampled_labelings(0, 306, 2000)
         assert [p.vertices for p in cx.paths] == [(0, 1, 2, 3)]
         assert cx.cut == frozenset({1, 2})
 
     def test_many_edges_come_in_smaller_chunks(self, monkeypatch):
-        # a labeling of 1007 edges: a chunk of 2048 would hold two million
-        # labels, all drawn before the first is tested
+        # the gem with its pair 1-2 repeated 1000 times ranks 1006 edges:
+        # a chunk of 2048 labelings would hold two million labels, all
+        # drawn before the first is tested
         labels = []
         planes = menger._hop_planes
 
-        def counting(hops, columns):
-            labels.append(sum(len(codes) for codes, _ in columns.values()))
-            return planes(hops, columns)
+        def counting(hops, columns, top):
+            labels.append(sum(map(len, columns.values())))
+            return planes(hops, columns, top)
 
         monkeypatch.setattr(menger, "_hop_planes", counting)
-        path = [(3 if i == 0 else 4 + i, 5 + i) for i in range(1000)]
-        g = mg([e.pair for e in GEM.graph.edges] + path)
-        cx = falsify_mengerian(g, samples=5000, seed=0)
-        assert cx is not None and cx.gap == 1
-        assert max(labels) <= menger._CHUNK_LABELS
+        g = mg([e.pair for e in GEM.graph.edges] + [(1, 2)] * 999)
+        cx = falsify_mengerian(g, samples=2000, seed=0)
+        assert cx is not None
+        assert menger_gap(cx.labeled, cx.s, cx.t).gap == 1
+        assert labels and max(labels) <= menger._CHUNK_LABELS
 
     @pytest.mark.parametrize("m", range(7))
     def test_rank_assignments_list_each_weak_order_once(self, m):
-        listed = column_labelings(_weak_order_columns(m, menger._CHUNK))
+        listed = column_labelings(_weak_order_columns(m, 2048))
         dense = [r for r in product(range(1, m + 1), repeat=m)
                  if set(r) == set(range(1, max(r, default=0) + 1))]
         assert sorted(listed) == sorted(dense)
@@ -715,22 +720,23 @@ class TestFalsify:
         # chunk but the last holds exactly step labelings
         chunks = list(_weak_order_columns(m, step))
         assert all(count == step for count, _ in chunks[:-1])
-        assert all(len(codes) == count for count, columns in chunks for codes, _ in columns)
+        assert all(len(column) == count for count, columns in chunks for column in columns)
         assert column_labelings(chunks) == list(rank_assignments(m))
 
     @pytest.mark.parametrize("m", [1, 2, 3, 8, 12, 255, 256, 257, 1007])
     @pytest.mark.parametrize("step", [1, 7, None])
     def test_sampled_columns_follow_the_reference_stream(self, m, step):
-        # the bulk draw keeps exactly the labels drawing each alone would
-        # keep, in the same order (1 edge still rejects half its words),
-        # and every chunk but the last holds exactly step labelings
-        step = step or max(1, min(menger._CHUNK, menger._CHUNK_LABELS // m))
+        # the bulk draw keeps exactly the labels drawing each alone in
+        # 1..min(m, 255) would keep, in the same order (1 edge still
+        # rejects half its words), and every chunk but the last holds
+        # exactly step labelings
+        step = step or max(1, menger._CHUNK_LABELS // m)
         samples = 2 * step + 3
         for seed in (0, 5, 37):
             chunks = list(_sampled_columns(random.Random(seed), m, samples, step))
             assert all(count == step for count, _ in chunks[:-1])
             assert sum(count for count, _ in chunks) == samples
-            assert all(len(codes) == count for count, columns in chunks for codes, _ in columns)
+            assert all(len(column) == count for count, columns in chunks for column in columns)
             assert column_labelings(chunks) == sampled_labelings(seed, m, samples)
 
     def test_weak_order_counts_of_larger_blocks(self):

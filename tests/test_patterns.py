@@ -21,6 +21,7 @@ from mengerian.patterns import (
     check_m_subdivision,
     find_f3_subdivision,
 )
+from mengerian.temporal import TemporalGraph
 
 from helpers import mg, random_multigraph
 from oracles import brute_c, brute_has_gem, brute_p
@@ -43,13 +44,13 @@ def identity_embedding(pattern):
 class TestPatternConstants:
     @pytest.mark.parametrize("pat", PATTERNS, ids=lambda p: p.name)
     def test_path_cut_gap(self, pat):
-        t = pat.temporal()
+        t = TemporalGraph.make(pat.graph, dict(pat.labels))
         assert len(max_disjoint_paths(t, pat.source, pat.target)) == 1
         assert len(min_vertex_cut(t, pat.source, pat.target)) == 2
 
     @pytest.mark.parametrize("pat", PATTERNS, ids=lambda p: p.name)
     def test_gap_confirmed_by_brute(self, pat):
-        t = pat.temporal()
+        t = TemporalGraph.make(pat.graph, dict(pat.labels))
         assert brute_p(t, pat.source, pat.target) == 1
         assert brute_c(t, pat.source, pat.target) == 2
 

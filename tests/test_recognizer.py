@@ -378,6 +378,41 @@ class TestCrossedStructure:
         g, _ = m_subdivide(crossed_graph(), 3, 7)
         self._assert_f1(g)
 
+    # A cross part b2 joined to a side by an outside path: to c2's side
+    # (F1 through b and the joint's far end), or to a1 or x1 (F1 through
+    # the joint's far end and c).  Each pins the one path found from b2,
+    # and the corners F1 is assembled on.
+    @pytest.mark.parametrize("extra, joint, corners", [
+        ([(4, 5), (6, 7), (8, 6), (5, 9), (9, 8), (4, 10), (10, 7), (8, 10)],
+         ((10,), (5, 6), (10, 8, 6)), (4, 6)),
+        ([(5, 6), (4, 7), (4, 8), (8, 5), (9, 7), (6, 10), (10, 9), (8, 10)],
+         ((8,), (6, 7), (8, 10, 6)), (6, 4)),
+    ], ids=["c2-side", "a1-or-x1"])
+    def test_cross_part_joined_to_a_side_upgrades_to_f1(self, monkeypatch, extra, joint,
+                                                         corners):
+        g = mg(CROSSED_PAIRS[:10] + extra)
+        found, assembled = [], []
+        find_path, assemble_f1 = recognizer.find_path, recognizer.assemble_f1
+
+        def logged_find(graph, sources, targets, **kw):
+            vs = find_path(graph, sources, targets, **kw)
+            found.append((tuple(sources), tuple(targets), vs))
+            return vs
+
+        def logged_assemble(block, chain, c1, c2, b, c, seg_bc):
+            emb = assemble_f1(block, chain, c1, c2, b, c, seg_bc)
+            assembled.append((b, c))
+            return emb
+
+        monkeypatch.setattr(recognizer, "find_path", logged_find)
+        monkeypatch.setattr(recognizer, "assemble_f1", logged_assemble)
+        self._assert_f1(g)
+        assert found == [joint] and assembled == [corners]
+        verdict, proof = recognize_with_proof(g)
+        assert verdict.embedding.pattern.name == "F1"
+        assert proof.report is not None and proof.report.confirmed
+        assert (proof.report.path_count, proof.report.cut_size) == (1, 2)
+
 
 class TestBlocks:
     def test_gem_found_behind_a_bridge(self):
