@@ -33,22 +33,24 @@ block stays inside it, so both modes rank only the edges of the blocks
 they search, and give every other edge label 1.  Exhaustive search
 ranks one block's edges at a time, and it tests each pair in one
 orientation only, since time reversal swaps source and target, and only
-on blocks with at most _WORK_BUDGET weak orders (8 edges).  Sampling
-lists routes for both orientations of every pair, so it is refused when
-the ordered pairs, each weighted by the edges of its block, outweigh
-_WORK_BUDGET.  p and c depend only on which of a pair's routes a
-labeling keeps, so each kept set found gap-free is decided once.
+when the searched blocks have at most _WORK_BUDGET weak orders in all
+(one block of 8 edges fits, two do not).  Sampling lists routes for both
+orientations of every pair, so it is refused when the ordered pairs,
+each weighted by the edges of its block, outweigh _WORK_BUDGET.  p and
+c depend only on the inclusion-minimal interiors a labeling keeps, and
+interiors are bitmasks over the same vertices for every pair, so each
+minimal family found gap-free is decided once in a run.
 
 Labelings are tested a chunk at a time, carried as one byte column per
 ranked edge: byte k is the edge's label under labeling k, so labels
 stay in 1..255.  Exhaustive columns are cut from tables of the
 permutations of 1..n, sampled ones are slices of one bulk draw of
-random words per chunk.  Each pair's routes form a prefix trie, and one
-walk of it carries, per label L, the set of the chunk's labelings (an
-int, one bit each) under which the prefix can arrive by L; those sets
-are read off the columns in C.  A leaf then holds the labelings that
-keep its route, and the chunk splits into groups by kept set, each
-decided once.
+random words per chunk.  The routes from one source to all of its
+targets form one prefix trie, and one walk of it carries, per label L,
+the set of the chunk's labelings (an int, one bit each) under which the
+prefix can arrive by L; those sets are read off the columns in C.  A
+node ending a route then holds the labelings that keep it, and per
+pair the chunk splits into groups by kept set, each decided once.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ from .temporal import (
 
 # Routes one pair may have before the graph is refused as too dense: the
 # oracles keep every route's interior, and every chunk of the falsifier's
-# labelings walks every pair's route trie.
+# labelings walks every source's route trie.
 _ROUTE_CAP = 5000
 # Steps each exact search may take on one pair: stack pushes of the route
 # engine, candidates the packing search tries, subsets the hitting-set
@@ -81,17 +83,21 @@ _ROUTE_CAP = 5000
 # search to the budget, a push cost 1.4-2.0 us (about 4 us on a small
 # listing, set-up included), a subset 1.1-1.5 us and a candidate about
 # 0.1 us, so a refused search has run for up to about 2 s.  Exhaustive
-# falsification may try as many labelings on one block (0.55-0.8 us each
-# on W4 and an 8-cycle, on the same VM in a slow spell), and is refused
-# before it starts otherwise.  Sampled falsification weighs its ordered
-# pairs times block edges against it, at 5-6 us a unit: a 100-cycle
-# weighs 970,000 and takes 5-6 s.  It also draws at most this many
+# falsification may try as many labelings over all the blocks it
+# searches (0.55-0.8 us each on W4 and an 8-cycle, on the same VM in a
+# slow spell), and is refused before it starts otherwise.  Sampled
+# falsification weighs its ordered pairs times block edges against it,
+# at about 2 us a unit, nearly all of it route listing: a 100-cycle
+# weighs 970,000 and takes 1.8-2.4 s.  It also draws at most this many
 # labelings, the most the exhaustive search may try.
 _WORK_BUDGET = 1 << 20
-# Gap-free kept route sets one falsify run remembers.  A key holds one
-# bit per static route, so at most _ROUTE_CAP / 8 bytes, and the memo
-# stays within about 25 MB however many labelings a run draws.  Past
-# the cap a kept set is decided afresh each time, which costs time only.
+# Entries the two falsify memos hold together in one run: gap-free kept
+# route sets, one bit per static route of a pair, so at most _ROUTE_CAP / 8
+# bytes each; and gap-free minimal interior families, which count one
+# entry per member, a member holding one bit per vertex.  So the memos
+# stay within about 25 MB on graphs of a few hundred vertices, however
+# many labelings a run draws.  Past the cap a kept set or family is
+# decided afresh each time, which costs time only.
 _MEMO_CAP = 1 << 15
 # Labels one falsify step decides together, one bit per labeling in the
 # route feasibility planes: a chunk holds _CHUNK_LABELS // m labelings of
@@ -577,24 +583,30 @@ def _weak_orders(m: int) -> int:
 
 
 def _route_trie(
-    seqs: list[tuple[int, ...]], hop_of: dict[tuple[int, int], int]
+    targets: list[list[tuple[int, ...]]], hop_of: dict[tuple[int, int], int]
 ) -> dict[int, list]:
-    """Vertex sequences s..t as a prefix trie of nodes [hop, route, children].
+    """A source's sequences to its targets as a prefix trie of [hop, slot, route, children].
 
-    hop is the index in hop_of of the vertex pair the node's last step
-    crosses (a pair is numbered on first sight), route the index of the
-    sequence ending at the node or -1, and children map the next vertex
-    to its node.  No sequence is a prefix of another: each ends at t.
+    targets[j] lists the sequences s..t_j of target slot j.  hop is the
+    index in hop_of of the vertex pair the node's last step crosses (a
+    pair is numbered on first sight), slot and route locate the sequence
+    ending at the node (route is its index in targets[slot]), or are -1,
+    and children map the next vertex to its node.  A node's sequence
+    fixes its last vertex, so at most one sequence ends there, but a
+    sequence to one target may pass through another: a node can both end
+    a sequence and have children.
     """
     root: dict[int, list] = {}
-    for i, seq in enumerate(seqs):
-        level = root
-        for a, b in zip(seq, seq[1:]):
-            node = level.get(b)
-            if node is None:
-                node = level[b] = [hop_of.setdefault((min(a, b), max(a, b)), len(hop_of)), -1, {}]
-            level = node[2]
-        node[1] = i
+    for slot, seqs in enumerate(targets):
+        for i, seq in enumerate(seqs):
+            level = root
+            for a, b in zip(seq, seq[1:]):
+                node = level.get(b)
+                if node is None:
+                    node = level[b] = [hop_of.setdefault((min(a, b), max(a, b)), len(hop_of)),
+                                       -1, -1, {}]
+                level = node[3]
+            node[1:3] = slot, i
     return root
 
 
@@ -652,39 +664,42 @@ def _advance(reach: list[tuple[int, int]], plane: list[tuple[int, int]]) -> list
 
 
 def _kept_routes(
-    trie: dict[int, list], routes: int, planes: list[list[tuple[int, int]]], universe: int
-) -> list[int]:
-    """Per route, the labelings in universe under which it is a temporal path.
+    trie: dict[int, list], sizes: list[int], planes: list[list[tuple[int, int]]], universe: int
+) -> list[list[int]]:
+    """Per target slot and route, the labelings in universe that make it a temporal path.
 
-    One walk of the trie serves every labeling: a prefix carries the
-    labelings that can realize it, and a prefix that none can realize
-    cuts its whole subtree.
+    sizes[j] is the number of routes of slot j.  One walk of the trie
+    serves every target and labeling: a prefix carries the labelings
+    that can realize it, and a prefix that none can realize cuts its
+    whole subtree.
     """
-    keep = [0] * routes
+    keeps = [[0] * size for size in sizes]
     stack = [(trie, [(0, universe)])]
     while stack:
         level, reach = stack.pop()
-        for hop, route, children in level.values():
+        for hop, slot, route, children in level.values():
             after = _advance(reach, planes[hop])
             if not after:
                 continue
             if route >= 0:
-                keep[route] = after[-1][1]
-            else:
+                keeps[slot][route] = after[-1][1]
+            if children:
                 stack.append((children, after))
-    return keep
+    return keeps
 
 
 def _kept_sets(keep: list[int], universe: int) -> list[tuple[int, int]]:
     """The labelings in universe (not empty) grouped by the routes they keep.
 
-    keep[i] holds the labelings that keep route i.  Returns, per group,
-    its lowest labeling index and its kept set as a bitmask over routes,
-    by lowest index.
+    keep[i] holds the labelings that keep route i, and may hold some
+    outside universe, which are ignored.  Returns, per group, its lowest
+    labeling index and its kept set as a bitmask over routes, by lowest
+    index.
     """
     common = 0
     groups = [[universe, 0]]
     for i, bits in enumerate(keep):
+        bits &= universe
         if bits == universe:
             common |= 1 << i
         elif bits:
@@ -698,6 +713,27 @@ def _kept_sets(keep: list[int], universe: int) -> list[tuple[int, int]]:
                     split.append([inside, group[1] | 1 << i])
             groups += split
     return sorted(((labs & -labs).bit_length() - 1, kept | common) for labs, kept in groups)
+
+
+def _minimal_family(masks: list[int], alive: int) -> frozenset[int]:
+    """The inclusion-minimal interiors among masks[i] for the bits i of alive.
+
+    masks ascend in size, so an interior is minimal unless one found
+    minimal before it lies inside it.  A vertex set meets every interior
+    exactly when it meets every minimal one, and pairwise-disjoint
+    interiors hold pairwise-disjoint minimal ones, one inside each, so
+    the family and its minimal members have the same packing and hitting
+    numbers.
+    """
+    minimal: list[int] = []
+    for i, mask in enumerate(masks):
+        if alive >> i & 1:
+            for low in minimal:
+                if low & mask == low:
+                    break
+            else:
+                minimal.append(mask)
+    return frozenset(minimal)
 
 
 def _free_pairs(block: Multigraph) -> int:
@@ -731,9 +767,10 @@ def falsify_mengerian(
     every other edge gets label 1.
 
     samples=None enumerates every weak order of labels, block by block,
-    ranking only the block's edges.  Before any search, a block with
-    more weak orders than _WORK_BUDGET raises ResourceLimitError (8 edges
-    have 545,835, 9 edges 7,087,261).  It tests only the orientation
+    ranking only the block's edges.  Before any search, blocks with more
+    weak orders than _WORK_BUDGET in all raise ResourceLimitError, which
+    gives the total (8 edges have 545,835, 9 edges 7,087,261, so one
+    8-edge block is searched, two are refused).  It tests only the orientation
     s < t of each pair: time reversal maps a counterexample for (t, s)
     to one for (s, t), and reversing a weak order gives a weak order.
     The first counterexample is the first over blocks, then labelings,
@@ -751,19 +788,22 @@ def falsify_mengerian(
     ResourceLimitError before anything is drawn.  Before any route is
     listed, sampling weighs the ordered pairs, each times the edges of
     its block, and past _WORK_BUDGET raises ResourceLimitError (a
-    100-cycle weighs 970,000, a 200-cycle 7,880,000).  Returns None when
-    the search finds none.
+    100-cycle weighs 970,000 and takes about 2 s, most of it listing
+    routes; a 200-cycle weighs 7,880,000).  Returns None when the search
+    finds none.
 
     Each pair's static routes are enumerated once, as the temporal routes
     under a constant labeling; a labeling then keeps the routes whose
     hops admit non-decreasing labels, and p and c are the packing and
-    hitting numbers of the kept interiors.  They depend on the kept set
-    alone, so a kept set already found gap-free is not decided again.
-    Labelings of m ranked edges are taken _CHUNK_LABELS // m at a time:
-    one walk of a pair's route trie gives the labelings that keep each
-    route, the chunk splits by kept set, and the gap with the lowest
-    labeling, then the first pair, wins, as it would one labeling at a
-    time.
+    hitting numbers of the kept interiors.  They depend only on the
+    kept interiors that hold no other kept interior (_minimal_family),
+    so a pair's kept set already found gap-free is not looked at again,
+    and a minimal family found gap-free, for any pair, is not decided
+    again.  Labelings of m ranked edges are taken _CHUNK_LABELS // m at
+    a time: one walk of a source's route trie gives, for all of its
+    targets, the labelings that keep each route, each pair's chunk
+    splits by kept set, and the gap with the lowest labeling, then the
+    first pair, wins, as it would one labeling at a time.
     """
     if samples is not None and samples > _WORK_BUDGET:
         raise ResourceLimitError(
@@ -773,11 +813,13 @@ def falsify_mengerian(
     if not searched:
         return None
     if samples is None:
-        largest = max(len(block.edges) for block in searched)
-        if (orders := _weak_orders(largest)) > _WORK_BUDGET:
+        orders = sum(_weak_orders(len(block.edges)) for block in searched)
+        if orders > _WORK_BUDGET:
+            count = f"{len(searched)} blocks" if len(searched) > 1 else "a block"
             raise ResourceLimitError(
-                f"exhaustive falsification over a block of {largest} edges would try "
-                f"at least {orders} labelings, past the work budget of {_WORK_BUDGET}")
+                f"exhaustive falsification over {count} of "
+                f"{sum(len(block.edges) for block in searched)} edges would try at least "
+                f"{orders} labelings, past the work budget of {_WORK_BUDGET}")
     else:
         weight = sum(2 * _free_pairs(block) * len(block.edges) for block in searched)
         if weight > _WORK_BUDGET:
@@ -817,41 +859,61 @@ def falsify_mengerian(
             masks, seqs = routes[(t, s)]
             routes[(s, t)] = (masks, [seq[::-1] for seq in seqs])
             continue
-        paths = _routes(static, s, t)
+        # by interior size, as _minimal_family takes them; p and c do not
+        # depend on the order of a pair's routes
+        paths = sorted(_routes(static, s, t), key=lambda path: len(path.vertices))
         routes[(s, t)] = (_interior_masks(paths, vertices), [p.vertices for p in paths])
 
-    # kept route sets, as bitmasks over a pair's routes, found gap-free
+    # kept route sets found gap-free, as bitmasks over a pair's routes, and
+    # minimal interior families found gap-free, shared by every pair: bit i
+    # of an interior stands for vertices[i] whatever the pair
     gap_free: dict[tuple[int, int], set[int]] = {pair: set() for pair in pairs}
+    decided: set[frozenset[int]] = set()
     remembered = 0
     for edge_ids, search_pairs, labelings in searches:
+        # each source's targets in search order, which lists a source's pairs together
+        sources: dict[int, list[int]] = {}
+        for s, t in search_pairs:
+            sources.setdefault(s, []).append(t)
         hop_of: dict[tuple[int, int], int] = {}
-        tries = {pair: _route_trie(routes[pair][1], hop_of) for pair in search_pairs}
+        tries = {s: (_route_trie([routes[(s, t)][1] for t in targets], hop_of),
+                     [len(routes[(s, t)][0]) for t in targets])
+                 for s, targets in sources.items()}
         hops = [g.parallel_edges(a, b) for a, b in hop_of]
         top = min(len(edge_ids), 255)
         for count, columns in labelings:
             planes = _hop_planes(hops, dict(zip(edge_ids, columns)), top)
             first, found = count, None
-            for s, t in search_pairs:
+            for s, targets in sources.items():
                 if not first:
                     break
-                # only labelings before the first gap so far can hold an earlier one
-                universe = (1 << first) - 1
-                masks = routes[(s, t)][0]
-                keep = _kept_routes(tries[(s, t)], len(masks), planes, universe)
-                known = gap_free[(s, t)]
-                for k, alive in _kept_sets(keep, universe):
-                    if alive in known:
-                        continue
-                    kept = [mask for i, mask in enumerate(masks) if alive >> i & 1]
-                    c = len(_min_hitting(kept, vertices, s, t))
-                    # c <= 1: p = c = 0, or one path exists and p >= 1 = c
-                    p = len(_max_packing(kept, s, t, c)) if c > 1 else c
-                    if p < c:
-                        first, found = k, (s, t, p, c)
+                keeps = _kept_routes(*tries[s], planes, (1 << first) - 1)
+                for t, keep in zip(targets, keeps):
+                    if not first:
                         break
-                    if remembered < _MEMO_CAP:
-                        known.add(alive)
-                        remembered += 1
+                    # only labelings before the first gap so far can hold an earlier
+                    # one; keep may hold later ones, which _kept_sets ignores
+                    universe = (1 << first) - 1
+                    masks = routes[(s, t)][0]
+                    known = gap_free[(s, t)]
+                    for k, alive in _kept_sets(keep, universe):
+                        if alive in known:
+                            continue
+                        family = _minimal_family(masks, alive)
+                        if family not in decided:
+                            minimal = sorted(family)
+                            c = len(_min_hitting(minimal, vertices, s, t))
+                            # c <= 1: p = c = 0, or one path exists and p >= 1 = c
+                            p = len(_max_packing(minimal, s, t, c)) if c > 1 else c
+                            if p < c:
+                                first, found = k, (s, t, p, c)
+                                break
+                            if remembered < _MEMO_CAP:
+                                decided.add(family)
+                                remembered += len(family)
+                        if remembered < _MEMO_CAP:
+                            known.add(alive)
+                            remembered += 1
             if found is None:
                 continue
             s, t, p, c = found

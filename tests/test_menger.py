@@ -18,6 +18,8 @@ from mengerian.menger import (
     _kept_routes,
     _kept_sets,
     _max_packing,
+    _min_hitting,
+    _minimal_family,
     _route_paths,
     _route_trie,
     _sampled_columns,
@@ -30,7 +32,7 @@ from mengerian.menger import (
     min_vertex_cut,
 )
 
-from helpers import count_listings, mg, random_multigraph, walk_sequence
+from helpers import count_listings, doubled_k2n, mg, random_multigraph, walk_sequence
 from oracles import (
     brute_c,
     brute_edge_c,
@@ -143,37 +145,66 @@ class TestRoutes:
 class TestRouteTrie:
     @given(st.integers(0, 10_000))
     def test_kept_routes_are_the_brute_temporal_paths(self, seed):
-        # one trie walk decides a batch of labelings; each labeling must
-        # keep exactly the static routes that are temporal paths under it,
-        # in both orientations (the t, s trie holds the reversed routes)
+        # one walk of a source's trie decides a batch of labelings for all
+        # of its targets; each labeling must keep exactly the static routes
+        # that are temporal paths under it, whether a target's routes were
+        # listed from s or are those of (t, s) reversed, as sampling lists
+        # the second orientation of a pair
         rng = random.Random(seed)
         g = random_multigraph(rng, rng.randint(2, 7), rng.randint(1, 12))
-        s, t = rng.sample(sorted(g.vertices), 2)
+        s = rng.choice(sorted(g.vertices))
+        targets = [t for t in sorted(g.vertices) if t != s]
         static = TemporalGraph.make(g, {e.id: 1 for e in g.edges})
-        forward = [p.vertices for p in _route_paths(static, s, t)]
+        forward = [[p.vertices for p in _route_paths(static, s, t)] for t in targets]
+        backward = [[p.vertices[::-1] for p in _route_paths(static, t, s)] for t in targets]
         edge_ids = tuple(e.id for e in g.edges)
         top = len(edge_ids) + 2
         chunk = [tuple(rng.randint(1, top) for _ in edge_ids)
-                 for _ in range(rng.randint(1, 40))]
+                 for _ in range(rng.randint(1, 24))]
+        labeled = [TemporalGraph.make(g, dict(zip(edge_ids, labels))) for labels in chunk]
+        brute = [[{vs for vs, _ in brute_temporal_paths(tk, s, t)} for tk in labeled]
+                 for t in targets]
         hop_of = {}
-        sides = [(s, t, forward), (t, s, [seq[::-1] for seq in forward])]
-        tries = [_route_trie(seqs, hop_of) for _, _, seqs in sides]
+        tries = [_route_trie(listed, hop_of) for listed in (forward, backward)]
         columns = dict(zip(edge_ids, map(bytes, zip(*chunk))))
         planes = _hop_planes([g.parallel_edges(a, b) for a, b in hop_of], columns, top)
         universe = (1 << len(chunk)) - 1
-        for (a, b, seqs), trie in zip(sides, tries):
-            keep = _kept_routes(trie, len(seqs), planes, universe)
-            alive = []
-            for k, labels in enumerate(chunk):
-                tk = TemporalGraph.make(g, dict(zip(edge_ids, labels)))
-                brute = {vs for vs, _ in brute_temporal_paths(tk, a, b)}
-                assert {seqs[i] for i in range(len(seqs)) if keep[i] >> k & 1} == brute
-                alive.append(sum(1 << i for i in range(len(seqs)) if keep[i] >> k & 1))
-            # one group per distinct kept set, under its lowest labeling
-            firsts = {}
-            for k, mask in enumerate(alive):
-                firsts.setdefault(mask, k)
-            assert _kept_sets(keep, universe) == sorted((k, mask) for mask, k in firsts.items())
+        # the labelings before a gap found for an earlier target
+        below = (1 << rng.randint(1, len(chunk))) - 1
+        for listed, trie in zip((forward, backward), tries):
+            sizes = [len(seqs) for seqs in listed]
+            keeps = _kept_routes(trie, sizes, planes, universe)
+            narrow = _kept_routes(trie, sizes, planes, below)
+            assert [[bits & below for bits in keep] for keep in keeps] == narrow
+            assert [_kept_sets(keep, below) for keep in keeps] == \
+                [_kept_sets(keep, below) for keep in narrow]
+            for seqs, keep, kept_by_brute in zip(listed, keeps, brute):
+                alive = []
+                for k, paths in enumerate(kept_by_brute):
+                    assert {seqs[i] for i in range(len(seqs)) if keep[i] >> k & 1} == paths
+                    alive.append(sum(1 << i for i in range(len(seqs)) if keep[i] >> k & 1))
+                # one group per distinct kept set, under its lowest labeling
+                firsts = {}
+                for k, mask in enumerate(alive):
+                    firsts.setdefault(mask, k)
+                assert _kept_sets(keep, universe) == sorted((k, mask) for mask, k in firsts.items())
+
+
+class TestMinimalFamily:
+    @given(st.lists(st.integers(1, (1 << 9) - 1), max_size=12), st.integers(0, (1 << 12) - 1))
+    def test_minimal_members_have_the_same_packing_and_hitting_sizes(self, masks, alive):
+        # falsify decides a kept family by its minimal members: a vertex
+        # set meets every interior exactly when it meets every minimal
+        # one, and disjoint interiors hold disjoint minimal ones
+        masks.sort(key=int.bit_count)
+        family = _minimal_family(masks, alive)
+        kept = [mask for i, mask in enumerate(masks) if alive >> i & 1]
+        assert family == {mask for mask in kept
+                          if not any(low & mask == low != mask for low in kept)}
+        minimal = sorted(family)
+        vertices = list(range(9))
+        assert len(_min_hitting(minimal, vertices, 0, 1)) == len(_min_hitting(kept, vertices, 0, 1))
+        assert len(_max_packing(minimal, 0, 1)) == len(_max_packing(kept, 0, 1))
 
 
 class TestHopPlanes:
@@ -507,6 +538,19 @@ def naive_search_all_labelings(g):
     return None
 
 
+def count_decisions(monkeypatch):
+    """From now on, the interiors of every family falsify decides, one entry per decision."""
+    decided = []
+    hitting = menger._min_hitting
+
+    def counted(masks, vertices, s, t):
+        decided.append(list(masks))
+        return hitting(masks, vertices, s, t)
+
+    monkeypatch.setattr(menger, "_min_hitting", counted)
+    return decided
+
+
 class TestFalsify:
     def test_path_is_mengerian(self):
         assert falsify_mengerian(mg([(0, 1), (1, 2)])) is None
@@ -544,7 +588,7 @@ class TestFalsify:
             assert a.labeled.times == b.labeled.times
 
     def test_edge_budget_guard(self):
-        # the work budget bounds the weak orders of each block searched:
+        # the work budget bounds the weak orders of the blocks searched:
         # an 8-edge path has no block holding a non-adjacent pair, an
         # 8-cycle's 545835 fit, a 9-cycle's 7087261 do not; a 2000-cycle
         # is refused before its two million non-adjacent pairs are listed
@@ -558,6 +602,21 @@ class TestFalsify:
                                                          "the work budget of 1048576"):
                 falsify_mengerian(cycle)
             assert time.perf_counter() - start < 0.1
+
+    def test_edge_budget_weighs_every_block(self):
+        # two 8-cycles sharing a vertex weigh 2 * 545835 labelings, past
+        # the budget although each block alone fits, and are refused
+        # before any search; an 8-cycle and a 4-cycle weigh 545910
+        def cycle(first, n):
+            return [(first + i, first + (i + 1) % n) for i in range(n)]
+
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="over 2 blocks of 16 edges would try at "
+                                                     "least 1091670 labelings, past the work "
+                                                     "budget of 1048576"):
+            falsify_mengerian(mg(cycle(0, 8) + cycle(7, 8)))
+        assert time.perf_counter() - start < 0.1
+        assert falsify_mengerian(mg(cycle(0, 8) + cycle(7, 4))) is None
 
     def test_sampled_budget_guard(self):
         # sampling weighs its ordered pairs, each times the edges of its
@@ -634,15 +693,33 @@ class TestFalsify:
         assert falsify_mengerian(no_gem) is None
 
     def test_memo_cap_changes_no_result(self, monkeypatch):
+        # a cap of 0 remembers nothing, so every kept set is decided again;
+        # a cap of 3 fills both memos early in the run
         g = mg([e.pair for e in GEM.graph.edges] + [(3, 5), (5, 6)])
-        runs = [(None, 0), (3000, 7), (500, 3)]
-        remembered = [falsify_mengerian(g, samples=n, seed=seed) for n, seed in runs]
-        monkeypatch.setattr(menger, "_MEMO_CAP", 0)
-        for (n, seed), cx in zip(runs, remembered):
-            fresh = falsify_mengerian(g, samples=n, seed=seed)
-            assert (fresh is None) == (cx is None)
-            if cx is not None:
-                assert (fresh.s, fresh.t, fresh.labeled) == (cx.s, cx.t, cx.labeled)
+        runs = [(g, None, 0), (g, 3000, 7), (g, 500, 3), (doubled_k2n(4), 2000, 0)]
+        decisions = count_decisions(monkeypatch)
+        remembered = [falsify_mengerian(g, samples=n, seed=seed) for g, n, seed in runs]
+        made = {"default": len(decisions)}
+        for cap in (3, 0):
+            monkeypatch.setattr(menger, "_MEMO_CAP", cap)
+            before = len(decisions)
+            for (g, n, seed), cx in zip(runs, remembered):
+                fresh = falsify_mengerian(g, samples=n, seed=seed)
+                assert (fresh is None) == (cx is None)
+                if cx is not None:
+                    assert (fresh.s, fresh.t, fresh.labeled) == (cx.s, cx.t, cx.labeled)
+            made[cap] = len(decisions) - before
+        assert made["default"] < made[3] < made[0]
+
+    def test_each_minimal_family_is_decided_once(self, monkeypatch):
+        # doubled-side K2,4 has no gap, so every family decided is
+        # remembered: no family is decided twice, for one pair or across
+        # pairs, and no interior decided holds another
+        decisions = count_decisions(monkeypatch)
+        assert falsify_mengerian(doubled_k2n(4), samples=4000, seed=1) is None
+        assert len({frozenset(masks) for masks in decisions}) == len(decisions)
+        for masks in decisions:
+            assert not any(a & b == a for a, b in permutations(masks, 2))
 
     def test_chunk_size_changes_no_result(self, monkeypatch):
         fan = mg([(0, 1), (1, 2), (2, 3), (3, 5)] + [(4, v) for v in (0, 1, 2, 3, 5)])
