@@ -815,9 +815,9 @@ def falsify_mengerian(
     if samples is None:
         orders = sum(_weak_orders(len(block.edges)) for block in searched)
         if orders > _WORK_BUDGET:
-            count = f"{len(searched)} blocks" if len(searched) > 1 else "a block"
+            which = f"{len(searched)} blocks" if len(searched) > 1 else "a block"
             raise ResourceLimitError(
-                f"exhaustive falsification over {count} of "
+                f"exhaustive falsification over {which} of "
                 f"{sum(len(block.edges) for block in searched)} edges would try at least "
                 f"{orders} labelings, past the work budget of {_WORK_BUDGET}")
     else:
