@@ -1,8 +1,10 @@
 """Undirected multigraphs with stable integer ids.
 
 Vertices are non-negative ints, edges carry an id and an unordered pair of
-distinct endpoints (self-loops are rejected).  All values are immutable;
-every operation returns a new graph.  Edge ids survive transformations
+distinct endpoints (self-loops are rejected).  All values are immutable
+and compare by value; a transformation that changes the graph returns a
+new one, and `biconnected_components` returns a 2-connected graph itself
+as its one block, indexes and all.  Edge ids survive transformations
 that keep the edge, which lets embeddings and labelings refer to edges of
 the original graph no matter how many derived graphs sit in between.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 
@@ -57,22 +60,32 @@ class Edge:
         raise GraphError(f"vertex {x} is not an endpoint of edge {self.id}")
 
 
+_ID, _U, _V = attrgetter("id"), attrgetter("u"), attrgetter("v")
+
+
 @dataclass(frozen=True)
 class Multigraph:
     vertices: frozenset[int] = field(default_factory=frozenset)
     edges: tuple[Edge, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", frozenset(self.vertices))
-        object.__setattr__(self, "edges", tuple(sorted(self.edges, key=lambda e: e.id)))
+        vs = frozenset(self.vertices)
+        es = tuple(sorted(self.edges, key=_ID))
+        object.__setattr__(self, "vertices", vs)
+        object.__setattr__(self, "edges", es)
+        # set-wide checks first; the per-edge loop only names what failed
+        if (len(set(map(_ID, es))) == len(es)
+                and vs.issuperset(map(_U, es)) and vs.issuperset(map(_V, es))
+                and not set(map(type, vs)) - {int} and (not vs or min(vs) >= 0)):
+            return
         seen: set[int] = set()
-        for e in self.edges:
+        for e in es:
             if e.id in seen:
                 raise GraphError(f"duplicate edge id {e.id}")
             seen.add(e.id)
-            if e.u not in self.vertices or e.v not in self.vertices:
+            if e.u not in vs or e.v not in vs:
                 raise GraphError(f"edge {e.id}: endpoint not a declared vertex")
-        for v in self.vertices:
+        for v in vs:
             if not isinstance(v, int) or v < 0:
                 raise GraphError(f"vertex ids must be non-negative ints, got {v!r}")
 
@@ -101,11 +114,14 @@ class Multigraph:
 
     @cached_property
     def _adj(self) -> dict[int, tuple[int, ...]]:
-        nbrs: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for e in self.edges:
-            nbrs[e.u].add(e.v)
-            nbrs[e.v].add(e.u)
-        return {v: tuple(sorted(s)) for v, s in nbrs.items()}
+        """Distinct neighbours of each vertex, ascending: the adjacency of
+        the underlying simple graph."""
+        nbrs: dict[int, list[int]] = {v: [] for v in self.vertices}
+        # in sorted pair order each list grows in ascending order
+        for u, v in sorted(self._parallel):
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        return {v: tuple(ns) for v, ns in nbrs.items()}
 
     @cached_property
     def _incident(self) -> dict[int, tuple[int, ...]]:
@@ -120,7 +136,7 @@ class Multigraph:
         """Edge ids of each adjacent pair, ascending."""
         groups: dict[tuple[int, int], list[int]] = {}
         for e in self.edges:
-            groups.setdefault(e.pair, []).append(e.id)
+            groups.setdefault((e.u, e.v), []).append(e.id)
         return {p: tuple(ids) for p, ids in groups.items()}
 
     # ------------------------------------------------------------------
@@ -189,12 +205,6 @@ class Multigraph:
             raise GraphError(f"unknown vertices {sorted(unknown)}")
         keep_edges = tuple(e for e in self.edges if e.u not in ds and e.v not in ds)
         return Multigraph(self.vertices - ds, keep_edges)
-
-    def subgraph_from_edges(self, edge_ids: Iterable[int]) -> "Multigraph":
-        """Subgraph on exactly the given edges; vertices are their endpoints."""
-        es = tuple(self.edge(i) for i in sorted(set(edge_ids)))
-        vs = frozenset(x for e in es for x in e.pair)
-        return Multigraph(vs, es)
 
 
 # ----------------------------------------------------------------------
@@ -348,10 +358,12 @@ def find_path(
     parent: dict[int, int] = {}
     seen = set(s for s in src if s not in bv)
     queue = deque(s for s in src if s not in bv)
+    by_id = g._by_id
     while queue:
         x = queue.popleft()
         for eid in g.incident_edges(x):
-            y = g.edge(eid).other(x)
+            e = by_id[eid]
+            y = e.v if e.u == x else e.u
             if y in bv or y in seen:
                 continue
             parent[y] = x
@@ -370,59 +382,69 @@ def biconnected_components(g: Multigraph) -> tuple[Multigraph, ...]:
 
     A pair of parallel edges forms a block of its own; isolated vertices
     belong to no block.  Blocks are sorted by their smallest vertex id,
-    then smallest edge id.
+    then smallest edge id.  When g is one block with no isolated vertex,
+    the result is `(g,)`: g itself, with the indexes it has cached.
 
-    An iterative depth-first search on the underlying simple graph keeps
-    low points and a stack of tree and back pairs.  When a child's
-    subtree reaches no vertex above its parent, the pairs stacked since
-    the tree pair into that child form one block.
+    An iterative depth-first search over g's distinct neighbours (the
+    underlying simple graph, without building it) keeps low points and a
+    stack of tree and back pairs.  When a child's subtree reaches no
+    vertex above its parent, the pairs stacked since the tree pair into
+    that child form one block.
     """
-    simple = g.underlying_simple()
+    adj = g._adj
     index: dict[int, int] = {}
     low: dict[int, int] = {}
     blocks_pairs: list[list[tuple[int, int]]] = []
     edge_stack: list[tuple[int, int]] = []
+    push = edge_stack.append
 
     for root in sorted(g.vertices):
         if root in index:
             continue
         # iterative DFS so deep graphs cannot overflow the stack
         index[root] = low[root] = len(index)
-        stack: list[tuple[int, Iterator[int], int | None]] = [
-            (root, iter(simple.neighbors(root)), None)
-        ]
+        stack: list[tuple[int, Iterator[int], int | None]] = [(root, iter(adj[root]), None)]
         while stack:
             x, it, parent = stack[-1]
             for y in it:
-                # the simple graph has one edge back to the parent; a doubled
-                # pair to the parent still forms its own block
+                # one pair back to the parent; a doubled pair to the parent
+                # still forms its own block
                 if y == parent:
                     continue
                 if y not in index:
                     index[y] = low[y] = len(index)
-                    edge_stack.append(_norm(x, y))
-                    stack.append((y, iter(simple.neighbors(y)), x))
+                    push((x, y) if x < y else (y, x))
+                    stack.append((y, iter(adj[y]), x))
                     break
-                if index[y] < index[x]:
-                    edge_stack.append(_norm(x, y))
-                    low[x] = min(low[x], index[y])
+                iy = index[y]
+                if iy < index[x]:
+                    push((x, y) if x < y else (y, x))
+                    if iy < low[x]:
+                        low[x] = iy
             else:
                 stack.pop()
                 if stack:
                     px = stack[-1][0]
-                    low[px] = min(low[px], low[x])
+                    if low[x] < low[px]:
+                        low[px] = low[x]
                     if low[x] >= index[px]:
+                        top = (px, x) if px < x else (x, px)
                         comp = []
                         while True:
                             pe = edge_stack.pop()
                             comp.append(pe)
-                            if pe == _norm(px, x):
+                            if pe == top:
                                 break
                         blocks_pairs.append(comp)
 
-    out = []
-    for comp in blocks_pairs:
-        ids = [i for p in comp for i in g._parallel[p]]
-        out.append(g.subgraph_from_edges(ids))
+    if len(blocks_pairs) == 1 and all(adj.values()):
+        return (g,)
+    # each block's edges in one pass over g's, so they stay sorted by id
+    block_of = {p: k for k, comp in enumerate(blocks_pairs) for p in comp}
+    block_edges: list[list[Edge]] = [[] for _ in blocks_pairs]
+    for e in g.edges:
+        block_edges[block_of[e.u, e.v]].append(e)
+    out = [Multigraph(frozenset(x for p in comp for x in p), tuple(es))
+           for comp, es in zip(blocks_pairs, block_edges)]
     out.sort(key=lambda b: (min(b.vertices), b.edges[0].id))
     return tuple(out)

@@ -205,8 +205,9 @@ def _embedding(host: Multigraph, pattern: Pattern, branch: dict[int, int],
 def find_f3_subdivision(host: Multigraph, apex: int | None = None) -> MEmbedding | None:
     """An F3 embedding in the host, or None.
 
-    The search runs on the underlying simple graph U: F3 has no parallel
-    pairs, so containment only depends on adjacency.  With `apex` given,
+    F3 has no parallel pairs, so containment only depends on adjacency:
+    the search reads the host's distinct neighbours, which are the
+    underlying simple graph U, without building U.  With `apex` given,
     only embeddings whose apex lands there are considered.  An F3 with
     apex w is a gem: a spine path in U - w through four teeth, the ends
     of the spine among them, and four legs from the teeth to w that meet
@@ -244,11 +245,10 @@ def find_f3_subdivision(host: Multigraph, apex: int | None = None) -> MEmbedding
     recursion and no search per candidate vertex.  Every embedding is
     checked edge by edge before it is returned.
     """
-    U = host.underlying_simple()
-    for w in ([apex] if apex is not None else sorted(U.vertices)):
-        if U.simple_degree(w) < 4:
+    for w in ([apex] if apex is not None else sorted(host.vertices)):
+        if host.simple_degree(w) < 4:
             continue
-        found = _gem_at(U, w)
+        found = _gem_at(host, w)
         if found is not None:
             return _gem_embedding(host, w, *found)
     return None

@@ -260,10 +260,10 @@ def _external_connections(
     a1 = set(c1[2:c1.index(b)])
     a2 = set(c2[2:c2.index(x4)])
     b2 = set(seg_bc[1:-1])
-    search = block.remove_vertices(set(chain.vertices) | {b, c})
+    banned = set(chain.vertices) | {b, c}  # every search avoids these
     aside = a1 | {x1} | a2 | {x4}
 
-    vs = find_path(search, sorted(b2), sorted(aside))
+    vs = find_path(block, sorted(b2), sorted(aside), banned_vertices=banned)
     if vs is not None:
         y_b, y_a = vs[0], vs[-1]
         k = seg_bc.index(y_b)
@@ -273,15 +273,15 @@ def _external_connections(
         joint = seg_bc[:k] + vs
         return assemble_f1(block, chain, c1, c2, b, y_a, joint)
 
-    vs = find_path(search, sorted(a1), sorted(a2 | {x4}), banned_vertices=b2 | {x1})
+    vs = find_path(block, sorted(a1), sorted(a2 | {x4}), banned_vertices=banned | b2 | {x1})
     if vs is not None:
         return assemble_f1(block, chain, c1, c2, vs[0], vs[-1], vs)
 
-    vs = find_path(search, [x1], sorted(a2), banned_vertices=b2 | a1 | {x4})
+    vs = find_path(block, [x1], sorted(a2), banned_vertices=banned | b2 | a1 | {x4})
     if vs is not None:
         return assemble_f1(block, chain, c1, c2, x1, vs[-1], vs)
 
-    vs = find_path(search, [x1], [x4], banned_vertices=b2 | a1 | a2)
+    vs = find_path(block, [x1], [x4], banned_vertices=banned | b2 | a1 | a2)
     b1 = frozenset(vs[1:-1]) if vs is not None else None
     return CrossedStructure(
         chain=chain,

@@ -3,6 +3,8 @@
 from collections import Counter
 from itertools import permutations
 
+from hypothesis import strategies as st
+
 from mengerian import menger
 from mengerian.multigraph import Multigraph
 from mengerian.temporal import TemporalGraph
@@ -133,4 +135,22 @@ def random_multigraph(rng, n, m, max_mult=None):
             continue
         counts[key] = counts.get(key, 0) + 1
         pairs.append(key)
+    return Multigraph.build(n, pairs)
+
+
+@st.composite
+def small_multigraphs(draw, max_n=6, max_m=9):
+    """Multigraphs on 0..n-1, n <= max_n, with up to max_m edges drawn at
+    random: parallel edges and isolated vertices come up often."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    m = draw(st.integers(min_value=0, max_value=max_m))
+    if n == 1:
+        return Multigraph.build(1, [])
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1]),
+            min_size=0,
+            max_size=m,
+        )
+    )
     return Multigraph.build(n, pairs)

@@ -10,6 +10,8 @@ import random
 from itertools import combinations, permutations
 from operator import itemgetter
 
+from mengerian.multigraph import Multigraph
+
 
 def brute_reachable(tg, s, banned_vertices=(), banned_edges=()):
     return set(brute_arrival(tg, s, banned_vertices, banned_edges))
@@ -86,6 +88,54 @@ def rank_assignments(m):
             stack.extend((rgs + (val,), max(top, val)) for val in reversed(range(top + 2)))
         else:
             yield from map(itemgetter(*rgs), permutations(range(1, top + 2)))
+
+
+def reference_blocks(g):
+    """The blocks of g, split as `biconnected_components` did when it built
+    the underlying simple graph and every block anew: a depth-first search
+    with low points and a stack of pairs, each block then the subgraph on
+    its pairs' parallel edges, blocks sorted by smallest vertex, then
+    smallest edge id."""
+    simple = g.underlying_simple()
+    index, low = {}, {}
+    blocks_pairs, edge_stack = [], []
+    for root in sorted(g.vertices):
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack = [(root, iter(simple.neighbors(root)), None)]
+        while stack:
+            x, it, parent = stack[-1]
+            for y in it:
+                if y == parent:
+                    continue
+                if y not in index:
+                    index[y] = low[y] = len(index)
+                    edge_stack.append((min(x, y), max(x, y)))
+                    stack.append((y, iter(simple.neighbors(y)), x))
+                    break
+                if index[y] < index[x]:
+                    edge_stack.append((min(x, y), max(x, y)))
+                    low[x] = min(low[x], index[y])
+            else:
+                stack.pop()
+                if stack:
+                    px = stack[-1][0]
+                    low[px] = min(low[px], low[x])
+                    if low[x] >= index[px]:
+                        comp = []
+                        while True:
+                            pe = edge_stack.pop()
+                            comp.append(pe)
+                            if pe == (min(px, x), max(px, x)):
+                                break
+                        blocks_pairs.append(comp)
+    out = []
+    for comp in blocks_pairs:
+        es = tuple(g.edge(i) for i in sorted(i for p in comp for i in g.parallel_edges(*p)))
+        out.append(Multigraph(frozenset(x for e in es for x in e.pair), es))
+    out.sort(key=lambda b: (min(b.vertices), b.edges[0].id))
+    return tuple(out)
 
 
 def sampled_labelings(seed, m, samples):

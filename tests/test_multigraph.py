@@ -14,47 +14,46 @@ from mengerian.multigraph import (
     m_subdivide,
     maximal_chains,
 )
-from helpers import components, mg, random_multigraph
+from helpers import components, mg, random_multigraph, small_multigraphs
+from oracles import reference_blocks
 
 
 # a doubled pair inside a small frame, used across several tests
 FRAME = mg([(0, 1), (1, 2), (1, 2), (2, 3), (0, 3)])
 
 
-@st.composite
-def small_multigraphs(draw, max_n=6, max_m=9):
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    m = draw(st.integers(min_value=0, max_value=max_m))
-    if n == 1:
-        return Multigraph.build(1, [])
-    pairs = draw(
-        st.lists(
-            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1]),
-            min_size=0,
-            max_size=m,
-        )
-    )
-    return Multigraph.build(n, pairs)
-
-
 class TestConstruction:
     def test_self_loop_rejected(self):
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match=r"^edge 0: self-loop at vertex 2$"):
             Edge(0, 2, 2)
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match=r"^edge 0: self-loop at vertex 1$"):
             Multigraph.build(3, [(1, 1)])
 
     def test_duplicate_edge_id_rejected(self):
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match=r"^duplicate edge id 0$"):
             Multigraph(frozenset({0, 1}), (Edge(0, 0, 1), Edge(0, 0, 1)))
+        # the first fault in id order is the one named
+        with pytest.raises(GraphError, match=r"^duplicate edge id 3$"):
+            Multigraph(frozenset({0, 1}), (Edge(7, 0, 9), Edge(3, 0, 1), Edge(3, 1, 0)))
 
     def test_unknown_endpoint_rejected(self):
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match=r"^edge 0: endpoint not a declared vertex$"):
             Multigraph(frozenset({0, 1}), (Edge(0, 0, 5),))
+        with pytest.raises(GraphError, match=r"^edge 4: endpoint not a declared vertex$"):
+            Multigraph(frozenset({0, 1, 2}), (Edge(6, 7, 8), Edge(4, 0, 3), Edge(2, 0, 1)))
 
     def test_negative_vertex_rejected(self):
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match=r"^vertex ids must be non-negative ints, got -1$"):
             Multigraph(frozenset({-1, 0}), ())
+
+    @pytest.mark.parametrize("bad", ["a", 1.5])
+    def test_non_int_vertex_rejected(self, bad):
+        with pytest.raises(GraphError,
+                           match=rf"^vertex ids must be non-negative ints, got {bad!r}$"):
+            Multigraph(frozenset({0, bad}), ())
+        # an edge fault is named before a vertex fault
+        with pytest.raises(GraphError, match=r"^edge 0: endpoint not a declared vertex$"):
+            Multigraph(frozenset({0, 1, bad}), (Edge(0, 0, 2),))
 
     def test_endpoints_normalized(self):
         e = Edge(0, 5, 2)
@@ -122,11 +121,6 @@ class TestDerivedGraphs:
         assert [e.id for e in g.edges] == [3, 4]
         with pytest.raises(GraphError):
             FRAME.remove_vertices([8])
-
-    def test_subgraph_from_edges(self):
-        s = FRAME.subgraph_from_edges([0, 1])
-        assert s.vertices == frozenset({0, 1, 2})
-        assert [e.id for e in s.edges] == [0, 1]
 
 
 class TestIdentify:
@@ -332,6 +326,22 @@ class TestBlocks:
         blocks = biconnected_components(g)
         assert len(blocks) == 1
         assert 5 not in blocks[0].vertices
+        # a 2-connected graph plus an isolated vertex or a second block is
+        # split into new graphs
+        (block,) = biconnected_components(Multigraph(FRAME.vertices | {9}, FRAME.edges))
+        assert block == FRAME and block is not FRAME
+        pendant = Multigraph(FRAME.vertices | {4}, FRAME.edges + (Edge(5, 3, 4),))
+        blocks = biconnected_components(pendant)
+        assert blocks[0] == FRAME and all(b is not pendant for b in blocks)
+
+    @pytest.mark.parametrize("g", [FRAME, mg([(0, 1), (0, 1)]), mg([(0, 1)])],
+                             ids=["frame", "doubled-pair", "one-edge"])
+    def test_two_connected_graph_is_its_own_block(self, g):
+        assert biconnected_components(g)[0] is g
+
+    @given(small_multigraphs(max_n=12, max_m=30))
+    def test_matches_reference_split(self, g):
+        assert biconnected_components(g) == reference_blocks(g)
 
     @given(small_multigraphs())
     def test_edge_partition(self, g):

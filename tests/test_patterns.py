@@ -23,7 +23,7 @@ from mengerian.patterns import (
 )
 from mengerian.temporal import TemporalGraph
 
-from helpers import mg, random_multigraph
+from helpers import mg, random_multigraph, small_multigraphs
 from oracles import brute_c, brute_has_gem, brute_p
 
 
@@ -193,6 +193,15 @@ class TestGemSearch:
                 assert ours.branch[4] == ell
                 assert check_m_subdivision(host, ours) is None
             assert (ours is not None) == brute_has_gem(g_l.underlying_simple(), apex=ell)
+
+    @given(small_multigraphs(max_n=12, max_m=30), st.data())
+    def test_host_and_underlying_simple_agree(self, g, data):
+        # the search reads the host's distinct neighbours, and each hop
+        # takes its lowest id, the edge the underlying simple graph keeps
+        simple = g.underlying_simple()
+        assert find_f3_subdivision(g) == find_f3_subdivision(simple)
+        apex = data.draw(st.sampled_from(sorted(g.vertices)))
+        assert find_f3_subdivision(g, apex=apex) == find_f3_subdivision(simple, apex=apex)
 
     def test_every_graph_up_to_five_vertices(self):
         for n in range(1, 6):

@@ -501,6 +501,33 @@ class TestChainWork:
         assert identified == []
 
 
+class TestNoThrowawayGraphs:
+    """Recognition searches the graphs it has; it copies none to search them."""
+
+    @pytest.fixture
+    def copies(self, monkeypatch):
+        calls = []
+        for name in ("underlying_simple", "remove_vertices"):
+            real = getattr(Multigraph, name)
+
+            def counted(g, *args, name=name, real=real):
+                calls.append(name)
+                return real(g, *args)
+
+            monkeypatch.setattr(Multigraph, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("make, crossed", [
+        (lambda: doubled_k2n(50), 0),
+        (lambda: long_spoke_k25(12), 0),
+        (crossed_graph, 1),
+    ], ids=["doubled-k2n-50", "long-spoke-k25", "crossed"])
+    def test_recognize_copies_nothing(self, copies, make, crossed):
+        verdict = recognize(make())
+        assert verdict.mengerian and len(verdict.crossed) == crossed
+        assert copies == []
+
+
 class TestFalsifierAgreement:
     MENGERIAN_SEVEN_EDGE = [
         [(0, 1)] * 2 + [(1, 2)] * 2 + [(2, 3)] * 3,

@@ -1,0 +1,48 @@
+"""The output comparison of tools/same_output.py: its normaliser and its diff."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+spec = importlib.util.spec_from_file_location("same_output", ROOT / "tools" / "same_output.py")
+same_output = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(same_output)
+
+
+def report(elapsed, verdict="mengerian"):
+    return json.dumps({"verdict": verdict, "diagnostics": {
+        "chains_examined": 3, "elapsed_ms": elapsed, "crossed_structures": [{"kind": 1}]}})
+
+
+def test_normalise_drops_elapsed_ms_at_any_depth():
+    out = same_output.normalise(report(1.25) + "\n")
+    assert json.loads(out) == {"verdict": "mengerian", "diagnostics": {
+        "chains_examined": 3, "crossed_structures": [{"kind": 1}]}}
+    assert same_output.normalise(report(1.25)) == same_output.normalise(report(97.5))
+
+
+def test_normalise_keeps_text_lines():
+    text = "NonMengerian (F3)\n  apex -> v4\n"
+    assert same_output.normalise(text) == text.rstrip("\n")
+
+
+def test_differences_names_exit_codes_and_stdout_but_not_timings():
+    argvs = [["recognize", "a.g", "--json"], ["recognize", "b.g", "--json"],
+             ["menger", "c.g"], ["falsify", "d.g"]]
+    old = [{"code": 0, "out": report(1.0)}, {"code": 0, "out": report(1.0)},
+           {"code": 0, "out": "paths 2\ncut 2\n"}, {"code": 0, "out": "none\n"}]
+    new = [{"code": 0, "out": report(5.0)}, {"code": 1, "out": report(1.0)},
+           {"code": 0, "out": "paths 2\ncut 3\n"}, {"code": 0, "out": "none\n"}]
+    assert same_output.differences(argvs, old, new) == [
+        "recognize b.g --json: exit code 0 != 1",
+        "menger c.g: stdout differs from line 2",
+    ]
+
+
+def test_differences_counts_a_missing_line():
+    old = [{"code": 0, "out": "Mengerian\n  crossed structures: 1\n"}]
+    new = [{"code": 0, "out": "Mengerian\n"}]
+    assert same_output.differences([["recognize", "x.g"]], old, new) == [
+        "recognize x.g: stdout differs from line 2"]

@@ -1,0 +1,177 @@
+"""Check that two commits print the same for every benchmark workload command.
+
+    python3 tools/same_output.py [OLD [NEW]] [--workload NAME ...] [--seed N ...] [--graphs DIR]
+
+OLD and NEW default to HEAD^ and HEAD.  Both commits are exported with
+`git archive` into fresh temporary directories.  For each workload and
+seed (by default every workload BENCHMARK.json declares, at seeds 1 and
+2), OLD's `perfbench/workloads.py` writes the input files once, and every
+command of the workload, warm-ups included, runs in each tree: one
+Python subprocess per tree calls that tree's `mengerian.cli.main` on each
+command in turn.  With `--graphs DIR`, each `*.g` file in DIR also gets
+`recognize FILE --json --proof` and `recognize FILE --dot OUT`, and the
+DOT text counts as output.
+
+A command whose exit code or standard output differs between the trees
+is reported.  `elapsed_ms` is removed from JSON output first, since it
+is a timing.  Exits with 0 when nothing differs and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import glob
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# Runs in a subprocess with a tree's `src` as argv[1]: one JSON argv per
+# input line, one JSON {"code", "out"} per output line.
+RUNNER = r"""
+import contextlib, io, json, os, sys
+sys.path.insert(0, sys.argv[1])
+from mengerian import cli
+for line in sys.stdin:
+    argv = json.loads(line)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:
+            code = "raised " + type(exc).__name__
+    text = out.getvalue()
+    if "--dot" in argv:
+        dot = argv[argv.index("--dot") + 1]
+        if os.path.exists(dot):
+            with open(dot, encoding="utf-8") as fh:
+                text += fh.read()
+            os.remove(dot)
+    print(json.dumps({"code": code, "out": text}), flush=True)
+"""
+
+
+def normalise(stdout: str) -> str:
+    """stdout with every `elapsed_ms` key dropped from lines that hold JSON."""
+
+    def drop(value):
+        if isinstance(value, dict):
+            return {k: drop(v) for k, v in value.items() if k != "elapsed_ms"}
+        if isinstance(value, list):
+            return [drop(v) for v in value]
+        return value
+
+    lines = []
+    for line in stdout.splitlines():
+        try:
+            value = json.loads(line)
+        except ValueError:
+            lines.append(line)
+            continue
+        lines.append(json.dumps(drop(value), sort_keys=True))
+    return "\n".join(lines)
+
+
+def differences(argvs: list[list[str]], old: list[dict], new: list[dict]) -> list[str]:
+    """One line per command whose exit code or normalised stdout differs."""
+    found = []
+    for argv, a, b in zip(argvs, old, new):
+        if a["code"] != b["code"]:
+            found.append(f"{' '.join(argv)}: exit code {a['code']} != {b['code']}")
+            continue
+        lines_a, lines_b = normalise(a["out"]).splitlines(), normalise(b["out"]).splitlines()
+        if lines_a != lines_b:
+            k = next((i for i, (x, y) in enumerate(zip(lines_a, lines_b)) if x != y),
+                     min(len(lines_a), len(lines_b)))
+            found.append(f"{' '.join(argv)}: stdout differs from line {k + 1}")
+    return found
+
+
+def export(commit: str, tree: str) -> None:
+    archive = subprocess.run(["git", "-C", ROOT, "archive", commit],
+                             check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(tree)
+
+
+def run_all(tree: str, argvs: list[list[str]]) -> list[dict]:
+    """Each command's exit code and stdout, run in order by the tree's package."""
+    stdin = "".join(json.dumps(argv) + "\n" for argv in argvs)
+    run = subprocess.run([sys.executable, "-c", RUNNER, os.path.join(tree, "src")],
+                         input=stdin, capture_output=True, text=True)
+    if run.returncode != 0:
+        raise RuntimeError(f"runner in {tree} exited with {run.returncode}:"
+                           f" {run.stderr.strip()[-500:]}")
+    return [json.loads(line) for line in run.stdout.splitlines()]
+
+
+def workload_commands(perfbench: str, name: str, seed: int, workdir: str) -> list[list[str]]:
+    """Write a workload's inputs to workdir; its warm-ups and commands, in order."""
+    sys.path.insert(0, perfbench)
+    try:
+        import workloads
+        wl = workloads.BY_NAME[name](workdir, seed)
+    finally:
+        sys.path.remove(perfbench)
+    for path, text in wl.files.items():
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    cmds = list(wl.warmups.values()) + [c for kind in workloads.KINDS for c in wl.commands[kind]]
+    return [list(c.argv) for c in cmds]
+
+
+def graph_commands(graphs: str, workdir: str) -> list[list[str]]:
+    dot = os.path.join(workdir, "out.dot")
+    argvs = []
+    for path in sorted(glob.glob(os.path.join(graphs, "*.g"))):
+        argvs += [["recognize", path, "--json", "--proof"], ["recognize", path, "--dot", dot]]
+    return argvs
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("old", nargs="?", default="HEAD^")
+    ap.add_argument("new", nargs="?", default="HEAD")
+    ap.add_argument("--workload", action="append", help="a workload (default: all)")
+    ap.add_argument("--seed", type=int, action="append", help="a seed (default: 1 and 2)")
+    ap.add_argument("--graphs", metavar="DIR", help="also recognize every *.g file in DIR")
+    args = ap.parse_args(argv)
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        bench = json.load(fh)
+    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    seeds = args.seed or [1, 2]
+    with tempfile.TemporaryDirectory(prefix="same-output-") as tmp:
+        trees = {}
+        for side in ("old", "new"):
+            trees[side] = os.path.join(tmp, side)
+            export(getattr(args, side), trees[side])
+        batches = []
+        for name in workloads:
+            for seed in seeds:
+                workdir = os.path.join(tmp, f"{name}-s{seed}")
+                os.makedirs(workdir)
+                perfbench = os.path.join(trees["old"], "perfbench")
+                batches.append((f"{name} seed {seed}",
+                                workload_commands(perfbench, name, seed, workdir)))
+        if args.graphs:
+            batches.append((args.graphs, graph_commands(args.graphs, tmp)))
+        found = []
+        for label, argvs in batches:
+            old, new = (run_all(trees[side], argvs) for side in ("old", "new"))
+            diffs = differences(argvs, old, new)
+            print(f"{label}: {len(argvs)} commands, {len(diffs)} differ")
+            found += [line.replace(tmp + os.sep, "") for line in diffs]
+    for line in found:
+        print(line)
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
