@@ -91,11 +91,11 @@ def rank_assignments(m):
 
 
 def reference_blocks(g):
-    """The blocks of g, split as `biconnected_components` did when it built
-    the underlying simple graph and every block anew: a depth-first search
-    with low points and a stack of pairs, each block then the subgraph on
-    its pairs' parallel edges, blocks sorted by smallest vertex, then
-    smallest edge id."""
+    """The blocks of g, each a new graph, in `biconnected_components`'
+    order: a depth-first search with low points and a stack of pairs on
+    the built underlying simple graph, each block then the subgraph on its
+    pairs' parallel edges, looked up by id, blocks sorted by smallest
+    vertex, then smallest edge id."""
     simple = g.underlying_simple()
     index, low = {}, {}
     blocks_pairs, edge_stack = [], []
