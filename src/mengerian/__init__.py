@@ -26,7 +26,6 @@ from .temporal import (
     TemporalPath,
     TemporalWalk,
     WalkError,
-    reverse,
     validate_walk,
 )
 from .menger import (
@@ -99,7 +98,6 @@ __all__ = [
     "min_vertex_cut",
     "recognize",
     "recognize_with_proof",
-    "reverse",
     "validate_walk",
     "verify_witness",
     "__version__",

@@ -63,12 +63,11 @@ from functools import cache
 from itertools import chain, combinations, islice, permutations
 from typing import Callable, Iterator, NamedTuple
 
-from .multigraph import GraphError, InternalError, Multigraph, biconnected_components
+from .multigraph import Edge, GraphError, InternalError, Multigraph, biconnected_components
 from .temporal import (
     TemporalGraph,
     TemporalPath,
     earliest_arrival,
-    reverse,
     validate_walk,
     walk_to_path,
 )
@@ -80,12 +79,12 @@ _ROUTE_CAP = 5000
 # Steps each exact search may take on one pair: stack pushes of the route
 # engine, candidates the packing search tries, subsets the hitting-set
 # search tries.  On a shared 2-vCPU Xeon VM, on inputs that run each
-# search to the budget, a push cost 1.4-2.0 us (about 4 us on a small
-# listing, set-up included), a subset 1.1-1.5 us and a candidate about
-# 0.1 us, so a refused search has run for up to about 2 s.  Exhaustive
-# falsification may try as many labelings over all the blocks it
-# searches (0.55-0.8 us each on W4 and an 8-cycle, on the same VM in a
-# slow spell), and is refused before it starts otherwise.  Sampled
+# search to the budget, a push cost 1.0-2.0 us (a whole listing on a
+# 6-vertex graph 35-60 us, set-up included), a subset 1.1-1.5 us and a
+# candidate about 0.1 us, so a refused search has run for up to about
+# 2 s.  Exhaustive falsification may try as many labelings over all the
+# blocks it searches (0.55-0.8 us each on W4 and an 8-cycle, on the same
+# VM in a slow spell), and is refused before it starts otherwise.  Sampled
 # falsification weighs its ordered pairs times block edges against it,
 # at about 2 us a unit, nearly all of it route listing: a 100-cycle
 # weighs 970,000 and takes 1.8-2.4 s.  It also draws at most this many
@@ -144,6 +143,36 @@ def _over_budget(search: str, s: int, t: int) -> ResourceLimitError:
 # the temporal route engine: routes, interiors as bitmasks, packing, cut
 
 
+def _latest_departures(tg: TemporalGraph, s: int, t: int) -> dict[int, int]:
+    """late[v]: the latest label at which a temporal walk avoiding s can
+    leave v and still reach t; t maps to lifetime + 1, and a vertex no
+    such walk leaves has no entry.
+
+    One sweep over the label groups, highest label first: within a
+    group, every edge off s that joins a vertex settled so far settles
+    its other end at that label, since a walk may leave a vertex at the
+    label it arrived by.  A vertex is settled once, at its largest label.
+    """
+    groups: dict[int, list[Edge]] = {}
+    times = tg.times
+    for e in tg.graph.edges:
+        if e.u != s and e.v != s:
+            groups.setdefault(times[e.id], []).append(e)
+    late = {t: tg.lifetime + 1}
+    for lab in sorted(groups, reverse=True):
+        links: dict[int, list[int]] = {}
+        for e in groups[lab]:
+            links.setdefault(e.u, []).append(e.v)
+            links.setdefault(e.v, []).append(e.u)
+        frontier = [v for v in links if v in late]
+        while frontier:
+            for b in links[frontier.pop()]:
+                if b not in late:
+                    late[b] = lab
+                    frontier.append(b)
+    return late
+
+
 def _route_paths(tg: TemporalGraph, s: int, t: int) -> Iterator[TemporalPath]:
     """All temporal s,t-paths, one per realizable vertex sequence.
 
@@ -151,21 +180,22 @@ def _route_paths(tg: TemporalGraph, s: int, t: int) -> Iterator[TemporalPath]:
     ties); greedy minimal arrivals realize every realizable sequence, so
     nothing is missed.  Paths come out in depth-first order with
     neighbors visited by ascending vertex id.  The walk keeps an explicit
-    stack, and drops a branch that reaches y after `late[y]`, the latest
-    label at which a temporal walk avoiding s can leave y and still reach
-    t: a route's suffix never returns to s, so no such walk means no
-    route either.  Past _WORK_BUDGET pushes it raises ResourceLimitError.
+    stack, and drops a branch that reaches y after `late[y]`
+    (`_latest_departures`): a route's suffix never returns to s, so no
+    walk from y that avoids s means no route either.  A vertex's options
+    are its neighbours that have a `late` bound, read off the graph's
+    cached adjacency, each with its parallel class as (label, id) pairs,
+    sorted once per class.  Past _WORK_BUDGET pushes it raises
+    ResourceLimitError.
     """
-    g = tg.graph
-    lifetime = tg.lifetime
-    arrivals = earliest_arrival(reverse(tg), t, banned_vertices=(s,))
-    late = {v: lifetime + 1 - arrival for v, arrival in arrivals.items()}
-    hops: dict[int, dict[int, list[tuple[int, int]]]] = {v: {} for v in g.vertices}
-    for eid, lab in sorted(tg.entries, key=lambda it: (it[1], it[0])):
-        e = g.edge(eid)
-        hops[e.u].setdefault(e.v, []).append((lab, eid))
-        hops[e.v].setdefault(e.u, []).append((lab, eid))
-    options = {v: sorted(by_nbr.items()) for v, by_nbr in hops.items()}
+    late = _latest_departures(tg, s, t)
+    times, adj = tg.times, tg.graph._adj
+    reach = late.keys() | {s}
+    classes = {pair: sorted((times[i], i) for i in ids)
+               for pair, ids in tg.graph._parallel.items()
+               if pair[0] in reach and pair[1] in reach}
+    options = {v: [(y, classes[(v, y) if v < y else (y, v)]) for y in adj[v] if y in late]
+               for v in reach}
 
     vpath = [s]
     epath: list[int] = []
@@ -178,7 +208,7 @@ def _route_paths(tg: TemporalGraph, s: int, t: int) -> Iterator[TemporalPath]:
             if y in on_path:
                 continue
             i = bisect_left(labeled, (arrived,))
-            if i == len(labeled) or labeled[i][0] > late.get(y, 0):
+            if i == len(labeled) or labeled[i][0] > late[y]:
                 continue
             lab, eid = labeled[i]
             if y == t:

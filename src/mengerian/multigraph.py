@@ -384,6 +384,7 @@ def biconnected_components(g: Multigraph) -> tuple[Multigraph, ...]:
     belong to no block.  Blocks are sorted by their smallest vertex id,
     then smallest edge id.  When g is one block with no isolated vertex,
     the result is `(g,)`: g itself, with the indexes it has cached.
+    Otherwise each block's parallel classes are g's, not regrouped.
 
     An iterative depth-first search over g's distinct neighbours (the
     underlying simple graph, without building it) keeps low points and a
@@ -439,12 +440,20 @@ def biconnected_components(g: Multigraph) -> tuple[Multigraph, ...]:
 
     if len(blocks_pairs) == 1 and all(adj.values()):
         return (g,)
-    # each block's edges in one pass over g's, so they stay sorted by id
+    # each block's edges in one pass over g's, so they stay sorted by id; a
+    # pair's whole parallel class lies in its block, so each block takes its
+    # classes from g's index, in g's order (by smallest id), as its own
     block_of = {p: k for k, comp in enumerate(blocks_pairs) for p in comp}
     block_edges: list[list[Edge]] = [[] for _ in blocks_pairs]
     for e in g.edges:
         block_edges[block_of[e.u, e.v]].append(e)
-    out = [Multigraph(frozenset(x for p in comp for x in p), tuple(es))
-           for comp, es in zip(blocks_pairs, block_edges)]
+    classes: list[dict[tuple[int, int], tuple[int, ...]]] = [{} for _ in blocks_pairs]
+    for p, ids in g._parallel.items():
+        classes[block_of[p]][p] = ids
+    out = []
+    for comp, es, parallel in zip(blocks_pairs, block_edges, classes):
+        block = Multigraph(frozenset(x for p in comp for x in p), tuple(es))
+        vars(block)["_parallel"] = parallel
+        out.append(block)
     out.sort(key=lambda b: (min(b.vertices), b.edges[0].id))
     return tuple(out)

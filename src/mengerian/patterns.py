@@ -9,7 +9,8 @@ by a path of hops that each carry exactly mu parallel edges, with fresh
 interior vertices.
 
 `MEmbedding` records such a containment explicitly; `check_m_subdivision`
-verifies one against a host graph edge by edge.  `assemble_f1` /
+verifies one against a host graph, whole routes at once, or hop by hop
+to name the first fault.  `assemble_f1` /
 `assemble_f2` build certified embeddings of F1 and F2 out of path
 material.  Every embedding found here gets its hops' lowest-id parallel
 edges, and the check, from one constructor.
@@ -127,7 +128,15 @@ def _pattern_pairs(pattern: Pattern) -> dict[tuple[int, int], int]:
 
 
 def check_m_subdivision(host: Multigraph, emb: MEmbedding) -> str | None:
-    """Why `emb` is not an m-subdivision embedding, or None when it is."""
+    """Why `emb` is not an m-subdivision embedding, or None when it is.
+
+    An embedding whose hops carry their host pairs' lowest-id edges, as
+    every one `_embedding` builds does, is accepted a whole route at a
+    time (`_routes_fit`): set operations on the route's vertices and one
+    comparison of its hops with the host's parallel classes.  Any other
+    embedding is walked hop by hop, in pattern pair order; the walk
+    names the first fault, or accepts it after all.
+    """
     pat = emb.pattern
     want = _pattern_pairs(pat)
     if set(emb.routes) != set(want):
@@ -143,6 +152,8 @@ def check_m_subdivision(host: Multigraph, emb: MEmbedding) -> str | None:
             return f"branch image {v} is not a host vertex"
 
     branch_img = set(emb.branch.values())
+    if _routes_fit(host, emb, want, branch_img):
+        return None
     seen_interior: set[int] = set()
     seen_edges: set[int] = set()
     for (a, b), mu in sorted(want.items()):
@@ -176,6 +187,30 @@ def check_m_subdivision(host: Multigraph, emb: MEmbedding) -> str | None:
     return None
 
 
+def _routes_fit(host: Multigraph, emb: MEmbedding, want: dict[tuple[int, int], int],
+                branch_img: set[int]) -> bool:
+    """Whether emb is one `_embedding` builds, on routes its walk accepts.
+
+    Each route must join its branch vertices without repeating a vertex,
+    and each of its hops carry the lowest-id edges of the hop's host
+    pair, exactly its pattern pair's multiplicity of them; the routes'
+    interiors must be disjoint and avoid the branch vertices.  Two hops
+    then join different pairs, so no edge serves twice.  An embedding
+    with other hop edges is left to the walk.
+    """
+    branch, parallel = emb.branch, host._parallel
+    interiors: list[int] = []
+    for (a, b), mu in want.items():
+        route, hops = emb.routes[(a, b)], emb.hop_edges[(a, b)]
+        if not (len(route) >= 2 and route[0] == branch[a] and route[-1] == branch[b]
+                and len(set(route)) == len(route) and set(map(len, hops)) == {mu}
+                and list(hops) == [parallel.get((x, y) if x < y else (y, x), ())[:mu]
+                                   for x, y in zip(route, route[1:])]):
+            return False
+        interiors += route[1:-1]
+    return len(set(interiors)) == len(interiors) and branch_img.isdisjoint(interiors)
+
+
 def _embedding(host: Multigraph, pattern: Pattern, branch: dict[int, int],
                routes: dict[tuple[int, int], tuple[int, ...]]) -> tuple[MEmbedding, str | None]:
     """The embedding along `routes`, with `check_m_subdivision`'s reason.
@@ -184,12 +219,13 @@ def _embedding(host: Multigraph, pattern: Pattern, branch: dict[int, int],
     pair's multiplicity.
     """
     mult = _pattern_pairs(pattern)
+    parallel = host._parallel
     hop_edges = {}
     for key, route in routes.items():
         mu = mult[key]
         hops = []
         for x, y in zip(route, route[1:]):
-            par = host.parallel_edges(x, y)
+            par = parallel.get((x, y) if x < y else (y, x), ())
             if len(par) < mu:
                 raise AssemblyError(f"pair {x},{y} has multiplicity below {mu}")
             hops.append(tuple(par[:mu]))

@@ -185,12 +185,3 @@ def earliest_arrival(
         i = j
     return arr
 
-
-def reverse(tg: TemporalGraph) -> TemporalGraph:
-    """Flip time: label t becomes lifetime + 1 - t.
-
-    A temporal walk read backwards is temporal in the reversed graph, so
-    source/target questions swap roles.
-    """
-    t = tg.lifetime
-    return TemporalGraph(tg.graph, tuple((i, t + 1 - lab) for i, lab in tg.entries))

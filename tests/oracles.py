@@ -10,7 +10,8 @@ import random
 from itertools import combinations, permutations
 from operator import itemgetter
 
-from mengerian.multigraph import Multigraph
+from mengerian.multigraph import GraphError, Multigraph
+from mengerian.temporal import TemporalGraph, earliest_arrival
 
 
 def brute_reachable(tg, s, banned_vertices=(), banned_edges=()):
@@ -44,6 +45,24 @@ def brute_arrival(tg, s, banned_vertices=(), banned_edges=()):
     for v, a in states:
         arrival[v] = min(a, arrival.get(v, a))
     return arrival
+
+
+def reverse(tg):
+    """Flip time: label t becomes lifetime + 1 - t.
+
+    A temporal walk read backwards is temporal in the reversed graph, so
+    source/target questions swap roles.
+    """
+    t = tg.lifetime
+    return TemporalGraph(tg.graph, tuple((i, t + 1 - lab) for i, lab in tg.entries))
+
+
+def latest_departures(tg, s, t):
+    """Each vertex's latest label at which a walk avoiding s can leave it
+    and still reach t, t at lifetime + 1: earliest arrival from t in the
+    reversed graph, with s banned, flipped back."""
+    arrivals = earliest_arrival(reverse(tg), t, banned_vertices=(s,))
+    return {v: tg.lifetime + 1 - arrival for v, arrival in arrivals.items()}
 
 
 def brute_temporal_paths(tg, s, t):
@@ -290,3 +309,59 @@ def brute_has_gem(g, apex=None):
             if place(0, set()):
                 return True
     return False
+
+
+# ----------------------------------------------------------------------
+# embeddings, checked hop by hop
+
+
+def check_m_subdivision(host, emb):
+    """Why `emb` is not an m-subdivision embedding, or None when it is:
+    every route walked hop by hop, in pattern pair order, and its first
+    fault named."""
+    pat = emb.pattern
+    want = {e.pair: pat.graph.multiplicity(*e.pair) for e in pat.graph.edges}
+    if set(emb.routes) != set(want):
+        return f"routes cover {sorted(emb.routes)}, pattern has {sorted(want)}"
+    if set(emb.hop_edges) != set(want):
+        return "hop edge selections do not cover the pattern pairs"
+    if sorted(emb.branch) != sorted(pat.graph.vertices):
+        return "branch map does not cover the pattern vertices"
+    if len(set(emb.branch.values())) != len(emb.branch):
+        return "branch map is not injective"
+    for v in emb.branch.values():
+        if not host.has_vertex(v):
+            return f"branch image {v} is not a host vertex"
+
+    branch_img = set(emb.branch.values())
+    seen_interior = set()
+    seen_edges = set()
+    for (a, b), mu in sorted(want.items()):
+        route = emb.routes[(a, b)]
+        hops = emb.hop_edges[(a, b)]
+        if len(route) < 2 or len(hops) != len(route) - 1:
+            return f"route for {(a, b)} is malformed"
+        if route[0] != emb.branch[a] or route[-1] != emb.branch[b]:
+            return f"route for {(a, b)} does not join its branch vertices"
+        if len(set(route)) != len(route):
+            return f"route for {(a, b)} repeats a vertex"
+        for x, y, ids in zip(route, route[1:], hops):
+            if len(set(ids)) != mu:
+                return f"hop {x},{y} of {(a, b)} needs exactly {mu} edges"
+            for eid in ids:
+                try:
+                    e = host.edge(eid)
+                except GraphError:
+                    return f"edge {eid} does not exist in the host"
+                if e.pair != (min(x, y), max(x, y)):
+                    return f"edge {eid} does not join {x} and {y}"
+                if eid in seen_edges:
+                    return f"edge {eid} is used twice"
+                seen_edges.add(eid)
+        interior = set(route[1:-1])
+        if interior & branch_img:
+            return f"route for {(a, b)} passes through a branch vertex"
+        if interior & seen_interior:
+            return f"route for {(a, b)} shares interior vertices"
+        seen_interior |= interior
+    return None

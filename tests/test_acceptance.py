@@ -21,7 +21,7 @@ from mengerian.menger import (
 from mengerian.multigraph import m_subdivide
 from mengerian.patterns import F3, PATTERNS, check_m_subdivision
 from mengerian.recognizer import recognize, recognize_with_proof
-from mengerian.temporal import reverse, TemporalGraph
+from mengerian.temporal import TemporalGraph
 
 from helpers import (
     canonical_key,
@@ -31,7 +31,7 @@ from helpers import (
     random_multigraph,
     without_edge,
 )
-from oracles import brute_c, brute_edge_c, brute_edge_p, brute_p
+from oracles import brute_c, brute_edge_c, brute_edge_p, brute_p, reverse
 
 
 class TestPatternGaps:

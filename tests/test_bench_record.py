@@ -70,3 +70,37 @@ def test_append_keeps_one_record_per_line(tmp_path):
         bench_record.append(str(path), {"seed": seed})
     assert json.loads(path.read_text()) == [{"seed": 1}, {"seed": 2}]
     assert path.read_text().splitlines() == ["[", '{"seed": 1},', '{"seed": 2}', "]"]
+
+
+def test_pairs_alternate_which_commit_runs_first(tmp_path, monkeypatch):
+    runs = []
+
+    def record(commit, workload, seed, seconds):
+        runs.append((workload, seed, commit))
+        return {"commit": commit}
+
+    monkeypatch.setattr(bench_record, "record", record)
+    monkeypatch.setattr(bench_record, "resolve", lambda rev: rev * 40)
+    out = tmp_path / "bench.json"
+    assert bench_record.main(["--commit", "a", "--commit", "b", "--pairs", "3",
+                              "--workload", "w", "--workload", "v", "--seed", "4",
+                              "--out", str(out)]) == 0
+    order = ["a", "b", "b", "a", "a", "b"]
+    assert runs == [(w, 4, c * 40) for w in ("w", "v") for c in order]
+    assert [rec["commit"] for rec in json.loads(out.read_text())] == [c for _, _, c in runs]
+
+
+def test_one_commit_runs_once_per_pair():
+    assert bench_record.run_order(["a"], 3) == ["a", "a", "a"]
+    assert bench_record.run_order(["a", "b"], 1) == ["a", "b"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--commit", "a", "--commit", "b", "--pairs", "0"],
+    ["--commit", "a", "--commit", "b", "--commit", "c"],
+])
+def test_refuses_three_commits_or_no_pairs(argv, monkeypatch):
+    monkeypatch.setattr(bench_record, "record", None)
+    with pytest.raises(SystemExit) as exc:
+        bench_record.main(argv)
+    assert exc.value.code == 2

@@ -343,6 +343,18 @@ class TestBlocks:
     def test_matches_reference_split(self, g):
         assert biconnected_components(g) == reference_blocks(g)
 
+    @given(small_multigraphs(max_n=12, max_m=30))
+    def test_blocks_index_as_fresh_blocks_do(self, g):
+        # each block takes its parallel classes from g: in the order, and
+        # with the adjacency, that the same block built alone would have
+        blocks, fresh = biconnected_components(g), reference_blocks(g)
+        assert len(blocks) == len(fresh)
+        for block, ref in zip(blocks, fresh):
+            assert list(block._parallel.items()) == list(ref._parallel.items())
+            assert block._adj == ref._adj
+        if len(fresh) == 1 and fresh[0].vertices == g.vertices:
+            assert blocks[0] is g
+
     @given(small_multigraphs())
     def test_edge_partition(self, g):
         blocks = biconnected_components(g)

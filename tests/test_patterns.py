@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from mengerian.multigraph import Multigraph, identify, maximal_chains
+from mengerian.multigraph import Edge, Multigraph, identify, m_subdivide, maximal_chains
 from mengerian.menger import max_disjoint_paths, min_vertex_cut
 from mengerian.patterns import (
     F1,
@@ -21,9 +21,11 @@ from mengerian.patterns import (
     check_m_subdivision,
     find_f3_subdivision,
 )
+from mengerian.recognizer import recognize
 from mengerian.temporal import TemporalGraph
 
 from helpers import mg, random_multigraph, small_multigraphs
+import oracles
 from oracles import brute_c, brute_has_gem, brute_p
 
 
@@ -126,6 +128,79 @@ class TestCheckMSubdivision:
         emb = identity_embedding(F3)
         del emb.routes[(2, 3)]
         assert "pattern has" in check_m_subdivision(F3.graph, emb)
+
+
+def corrupted(pattern, seed, kind):
+    """A subdivided copy of the pattern and its embedding, with one fault of
+    the given kind (None and "parallel": none)."""
+    rng = random.Random(seed)
+    host = pattern.graph
+    for _ in range(rng.randrange(1, 6)):
+        host, _ = m_subdivide(host, *rng.choice(host.edges).pair)
+    emb = recognize(host).embedding
+    assert emb.pattern is pattern and check_m_subdivision(host, emb) is None
+    keys = sorted(emb.routes)
+    hops = {key: [list(hop) for hop in emb.hop_edges[key]] for key in keys}
+    ids = sorted(e.id for e in host.edges)
+    key = rng.choice(keys)
+    i = rng.randrange(len(hops[key]))
+    j = rng.randrange(len(hops[key][i]))
+    if kind == "parallel":
+        # no fault: one hop takes a new parallel edge, not its pair's lowest id
+        x, y = emb.routes[key][i:i + 2]
+        host = Multigraph(host.vertices, host.edges + (Edge(ids[-1] + 1, x, y),))
+        hops[key][i][j] = ids[-1] + 1
+    elif kind == "swap":
+        hops[key][i][j] = rng.choice([eid for eid in ids if eid != hops[key][i][j]])
+    elif kind == "unknown":
+        hops[key][i][j] = ids[-1] + 1
+    elif kind == "repeat":
+        other = rng.choice([k for k in keys if k != key])
+        hops[key][i][j] = rng.choice(rng.choice(hops[other]))
+    elif kind == "doubled":
+        doubled = [(k, h) for k in keys for h, hop in enumerate(hops[k]) if len(hop) > 1]
+        key, i = rng.choice(doubled or [(key, i)])
+        if rng.random() < 0.5:
+            dropped = hops[key][i].pop(rng.randrange(len(hops[key][i])))
+            if rng.random() < 0.5:  # from the host too: the hop keeps its pair's whole class
+                host = Multigraph(host.vertices, tuple(e for e in host.edges if e.id != dropped))
+        else:
+            hops[key][i].append(rng.choice(ids))
+    elif kind in ("branch", "shared"):
+        # reroute one interior vertex's two hops, by fresh edges as many as
+        # the pattern pair's multiplicity, through a branch vertex or
+        # through another route's interior
+        key = rng.choice([k for k in keys if len(emb.routes[k]) > 2])
+        route = list(emb.routes[key])
+        i = rng.randrange(1, len(route) - 1)
+        elsewhere = set(emb.branch.values())
+        if kind == "shared":
+            # a branch vertex still, when no other route has an interior
+            elsewhere = {v for k in keys if k != key for v in emb.routes[k][1:-1]} or elsewhere
+        w = rng.choice(sorted(elsewhere - set(route)))
+        mu = len(hops[key][i])
+        fresh = [[ids[-1] + 1 + k for k in range(mu)], [ids[-1] + 1 + mu + k for k in range(mu)]]
+        host = Multigraph(host.vertices, host.edges
+                          + tuple(Edge(eid, route[i - 1], w) for eid in fresh[0])
+                          + tuple(Edge(eid, w, route[i + 1]) for eid in fresh[1]))
+        route[i] = w
+        emb.routes[key] = tuple(route)
+        hops[key][i - 1:i + 1] = fresh
+    emb.hop_edges = {k: tuple(map(tuple, hops[k])) for k in keys}
+    return host, emb
+
+
+class TestCheckNamesFirstFault:
+    """The whole-route check names the same first fault as a hop-by-hop walk."""
+
+    @given(st.sampled_from(PATTERNS), st.integers(0, 10_000),
+           st.sampled_from([None, "parallel", "swap", "unknown", "repeat", "doubled", "branch",
+                            "shared"]))
+    def test_same_message_as_hop_walk(self, pattern, seed, kind):
+        host, emb = corrupted(pattern, seed, kind)
+        reason = oracles.check_m_subdivision(host, emb)
+        assert (reason is None) == (kind in (None, "parallel"))
+        assert check_m_subdivision(host, emb) == reason
 
 
 WHEEL = mg([(0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 1), (4, 2), (4, 3)])

@@ -528,6 +528,26 @@ class TestNoThrowawayGraphs:
         assert copies == []
 
 
+    def test_proof_on_subdivided_f1_runs_no_arrival_search(self, monkeypatch):
+        # route listing bounds its branches by one sweep of its own, not by
+        # an earliest-arrival search on a reversed copy of the witness
+        calls = []
+        real = menger.earliest_arrival
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(menger, "earliest_arrival", counted)
+        g = F1.graph
+        for u, v in sorted({e.pair for e in F1.graph.edges}):
+            g, _ = m_subdivide(g, u, v)
+        verdict, proof = recognize_with_proof(g)
+        assert verdict.embedding.pattern is F1
+        assert proof.report is not None and proof.report.confirmed
+        assert calls == []
+
+
 class TestFalsifierAgreement:
     MENGERIAN_SEVEN_EDGE = [
         [(0, 1)] * 2 + [(1, 2)] * 2 + [(2, 3)] * 3,

@@ -11,12 +11,11 @@ from mengerian.temporal import (
     TemporalWalk,
     WalkError,
     earliest_arrival,
-    reverse,
     validate_walk,
     walk_to_path,
 )
 from helpers import mg, random_multigraph, walk_sequence
-from oracles import brute_arrival
+from oracles import brute_arrival, reverse
 
 
 def tg(pairs_with_labels, vertices=None):

@@ -1,6 +1,7 @@
 """Record end-to-end benchmark runs of committed trees in BENCH_e2e.json.
 
-    python3 tools/bench_record.py [--commit REV] [--workload NAME ...] [--seed N ...]
+    python3 tools/bench_record.py [--commit REV [--commit REV]] [--pairs N]
+                                  [--workload NAME ...] [--seed N ...]
 
 For each workload and seed (by default every workload BENCHMARK.json
 declares, at seeds 1 and 2), the commit's files are exported with
@@ -17,6 +18,11 @@ minimum, 2nd percentile and median loop time in ms): every metric is
 already scaled to the gauge's reference speed, and the gauge says how
 fast the machine was while the run measured.  A run that fails or
 reports a wrong answer is not recorded, and the script exits with 1.
+
+`--pairs N` runs each commit N times per workload and seed (default
+once).  Two commits run in pairs, back to back: the first commit goes
+first in even-numbered pairs and second in odd ones, so that a slow
+spell of the machine does not always fall on the same commit.
 """
 
 from __future__ import annotations
@@ -86,32 +92,53 @@ def append(path: str, rec: dict) -> None:
         fh.write("[\n" + ",\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n]\n")
 
 
+def resolve(rev: str) -> str | None:
+    """The 40-hex id of the commit rev names, or None."""
+    resolved = subprocess.run(["git", "-C", ROOT, "rev-parse", "--verify", rev + "^{commit}"],
+                              capture_output=True, text=True)
+    return resolved.stdout.strip() if resolved.returncode == 0 else None
+
+
+def run_order(commits: list[str], pairs: int) -> list[str]:
+    """The commits in the order they run for one workload and seed."""
+    order: list[str] = []
+    for k in range(pairs):
+        order += commits if k % 2 == 0 else commits[::-1]
+    return order
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--commit", default="HEAD", help="the commit to measure (default HEAD)")
+    ap.add_argument("--commit", action="append",
+                    help="a commit to measure, at most two (default HEAD)")
+    ap.add_argument("--pairs", type=int, default=1,
+                    help="runs of each commit per workload and seed, alternating (default 1)")
     ap.add_argument("--workload", action="append", help="a workload (default: all)")
     ap.add_argument("--seed", type=int, action="append", help="a seed (default: 1 and 2)")
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_e2e.json"))
     args = ap.parse_args(argv)
+    revs = args.commit or ["HEAD"]
+    if len(revs) > 2 or args.pairs < 1:
+        ap.error("give at most two --commit and --pairs N >= 1")
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     seeds = args.seed or [1, 2]
-    resolved = subprocess.run(["git", "-C", ROOT, "rev-parse", "--verify", args.commit + "^{commit}"],
-                              capture_output=True, text=True)
-    if resolved.returncode != 0:
-        print(f"error: no commit {args.commit!r} in {ROOT}", file=sys.stderr)
+    commits = [resolve(rev) for rev in revs]
+    if None in commits:
+        print(f"error: no commit {revs[commits.index(None)]!r} in {ROOT}", file=sys.stderr)
         return 2
-    commit = resolved.stdout.strip()
     for workload in workloads:
         for seed in seeds:
-            try:
-                rec = record(commit, workload, seed, bench["run_seconds"])
-            except RunFailed as exc:
-                print(f"error: {workload} seed {seed} at {commit[:12]}: {exc}", file=sys.stderr)
-                return 1
-            append(args.out, rec)
-            print(f"recorded {workload} seed {seed} at {commit[:12]}")
+            for commit in run_order(commits, args.pairs):
+                try:
+                    rec = record(commit, workload, seed, bench["run_seconds"])
+                except RunFailed as exc:
+                    print(f"error: {workload} seed {seed} at {commit[:12]}: {exc}",
+                          file=sys.stderr)
+                    return 1
+                append(args.out, rec)
+                print(f"recorded {workload} seed {seed} at {commit[:12]}")
     return 0
 
 
