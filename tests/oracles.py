@@ -4,6 +4,11 @@ Deliberately written against the definitions, with no reuse of the
 library's search strategies: path enumeration walks raw edge sequences,
 reachability grows (vertex, arrival) states, and cuts try subsets
 directly.  Slow but safe on small instances.
+
+Some references are the library's own earlier, plainer forms of code a
+faster one replaced: the block split on a built simple graph, time
+reversal with the latest-departure bound read off it, and the
+hop-by-hop embedding check.
 """
 
 import random

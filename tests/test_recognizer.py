@@ -527,7 +527,6 @@ class TestNoThrowawayGraphs:
         assert verdict.mengerian and len(verdict.crossed) == crossed
         assert copies == []
 
-
     def test_proof_on_subdivided_f1_runs_no_arrival_search(self, monkeypatch):
         # route listing bounds its branches by one sweep of its own, not by
         # an earliest-arrival search on a reversed copy of the witness
