@@ -106,12 +106,11 @@ def parse_graphfile(text: str) -> NamedGraph:
             elif labeled != has_label:
                 raise fail(lineno, "labels must appear on all edges or on none")
             if has_label:
-                try:
-                    lab = int(fields[3])
-                except ValueError:
-                    lab = 0
+                # ASCII digits only: int() also takes "1_0", "+4" and non-ASCII digits
+                text = fields[3]
+                lab = int(text) if text.isascii() and text.isdigit() else 0
                 if lab < 1:
-                    raise fail(lineno, f"label must be a positive integer, got {fields[3]!r}")
+                    raise fail(lineno, f"label must be a positive integer, got {text!r}")
                 labels.append(lab)
             pairs.append((u, v))
         else:

@@ -21,36 +21,32 @@ keeps its last listing, so the cut and the packing share it.
 Both problems are NP-hard, so guards bound the work, not the graph: at
 most _ROUTE_CAP routes per pair, and _WORK_BUDGET steps for each search
 that can explode.  A search past its guard raises ResourceLimitError
-naming the guard and the pair.
+naming the guard and the pair, or the source of a falsifier's route walk.
 
 `falsify_mengerian` searches time-functions for a pair with p < c, either
-exhaustively over all label weak orders or by seeded random sampling.
-Only the relative order of labels matters, so exhaustive enumeration
-ranges over weak orders of the edges (ordered set partitions), labeled
-1, 2, ... by rank.  Pairs without a common block are skipped: a cut
-vertex between them forces c <= 1.  Every route of a pair that shares a
-block stays inside it, so both modes rank only the edges of the blocks
-they search, and give every other edge label 1.  Exhaustive search
-ranks one block's edges at a time, and it tests each pair in one
-orientation only, since time reversal swaps source and target, and only
-when the searched blocks have at most _WORK_BUDGET weak orders in all
-(one block of 8 edges fits, two do not).  Sampling lists routes for both
-orientations of every pair, so it is refused when the ordered pairs,
-each weighted by the edges of its block, outweigh _WORK_BUDGET.  p and
-c depend only on the inclusion-minimal interiors a labeling keeps, and
-interiors are bitmasks over the same vertices for every pair, so each
-minimal family found gap-free is decided once in a run.
+exhaustively over all label weak orders (ordered set partitions of the
+edges, labeled 1, 2, ... by rank, as only the relative order of labels
+matters) or by seeded random sampling.  Pairs without a common block are
+skipped: a cut vertex between them forces c <= 1.  Every route of a pair
+that shares a block stays inside it, so both modes rank only the edges
+of the blocks they search, give every other edge label 1, and list
+routes by one walk per source over the simple paths inside its blocks.
+The modes differ in a source's targets: exhaustive search tests t > s
+only, since time reversal swaps source and target, sampling every t.
+p and c depend only on the inclusion-minimal interiors a labeling keeps,
+and interiors are bitmasks over the same vertices for every pair, so
+each minimal family found gap-free is decided once in a run.
 
 Labelings are tested a chunk at a time, carried as one byte column per
 ranked edge: byte k is the edge's label under labeling k, so labels
 stay in 1..255.  Exhaustive columns are cut from tables of the
 permutations of 1..n, sampled ones are slices of one bulk draw of
-random words per chunk.  The routes from one source to all of its
-targets form one prefix trie, and one walk of it carries, per label L,
-the set of the chunk's labelings (an int, one bit each) under which the
-prefix can arrive by L; those sets are read off the columns in C.  A
-node ending a route then holds the labelings that keep it, and per
-pair the chunk splits into groups by kept set, each decided once.
+random words per chunk.  A source's walk leaves the prefix trie of its
+routes, and one walk of that trie carries, per label L, the set of the
+chunk's labelings (an int, one bit each) under which the prefix can
+arrive by L; those sets are read off the columns in C.  A node ending a
+route then holds the labelings that keep it, and per pair the chunk
+splits into groups by kept set, each decided once.
 """
 
 from __future__ import annotations
@@ -76,18 +72,20 @@ from .temporal import (
 # oracles keep every route's interior, and every chunk of the falsifier's
 # labelings walks every source's route trie.
 _ROUTE_CAP = 5000
-# Steps each exact search may take on one pair: stack pushes of the route
-# engine, candidates the packing search tries, subsets the hitting-set
-# search tries.  On a shared 2-vCPU Xeon VM, on inputs that run each
-# search to the budget, a push cost 1.0-2.0 us (a whole listing on a
-# 6-vertex graph 35-60 us, set-up included), a subset 1.1-1.5 us and a
-# candidate about 0.1 us, so a refused search has run for up to about
-# 2 s.  Exhaustive falsification may try as many labelings over all the
-# blocks it searches (0.55-0.8 us each on W4 and an 8-cycle, on the same
-# VM in a slow spell), and is refused before it starts otherwise.  Sampled
-# falsification weighs its ordered pairs times block edges against it,
-# at about 2 us a unit, nearly all of it route listing: a 100-cycle
-# weighs 970,000 and takes 1.8-2.4 s.  It also draws at most this many
+# Steps each exact search may take: stack pushes of the route engine,
+# candidates the packing search tries and subsets the hitting-set search
+# tries, each on one pair, and pushes of the falsifier's route walk from
+# one source.  On a shared 2-vCPU Xeon VM, on inputs that run each search
+# to the budget, a push cost 1.0-2.0 us (a whole listing on a 6-vertex
+# graph 35-60 us, set-up included), a subset 1.1-1.5 us and a candidate
+# about 0.1 us, so a refused search has run for up to about 2 s.  A walk
+# push cost 2.0-2.9 us (whole walks on K8 minus an edge and a 100-cycle),
+# but _ROUTE_CAP has refused every walk seen so far long before this.
+# Exhaustive falsification may try as many labelings over all the blocks
+# it searches (0.55-0.8 us each on W4 and an 8-cycle, on the same VM in a
+# slow spell), and is refused before it starts otherwise.  Sampling
+# weighs its ordered pairs times block edges against it (a 100-cycle
+# weighs 970,000 and takes 0.08-0.09 s) and draws at most this many
 # labelings, the most the exhaustive search may try.
 _WORK_BUDGET = 1 << 20
 # Entries the two falsify memos hold together in one run: gap-free kept
@@ -109,18 +107,19 @@ _ZEROS = b"0" * 256
 class ResourceLimitError(RuntimeError):
     """An exact search was refused because the instance exceeds its guard.
 
-    A search on one pair keeps it as `pair`; the message template names
-    its ends {s} and {t}, shown by vertex id, or by name(v) in `named`.
+    A search on one pair, or from one source, keeps its ends as `ends`
+    ({"s": s, "t": t} or {"s": s}); the message template names them {s}
+    and {t}, shown by vertex id, or by name(v) in `named`.
     """
 
-    def __init__(self, template: str, pair: tuple[int, int] | None = None):
-        self.template, self.pair = template, pair
+    def __init__(self, template: str, **ends: int):
+        self.template, self.ends = template, ends
         super().__init__(self.named(str))
 
     def named(self, name: Callable[[int], str]) -> str:
-        if self.pair is None:
+        if not self.ends:
             return self.template
-        return self.template.format(s=name(self.pair[0]), t=name(self.pair[1]))
+        return self.template.format(**{k: name(v) for k, v in self.ends.items()})
 
 
 class CutUndefinedError(ValueError):
@@ -136,7 +135,12 @@ def _check_pair(tg: TemporalGraph, s: int, t: int) -> None:
 
 def _over_budget(search: str, s: int, t: int) -> ResourceLimitError:
     return ResourceLimitError(f"the {search} between {{s}} and {{t}} exceeds the work budget "
-                              f"of {_WORK_BUDGET} steps", (s, t))
+                              f"of {_WORK_BUDGET} steps", s=s, t=t)
+
+
+def _too_many_routes(s: int, t: int) -> ResourceLimitError:
+    return ResourceLimitError(f"more than {_ROUTE_CAP} simple routes between {{s}} and {{t}}; "
+                              "the graph is too dense for exact search", s=s, t=t)
 
 
 # ----------------------------------------------------------------------
@@ -229,27 +233,6 @@ def _route_paths(tg: TemporalGraph, s: int, t: int) -> Iterator[TemporalPath]:
                 epath.pop()
 
 
-def _routes(tg: TemporalGraph, s: int, t: int) -> list[TemporalPath]:
-    """The routes of `_route_paths`, refused past _ROUTE_CAP."""
-    paths = list(islice(_route_paths(tg, s, t), _ROUTE_CAP + 1))
-    if len(paths) > _ROUTE_CAP:
-        raise ResourceLimitError(f"more than {_ROUTE_CAP} simple routes between {{s}} and {{t}}; "
-                                 "the graph is too dense for exact search", (s, t))
-    return paths
-
-
-def _interior_masks(paths: list[TemporalPath], vertices: list[int]) -> list[int]:
-    """Each path's interior as an int bitmask; bit i stands for vertices[i]."""
-    bit = {v: 1 << i for i, v in enumerate(vertices)}
-    masks = []
-    for p in paths:
-        mask = 0
-        for v in p.vertices[1:-1]:
-            mask |= bit[v]
-        masks.append(mask)
-    return masks
-
-
 def _max_packing(masks: list[int], s: int, t: int,
                  bound: int | None = None) -> tuple[int, ...]:
     """Indices of a largest pairwise-disjoint subset; deterministic first optimum.
@@ -337,7 +320,8 @@ class _Listing:
 
 
 def _listing(tg: TemporalGraph, s: int, t: int) -> _Listing:
-    """The routes of `_routes` and their interior bitmasks, listed once per query.
+    """The routes of `_route_paths`, refused past _ROUTE_CAP, and their
+    interior bitmasks (bit i for the i-th vertex), listed once per query.
 
     The cut and the packing of one query ask for the same pair in turn,
     so the last listing is kept on the frozen instance, where its cached
@@ -349,9 +333,17 @@ def _listing(tg: TemporalGraph, s: int, t: int) -> _Listing:
     key = (s, t, _ROUTE_CAP, _WORK_BUDGET)
     last = vars(tg).get("_last_listing")
     if last is None or last.key != key:
-        paths = _routes(tg, s, t)
-        last = vars(tg)["_last_listing"] = _Listing(
-            key, paths, _interior_masks(paths, sorted(tg.graph.vertices)))
+        paths = list(islice(_route_paths(tg, s, t), _ROUTE_CAP + 1))
+        if len(paths) > _ROUTE_CAP:
+            raise _too_many_routes(s, t)
+        bit = {v: 1 << i for i, v in enumerate(sorted(tg.graph.vertices))}
+        masks = []
+        for p in paths:
+            mask = 0
+            for v in p.vertices[1:-1]:
+                mask |= bit[v]
+            masks.append(mask)
+        last = vars(tg)["_last_listing"] = _Listing(key, paths, masks)
     return last
 
 
@@ -612,32 +604,67 @@ def _weak_orders(m: int) -> int:
     return counts[-1]
 
 
-def _route_trie(
-    targets: list[list[tuple[int, ...]]], hop_of: dict[tuple[int, int], int]
-) -> dict[int, list]:
-    """A source's sequences to its targets as a prefix trie of [hop, slot, route, children].
+def _source_trie(
+    s: int, targets: list[int], blocks: list[Multigraph],
+    hop_of: dict[tuple[int, int], int], bit: dict[int, int]
+) -> tuple[dict[int, list], list[list[int]]]:
+    """The routes from s to its targets as one prefix trie, and their interiors.
 
-    targets[j] lists the sequences s..t_j of target slot j.  hop is the
-    index in hop_of of the vertex pair the node's last step crosses (a
-    pair is numbered on first sight), slot and route locate the sequence
-    ending at the node (route is its index in targets[slot]), or are -1,
-    and children map the next vertex to its node.  A node's sequence
-    fixes its last vertex, so at most one sequence ends there, but a
-    sequence to one target may pass through another: a node can both end
-    a sequence and have children.
+    One depth-first walk per block (each holds s) follows the simple
+    paths from s in ascending vertex order; a node ends a route when its
+    vertex is a target, the walk goes on past it, and a node on no route
+    is dropped.  Nodes are [hop, slot, route, children]: hop indexes in
+    hop_of the vertex pair the node's last step crosses, slot and route
+    locate the route ending there or are -1, and children map the next
+    vertex to its node.  Per slot, the interiors come back as bitmasks
+    (bit[v] per vertex) in route order, ascending in size.  More than
+    _ROUTE_CAP routes to one target, or _WORK_BUDGET pushes in all, raise
+    ResourceLimitError.
     """
+    slot_of = {t: j for j, t in enumerate(targets)}
+    # per slot, (path length, interior, node) of each route in walk order
+    ends: list[list[tuple[int, int, list]]] = [[] for _ in targets]
     root: dict[int, list] = {}
-    for slot, seqs in enumerate(targets):
-        for i, seq in enumerate(seqs):
-            level = root
-            for a, b in zip(seq, seq[1:]):
-                node = level.get(b)
-                if node is None:
-                    node = level[b] = [hop_of.setdefault((min(a, b), max(a, b)), len(hop_of)),
-                                       -1, -1, {}]
-                level = node[3]
-            node[1:3] = slot, i
-    return root
+    pushes = 0
+    for block in blocks:
+        adj = block._adj
+        on_path = {s}
+        stack = [(s, iter(adj[s]), root, 0)]
+        while stack:
+            a, branches, level, inside = stack[-1]
+            for y in branches:
+                if y in on_path:
+                    continue
+                pushes += 1
+                if pushes > _WORK_BUDGET:
+                    raise ResourceLimitError(f"the route search from {{s}} exceeds the work "
+                                             f"budget of {_WORK_BUDGET} steps", s=s)
+                node = level[y] = [-1, slot_of.get(y, -1), -1, {}]
+                if node[1] >= 0:
+                    if len(ends[node[1]]) == _ROUTE_CAP:
+                        raise _too_many_routes(s, y)
+                    ends[node[1]].append((len(stack), inside, node))
+                on_path.add(y)
+                stack.append((y, iter(adj[y]), node[3], inside | bit[y]))
+                break
+            else:
+                stack.pop()
+                on_path.discard(a)
+                if stack:
+                    x, _, level, _ = stack[-1]
+                    if level[a][1] < 0 and not level[a][3]:
+                        del level[a]
+                    else:
+                        level[a][0] = hop_of.setdefault((x, a) if x < a else (a, x), len(hop_of))
+    masks = []
+    for found in ends:
+        # by length, as _minimal_family takes them; p and c do not depend
+        # on the order of a pair's routes
+        found.sort(key=lambda end: end[0])
+        for i, (_, _, node) in enumerate(found):
+            node[2] = i
+        masks.append([inside for _, inside, _ in found])
+    return root, masks
 
 
 def _hop_planes(
@@ -794,7 +821,9 @@ def falsify_mengerian(
     Only blocks holding a non-adjacent pair are searched; a graph with
     none returns None.  Both modes rank only the edges of those blocks,
     since every route between two vertices of a block stays inside it;
-    every other edge gets label 1.
+    every other edge gets label 1.  Before any labeling, one walk per
+    source (`_source_trie`) lists its routes to all of its targets, or
+    raises ResourceLimitError naming the pair or the source.
 
     samples=None enumerates every weak order of labels, block by block,
     ranking only the block's edges.  Before any search, blocks with more
@@ -818,22 +847,20 @@ def falsify_mengerian(
     ResourceLimitError before anything is drawn.  Before any route is
     listed, sampling weighs the ordered pairs, each times the edges of
     its block, and past _WORK_BUDGET raises ResourceLimitError (a
-    100-cycle weighs 970,000 and takes about 2 s, most of it listing
-    routes; a 200-cycle weighs 7,880,000).  Returns None when the search
-    finds none.
+    100-cycle weighs 970,000 and takes about 0.08 s; a 200-cycle weighs
+    7,880,000).  Returns None when the search finds none.
 
-    Each pair's static routes are enumerated once, as the temporal routes
-    under a constant labeling; a labeling then keeps the routes whose
-    hops admit non-decreasing labels, and p and c are the packing and
-    hitting numbers of the kept interiors.  They depend only on the
-    kept interiors that hold no other kept interior (_minimal_family),
-    so a pair's kept set already found gap-free is not looked at again,
-    and a minimal family found gap-free, for any pair, is not decided
-    again.  Labelings of m ranked edges are taken _CHUNK_LABELS // m at
-    a time: one walk of a source's route trie gives, for all of its
-    targets, the labelings that keep each route, each pair's chunk
-    splits by kept set, and the gap with the lowest labeling, then the
-    first pair, wins, as it would one labeling at a time.
+    A labeling keeps the routes whose hops admit non-decreasing labels,
+    and p and c are the packing and hitting numbers of the kept
+    interiors.  They depend only on the kept interiors that hold no
+    other kept interior (_minimal_family), so a pair's kept set already
+    found gap-free is not looked at again, and a minimal family found
+    gap-free, for any pair, is not decided again.  Labelings of m ranked
+    edges are taken _CHUNK_LABELS // m at a time: one walk of a source's
+    route trie gives, for all of its targets, the labelings that keep
+    each route, each pair's chunk splits by kept set, and the gap with
+    the lowest labeling, then the first pair, wins, as it would one
+    labeling at a time.
     """
     if samples is not None and samples > _WORK_BUDGET:
         raise ResourceLimitError(
@@ -856,76 +883,49 @@ def falsify_mengerian(
             raise ResourceLimitError(
                 f"sampled falsification would list routes for ordered pairs weighing {weight} "
                 f"(pairs times the edges of their block), past the work budget of {_WORK_BUDGET}")
-    # each block's edge ids with its non-adjacent pairs s < t
-    blocks = [
-        (tuple(e.id for e in block.edges),
-         [(s, t) for s, t in combinations(sorted(block.vertices), 2) if not g.adjacent(s, t)])
-        for block in searched
-    ]
-    # each search ranks some edges, tests some pairs, and lists labelings
-    # in chunks of label columns over those edges; other edges get label 1
-    if samples is None:
-        pairs = [pair for _, block_pairs in blocks for pair in block_pairs]
-        searches = [(edge_ids, block_pairs, _weak_order_columns(
-                        len(edge_ids), max(1, _CHUNK_LABELS // len(edge_ids))))
-                    for edge_ids, block_pairs in blocks]
-    else:
-        pairs = sorted(
-            pair for _, block_pairs in blocks for s, t in block_pairs
-            for pair in ((s, t), (t, s))
-        )
-        edge_ids = tuple(sorted(eid for block_ids, _ in blocks for eid in block_ids))
-        m = len(edge_ids)
-        searches = [(edge_ids, pairs, _sampled_columns(
-                        random.Random(seed), m, samples, max(1, _CHUNK_LABELS // m)))]
-
-    static = TemporalGraph.make(g, {e.id: 1 for e in g.edges})
+    # a search ranks its blocks' edges: exhaustive search one block at a
+    # time, testing pairs s < t, sampling all at once, testing every pair
     vertices = sorted(g.vertices)
-    # per ordered pair: route interiors and vertex sequences, enumerated
-    # once per unordered pair (the routes of t, s are those of s, t reversed)
-    routes: dict[tuple[int, int], tuple[list[int], list[tuple[int, ...]]]] = {}
-    for s, t in pairs:
-        if (t, s) in routes:
-            masks, seqs = routes[(t, s)]
-            routes[(s, t)] = (masks, [seq[::-1] for seq in seqs])
-            continue
-        # by interior size, as _minimal_family takes them; p and c do not
-        # depend on the order of a pair's routes
-        paths = sorted(_routes(static, s, t), key=lambda path: len(path.vertices))
-        routes[(s, t)] = (_interior_masks(paths, vertices), [p.vertices for p in paths])
+    bit = {v: 1 << i for i, v in enumerate(vertices)}
+    searches = []
+    for blocks in ([[block] for block in searched] if samples is None else [searched]):
+        # each source's targets, sources and targets in ascending order
+        sources: dict[int, list[int]] = {}
+        for s, t in sorted((s, t) for block in blocks for s, t in permutations(block.vertices, 2)
+                           if (samples is not None or s < t) and not g.adjacent(s, t)):
+            sources.setdefault(s, []).append(t)
+        hop_of: dict[tuple[int, int], int] = {}
+        walks = [(s, targets, *_source_trie(s, targets, [b for b in blocks if s in b.vertices],
+                                            hop_of, bit))
+                 for s, targets in sources.items()]
+        searches.append((tuple(sorted(e.id for block in blocks for e in block.edges)),
+                         walks, [g.parallel_edges(a, b) for a, b in hop_of]))
 
     # kept route sets found gap-free, as bitmasks over a pair's routes, and
     # minimal interior families found gap-free, shared by every pair: bit i
     # of an interior stands for vertices[i] whatever the pair
-    gap_free: dict[tuple[int, int], set[int]] = {pair: set() for pair in pairs}
+    gap_free: dict[tuple[int, int], set[int]] = {}
     decided: set[frozenset[int]] = set()
     remembered = 0
-    for edge_ids, search_pairs, labelings in searches:
-        # each source's targets in search order, which lists a source's pairs together
-        sources: dict[int, list[int]] = {}
-        for s, t in search_pairs:
-            sources.setdefault(s, []).append(t)
-        hop_of: dict[tuple[int, int], int] = {}
-        tries = {s: (_route_trie([routes[(s, t)][1] for t in targets], hop_of),
-                     [len(routes[(s, t)][0]) for t in targets])
-                 for s, targets in sources.items()}
-        hops = [g.parallel_edges(a, b) for a, b in hop_of]
-        top = min(len(edge_ids), 255)
+    for edge_ids, walks, hops in searches:
+        m = len(edge_ids)
+        step = max(1, _CHUNK_LABELS // m)
+        labelings = (_weak_order_columns(m, step) if samples is None
+                     else _sampled_columns(random.Random(seed), m, samples, step))
         for count, columns in labelings:
-            planes = _hop_planes(hops, dict(zip(edge_ids, columns)), top)
+            planes = _hop_planes(hops, dict(zip(edge_ids, columns)), min(m, 255))
             first, found = count, None
-            for s, targets in sources.items():
+            for s, targets, trie, interiors in walks:
                 if not first:
                     break
-                keeps = _kept_routes(*tries[s], planes, (1 << first) - 1)
-                for t, keep in zip(targets, keeps):
+                keeps = _kept_routes(trie, list(map(len, interiors)), planes, (1 << first) - 1)
+                for t, masks, keep in zip(targets, interiors, keeps):
                     if not first:
                         break
                     # only labelings before the first gap so far can hold an earlier
                     # one; keep may hold later ones, which _kept_sets ignores
                     universe = (1 << first) - 1
-                    masks = routes[(s, t)][0]
-                    known = gap_free[(s, t)]
+                    known = gap_free.setdefault((s, t), set())
                     for k, alive in _kept_sets(keep, universe):
                         if alive in known:
                             continue

@@ -7,14 +7,16 @@ directly.  Slow but safe on small instances.
 
 Some references are the library's own earlier, plainer forms of code a
 faster one replaced: the block split on a built simple graph, time
-reversal with the latest-departure bound read off it, and the
-hop-by-hop embedding check.
+reversal with the latest-departure bound read off it, the hop-by-hop
+embedding check, and the falsifier's per-pair route listing with its
+route trie built one sequence at a time.
 """
 
 import random
 from itertools import combinations, permutations
 from operator import itemgetter
 
+from mengerian.menger import _route_paths
 from mengerian.multigraph import GraphError, Multigraph
 from mengerian.temporal import TemporalGraph, earliest_arrival
 
@@ -186,6 +188,35 @@ def hop_planes(hops, columns):
                 plane[lab] = plane.get(lab, 0) | 1 << k
         planes.append(sorted(plane.items()))
     return planes
+
+
+def pair_routes(g, s, targets):
+    """Each target's static routes from s, listed pair by pair: the
+    temporal routes under label 1 on every edge of g, as vertex
+    sequences, by ascending length."""
+    static = TemporalGraph.make(g, {e.id: 1 for e in g.edges})
+    return [[p.vertices for p in sorted(_route_paths(static, s, t), key=lambda p: len(p.vertices))]
+            for t in targets]
+
+
+def route_trie(targets, hop_of):
+    """targets[j]'s sequences inserted one at a time into a prefix trie of
+    [hop, slot, route, children] nodes: hop numbers the vertex pair of
+    the node's last step in hop_of on first sight, slot and route locate
+    the sequence ending at the node (route indexes targets[slot]) or are
+    -1, and children map the next vertex to its node."""
+    root = {}
+    for slot, seqs in enumerate(targets):
+        for i, seq in enumerate(seqs):
+            level = root
+            for a, b in zip(seq, seq[1:]):
+                node = level.get(b)
+                if node is None:
+                    node = level[b] = [hop_of.setdefault((min(a, b), max(a, b)), len(hop_of)),
+                                       -1, -1, {}]
+                level = node[3]
+            node[1:3] = slot, i
+    return root
 
 
 def brute_p(tg, s, t):

@@ -81,6 +81,10 @@ class TestParsing:
         ("v a\nv b\ne a b\ne a b 1\n", "line 4: labels must appear"),
         ("v a\nv b\ne a b 0\n", "line 3: label must be a positive integer"),
         ("v a\nv b\ne a b x\n", "line 3: label must be a positive integer"),
+        # int() alone would read these as 10, 4 and 3
+        ("v a\nv b\ne a b 1_0\n", "line 3: label must be a positive integer, got '1_0'"),
+        ("v a\nv b\ne a b +4\n", "line 3: label must be a positive integer, got '\\+4'"),
+        ("v a\nv b\ne a b \u0663\n", "line 3: label must be a positive integer"),
         ("w a\n", "line 1: unknown directive 'w'"),
         ("v\n", "line 1: expected: v <name>"),
         ("v a\nv b\ne a\n", "line 3: expected: e <u> <v>"),
@@ -472,6 +476,19 @@ class TestFalsifyCommand:
         assert code == 2
         assert out == ""
         assert "more than 5000 simple routes between a and b" in err and "too dense" in err
+
+    def test_route_walk_refusal_names_the_source(self, tmp_path, capsys, monkeypatch):
+        # K5 minus the edge ab fits a budget of 20 by its weight, 18, but
+        # the walk over the simple paths from a does not
+        names = "abcde"
+        lines = [f"v {x}" for x in names]
+        lines += [f"e {x} {y}" for i, x in enumerate(names) for y in names[i + 1:]
+                  if (x, y) != ("a", "b")]
+        path = write(tmp_path, "k5.graph", "\n".join(lines) + "\n")
+        monkeypatch.setattr(menger, "_WORK_BUDGET", 20)
+        code, out, err = run(capsys, "falsify", "--samples", "1", path)
+        assert (code, out) == (2, "")
+        assert "the route search from a exceeds the work budget of 20 steps" in err
 
     def test_too_many_samples_refused(self, tmp_path, capsys):
         # the count is weighed before any labeling is drawn

@@ -22,8 +22,8 @@ from mengerian.menger import (
     _min_hitting,
     _minimal_family,
     _route_paths,
-    _route_trie,
     _sampled_columns,
+    _source_trie,
     _weak_order_columns,
     _weak_orders,
     edge_menger,
@@ -44,7 +44,9 @@ from oracles import (
     brute_temporal_paths,
     hop_planes,
     latest_departures,
+    pair_routes,
     rank_assignments,
+    route_trie,
     sampled_labelings,
 )
 
@@ -159,37 +161,87 @@ class TestLatestDepartures:
         assert _latest_departures(t, s, d) == latest_departures(t, s, d)
 
 
+def trie_routes(trie, s, slots):
+    """Per target slot, the sequences from s ending at nodes of the trie,
+    by route index; the sequence of every node; and each hop index with
+    the vertex pairs it marks."""
+    routes = [{} for _ in range(slots)]
+    nodes = set()
+    hops = {}
+    stack = [(trie, (s,))]
+    while stack:
+        level, seq = stack.pop()
+        for y, (hop, slot, route, children) in level.items():
+            nodes.add(seq + (y,))
+            hops.setdefault(hop, set()).add((min(seq[-1], y), max(seq[-1], y)))
+            if route >= 0:
+                routes[slot][route] = seq + (y,)
+            stack.append((children, seq + (y,)))
+    return [[found[i] for i in range(len(found))] for found in routes], nodes, hops
+
+
 class TestRouteTrie:
+    @given(st.integers(0, 10_000))
+    def test_one_walk_lists_each_pairs_routes(self, seed):
+        # the walk from s lists, per target, exactly the routes a listing
+        # of that pair alone finds, shortest first, each with its
+        # interior; its trie keeps only prefixes of routes, so its nodes
+        # and hops are those of the pair-by-pair trie
+        rng = random.Random(seed)
+        g = random_multigraph(rng, rng.randint(2, 7), rng.randint(1, 12))
+        vertices = sorted(g.vertices)
+        s = rng.choice(vertices)
+        others = [t for t in vertices if t != s]
+        targets = sorted(rng.sample(others, rng.randint(0, len(others))))
+        bit = {v: 1 << i for i, v in enumerate(vertices)}
+        hop_of = {}
+        trie, interiors = _source_trie(s, targets, [g], hop_of, bit)
+        listed, nodes, hops = trie_routes(trie, s, len(targets))
+        reference = pair_routes(g, s, targets)
+        for seqs, masks, want in zip(listed, interiors, reference):
+            assert set(seqs) == set(want) and len(seqs) == len(want)
+            assert masks == [sum(bit[v] for v in seq[1:-1]) for seq in seqs]
+            sizes = [mask.bit_count() for mask in masks]
+            assert sizes == sorted(sizes)
+        assert all(len(pairs) == 1 for pairs in hops.values())
+        assert {hop: pairs.pop() for hop, pairs in hops.items()} == \
+            {hop: pair for pair, hop in hop_of.items()}
+        reference_hops = {}
+        assert trie_routes(route_trie(reference, reference_hops), s, len(targets))[1] == nodes
+        assert set(hop_of) == set(reference_hops)
+
     @given(st.integers(0, 10_000))
     def test_kept_routes_are_the_brute_temporal_paths(self, seed):
         # one walk of a source's trie decides a batch of labelings for all
         # of its targets; each labeling must keep exactly the static routes
-        # that are temporal paths under it, whether a target's routes were
-        # listed from s or are those of (t, s) reversed, as sampling lists
-        # the second orientation of a pair
+        # that are temporal paths under it, in both orientations: from s
+        # to every target, and from every target back to s, as sampling
+        # tests the second orientation of a pair
         rng = random.Random(seed)
         g = random_multigraph(rng, rng.randint(2, 7), rng.randint(1, 12))
-        s = rng.choice(sorted(g.vertices))
-        targets = [t for t in sorted(g.vertices) if t != s]
-        static = TemporalGraph.make(g, {e.id: 1 for e in g.edges})
-        forward = [[p.vertices for p in _route_paths(static, s, t)] for t in targets]
-        backward = [[p.vertices[::-1] for p in _route_paths(static, t, s)] for t in targets]
+        vertices = sorted(g.vertices)
+        s = rng.choice(vertices)
+        targets = [t for t in vertices if t != s]
+        bit = {v: 1 << i for i, v in enumerate(vertices)}
+        hop_of = {}
+        # (source, its targets, trie, interiors) of each walk
+        walks = [(s, targets, *_source_trie(s, targets, [g], hop_of, bit))]
+        walks += [(t, [s], *_source_trie(t, [s], [g], hop_of, bit)) for t in targets]
         edge_ids = tuple(e.id for e in g.edges)
         top = len(edge_ids) + 2
         chunk = [tuple(rng.randint(1, top) for _ in edge_ids)
                  for _ in range(rng.randint(1, 24))]
         labeled = [TemporalGraph.make(g, dict(zip(edge_ids, labels))) for labels in chunk]
-        brute = [[{vs for vs, _ in brute_temporal_paths(tk, s, t)} for tk in labeled]
-                 for t in targets]
-        hop_of = {}
-        tries = [_route_trie(listed, hop_of) for listed in (forward, backward)]
         columns = dict(zip(edge_ids, map(bytes, zip(*chunk))))
         planes = _hop_planes([g.parallel_edges(a, b) for a, b in hop_of], columns, top)
         universe = (1 << len(chunk)) - 1
         # the labelings before a gap found for an earlier target
         below = (1 << rng.randint(1, len(chunk))) - 1
-        for listed, trie in zip((forward, backward), tries):
-            sizes = [len(seqs) for seqs in listed]
+        for source, ends, trie, interiors in walks:
+            sizes = [len(masks) for masks in interiors]
+            listed = trie_routes(trie, source, len(ends))[0]
+            brute = [[{vs for vs, _ in brute_temporal_paths(tk, source, t)} for tk in labeled]
+                     for t in ends]
             keeps = _kept_routes(trie, sizes, planes, universe)
             narrow = _kept_routes(trie, sizes, planes, below)
             assert [[bits & below for bits in keep] for keep in keeps] == narrow
@@ -685,6 +737,34 @@ class TestFalsify:
         start = time.perf_counter()
         assert falsify_mengerian(g, samples=2000) is None
         assert time.perf_counter() - start < 0.5
+
+    def test_hundred_cycle_lists_each_source_once(self):
+        # 9900 ordered pairs, but one walk per source lists all of them
+        cycle = mg([(i, (i + 1) % 100) for i in range(100)])
+        start = time.perf_counter()
+        assert falsify_mengerian(cycle, samples=1) is None
+        assert time.perf_counter() - start < 1.0
+
+    def test_unsearched_block_is_not_walked(self):
+        # a 4-cycle sharing vertex 0 with a K11: only the 4-cycle holds a
+        # non-adjacent pair, and its routes never enter the K11, whose
+        # simple paths would run past the work budget
+        k11 = list(combinations([0] + list(range(4, 14)), 2))
+        g = mg([(0, 1), (1, 2), (2, 3), (3, 0)] + k11)
+        for samples in (None, 2000):
+            start = time.perf_counter()
+            assert falsify_mengerian(g, samples=samples) is None
+            assert time.perf_counter() - start < 0.5
+
+    def test_route_walk_refusal_names_its_source(self, monkeypatch):
+        # K5 minus the edge 0-1 weighs 2 * 1 * 9 = 18 against a budget of
+        # 20, but the simple paths from 0 take more than 20 pushes
+        g = mg([pair for pair in combinations(range(5), 2) if pair != (0, 1)])
+        monkeypatch.setattr(menger, "_WORK_BUDGET", 20)
+        with pytest.raises(ResourceLimitError, match="^the route search from 0 exceeds the "
+                                                     "work budget of 20 steps$") as refused:
+            falsify_mengerian(g, samples=1)
+        assert refused.value.ends == {"s": 0}
 
     def test_gem_block_with_pendant_path_exhaustive(self):
         # only the gem block's seven edges get ranks; the pendant edges

@@ -46,3 +46,25 @@ def test_differences_counts_a_missing_line():
     new = [{"code": 0, "out": "Mengerian\n"}]
     assert same_output.differences([["recognize", "x.g"]], old, new) == [
         "recognize x.g: stdout differs from line 2"]
+
+
+def test_graph_commands_recognize_and_falsify_each_file(tmp_path):
+    # a 4-cycle has no gap; the gem (a path a-b-c-d and an apex e joined to
+    # all four) has one that both falsify modes find
+    (tmp_path / "c4.g").write_text("v a\nv b\nv c\nv d\ne a b\ne b c\ne c d\ne d a\n")
+    (tmp_path / "gem.g").write_text("v a\nv b\nv c\nv d\nv e\ne a b\ne b c\ne c d\n"
+                                    "e e a\ne e b\ne e c\ne e d\n")
+    (tmp_path / "notes.txt").write_text("not a graph\n")
+    argvs = same_output.graph_commands(str(tmp_path), str(tmp_path))
+    dot = str(tmp_path / "out.dot")
+    assert argvs == [argv for name in ("c4.g", "gem.g") for argv in (
+        ["recognize", str(tmp_path / name), "--json", "--proof"],
+        ["recognize", str(tmp_path / name), "--dot", dot],
+        ["falsify", "--samples", "300", "--seed", "0", str(tmp_path / name)],
+        ["falsify", "--exhaustive", str(tmp_path / name)],
+    )]
+    ran = same_output.run_all(str(ROOT), argvs)
+    assert [r["code"] for r in ran] == [0, 0, 0, 0, 1, 1, 1, 1]
+    assert ran[2]["out"] == ran[3]["out"] == "no counterexample\n"
+    assert all(r["out"].startswith("# counterexample: p < c") for r in ran[6:])
+    assert same_output.differences(argvs, ran, ran) == []

@@ -9,8 +9,9 @@ seed (by default every workload BENCHMARK.json declares, at seeds 1 and
 command of the workload, warm-ups included, runs in each tree: one
 Python subprocess per tree calls that tree's `mengerian.cli.main` on each
 command in turn.  With `--graphs DIR`, each `*.g` file in DIR also gets
-`recognize FILE --json --proof` and `recognize FILE --dot OUT`, and the
-DOT text counts as output.
+`recognize FILE --json --proof`, `recognize FILE --dot OUT`,
+`falsify --samples 300 --seed 0 FILE` and `falsify --exhaustive FILE`,
+and the DOT text counts as output.
 
 A command whose exit code or standard output differs between the trees
 is reported.  `elapsed_ms` is removed from JSON output first, since it
@@ -131,7 +132,9 @@ def graph_commands(graphs: str, workdir: str) -> list[list[str]]:
     dot = os.path.join(workdir, "out.dot")
     argvs = []
     for path in sorted(glob.glob(os.path.join(graphs, "*.g"))):
-        argvs += [["recognize", path, "--json", "--proof"], ["recognize", path, "--dot", dot]]
+        argvs += [["recognize", path, "--json", "--proof"], ["recognize", path, "--dot", dot],
+                  ["falsify", "--samples", "300", "--seed", "0", path],
+                  ["falsify", "--exhaustive", path]]
     return argvs
 
 
@@ -141,7 +144,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("new", nargs="?", default="HEAD")
     ap.add_argument("--workload", action="append", help="a workload (default: all)")
     ap.add_argument("--seed", type=int, action="append", help="a seed (default: 1 and 2)")
-    ap.add_argument("--graphs", metavar="DIR", help="also recognize every *.g file in DIR")
+    ap.add_argument("--graphs", metavar="DIR",
+                    help="also recognize and falsify every *.g file in DIR")
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
