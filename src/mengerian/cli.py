@@ -68,6 +68,12 @@ class NamedGraph:
         return TemporalGraph.make(self.graph, self.times)
 
 
+def _decimal(text: str) -> int:
+    """ASCII digits as an int, leading zeros allowed; -1 for any other text,
+    such as "1_0", "+4" or non-ASCII digits, which int() alone takes."""
+    return int(text) if text.isascii() and text.isdigit() else -1
+
+
 def parse_graphfile(text: str) -> NamedGraph:
     names: list[str] = []
     ids: dict[str, int] = {}
@@ -106,11 +112,9 @@ def parse_graphfile(text: str) -> NamedGraph:
             elif labeled != has_label:
                 raise fail(lineno, "labels must appear on all edges or on none")
             if has_label:
-                # ASCII digits only: int() also takes "1_0", "+4" and non-ASCII digits
-                text = fields[3]
-                lab = int(text) if text.isascii() and text.isdigit() else 0
+                lab = _decimal(fields[3])
                 if lab < 1:
-                    raise fail(lineno, f"label must be a positive integer, got {text!r}")
+                    raise fail(lineno, f"label must be a positive integer, got {fields[3]!r}")
                 labels.append(lab)
             pairs.append((u, v))
         else:
@@ -408,14 +412,14 @@ def cmd_gen(args) -> int:
 
 
 def _positive(text: str) -> int:
-    value = int(text)
+    value = _decimal(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
 
 
 def _non_negative(text: str) -> int:
-    value = int(text)
+    value = _decimal(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return value

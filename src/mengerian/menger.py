@@ -10,13 +10,14 @@ For a labeled multigraph and distinct vertices s, t:
   per vertex and label at it and one unit arc per edge (`edge_menger`).
 
 The vertex-disjoint side rests on one route engine.  `_route_paths`
-lists the temporal s,t-routes, one per realizable vertex sequence, and
-each route's interior becomes an int bitmask over the vertices.  p is
-the size of a largest pairwise-disjoint set of interiors, and c the size
-of a smallest vertex set meeting every interior (a minimum hitting set),
-because a vertex set destroys every temporal s,t-path exactly when it
-meets every route.  One query lists its pair's routes once: the graph
-keeps its last listing, so the cut and the packing share it.
+lists the temporal s,t-routes, one per realizable vertex sequence,
+pruned by `temporal.latest_departure`, and each route's interior
+becomes an int bitmask over the vertices.  p is the size of a largest
+pairwise-disjoint set of interiors, and c the size of a smallest vertex
+set meeting every interior (a minimum hitting set), because a vertex set
+destroys every temporal s,t-path exactly when it meets every route.  One
+query lists its pair's routes once: the graph keeps its last listing, so
+the cut and the packing share it.
 
 Both problems are NP-hard, so guards bound the work, not the graph: at
 most _ROUTE_CAP routes per pair, and _WORK_BUDGET steps for each search
@@ -59,11 +60,12 @@ from functools import cache
 from itertools import chain, combinations, islice, permutations
 from typing import Callable, Iterator, NamedTuple
 
-from .multigraph import Edge, GraphError, InternalError, Multigraph, biconnected_components
+from .multigraph import GraphError, InternalError, Multigraph, biconnected_components
 from .temporal import (
     TemporalGraph,
     TemporalPath,
     earliest_arrival,
+    latest_departure,
     validate_walk,
     walk_to_path,
 )
@@ -147,36 +149,6 @@ def _too_many_routes(s: int, t: int) -> ResourceLimitError:
 # the temporal route engine: routes, interiors as bitmasks, packing, cut
 
 
-def _latest_departures(tg: TemporalGraph, s: int, t: int) -> dict[int, int]:
-    """late[v]: the latest label at which a temporal walk avoiding s can
-    leave v and still reach t; t maps to lifetime + 1, and a vertex no
-    such walk leaves has no entry.
-
-    One sweep over the label groups, highest label first: within a
-    group, every edge off s that joins a vertex settled so far settles
-    its other end at that label, since a walk may leave a vertex at the
-    label it arrived by.  A vertex is settled once, at its largest label.
-    """
-    groups: dict[int, list[Edge]] = {}
-    times = tg.times
-    for e in tg.graph.edges:
-        if e.u != s and e.v != s:
-            groups.setdefault(times[e.id], []).append(e)
-    late = {t: tg.lifetime + 1}
-    for lab in sorted(groups, reverse=True):
-        links: dict[int, list[int]] = {}
-        for e in groups[lab]:
-            links.setdefault(e.u, []).append(e.v)
-            links.setdefault(e.v, []).append(e.u)
-        frontier = [v for v in links if v in late]
-        while frontier:
-            for b in links[frontier.pop()]:
-                if b not in late:
-                    late[b] = lab
-                    frontier.append(b)
-    return late
-
-
 def _route_paths(tg: TemporalGraph, s: int, t: int) -> Iterator[TemporalPath]:
     """All temporal s,t-paths, one per realizable vertex sequence.
 
@@ -184,15 +156,16 @@ def _route_paths(tg: TemporalGraph, s: int, t: int) -> Iterator[TemporalPath]:
     ties); greedy minimal arrivals realize every realizable sequence, so
     nothing is missed.  Paths come out in depth-first order with
     neighbors visited by ascending vertex id.  The walk keeps an explicit
-    stack, and drops a branch that reaches y after `late[y]`
-    (`_latest_departures`): a route's suffix never returns to s, so no
-    walk from y that avoids s means no route either.  A vertex's options
-    are its neighbours that have a `late` bound, read off the graph's
-    cached adjacency, each with its parallel class as (label, id) pairs,
-    sorted once per class.  Past _WORK_BUDGET pushes it raises
+    stack, and drops a branch that reaches y after `late[y]`, the latest
+    label a walk avoiding s can leave y by and still reach t
+    (`temporal.latest_departure`): a route's suffix never returns to s,
+    so no such walk means no route either.  A vertex's options are its
+    neighbours that have a `late` bound, read off the graph's cached
+    adjacency, each with its parallel class as (label, id) pairs, sorted
+    once per class.  Past _WORK_BUDGET pushes it raises
     ResourceLimitError.
     """
-    late = _latest_departures(tg, s, t)
+    late = latest_departure(tg, t, avoid=s)
     times, adj = tg.times, tg.graph._adj
     reach = late.keys() | {s}
     classes = {pair: sorted((times[i], i) for i in ids)

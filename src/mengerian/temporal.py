@@ -3,7 +3,9 @@
 A time-function assigns a positive integer label to every edge.  A walk
 is temporal when consecutive edge labels never decrease, so an edge can
 be traversed at its own label after arriving at the same label
-(non-strict model).
+(non-strict model).  `earliest_arrival` and `latest_departure` share one
+sweep over the label groups, upward from a source and downward from a
+target.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .multigraph import GraphError, Multigraph
+from .multigraph import Edge, GraphError, Multigraph
 
 
 class WalkError(ValueError):
@@ -137,51 +139,51 @@ def walk_to_path(tg: TemporalGraph, walk: TemporalWalk) -> TemporalPath:
     return TemporalPath(tuple(vs), tuple(es))
 
 
-def earliest_arrival(
-    tg: TemporalGraph,
-    source: int,
-    banned_vertices: Iterable[int] = (),
-    banned_edges: Iterable[int] = (),
-) -> dict[int, int]:
-    """Earliest arrival label at each reachable vertex (source maps to 0).
+def _label_sweep(tg: TemporalGraph, start: int, start_label: int,
+                 edges: Iterable[Edge], descending: bool = False) -> dict[int, int]:
+    """Each vertex a walk over `edges` joins to `start`, mapped to the label
+    of the first group of equal labels, lowest first or highest first when
+    `descending`, that reaches it; `start` maps to `start_label`.  In each
+    group every vertex reached so far floods the group, since a walk may
+    leave a vertex at the label it arrived by."""
+    groups: dict[int, list[Edge]] = {}
+    times = tg.times
+    for e in edges:
+        groups.setdefault(times[e.id], []).append(e)
+    reached = {start: start_label}
+    for lab in sorted(groups, reverse=descending):
+        links: dict[int, list[int]] = {}
+        for e in groups[lab]:
+            links.setdefault(e.u, []).append(e.v)
+            links.setdefault(e.v, []).append(e.u)
+        frontier = [v for v in links if v in reached]
+        while frontier:
+            for b in links[frontier.pop()]:
+                if b not in reached:
+                    reached[b] = lab
+                    frontier.append(b)
+    return reached
 
-    Edges are processed label by label; within one label, every edge
-    reachable from an arrival so far is followed, because an arrival can
-    be extended at the same label.
-    """
+
+def earliest_arrival(tg: TemporalGraph, source: int, banned_vertices: Iterable[int] = (),
+                     banned_edges: Iterable[int] = ()) -> dict[int, int]:
+    """Earliest arrival label at each vertex a temporal walk from `source`
+    reaches without the banned vertices and edges (source maps to 0)."""
     if not tg.graph.has_vertex(source):
         raise GraphError(f"unknown vertex {source}")
     bv = set(banned_vertices)
-    be = set(banned_edges)
-    arr: dict[int, int] = {}
     if source in bv:
-        return arr
-    arr[source] = 0
-    ordered = sorted(tg.entries, key=lambda it: (it[1], it[0]))
-    i = 0
-    while i < len(ordered):
-        j = i
-        lab = ordered[i][1]
-        while j < len(ordered) and ordered[j][1] == lab:
-            j += 1
-        # an arrival can be extended at the same label: search the
-        # group's usable edges from every vertex reached so far
-        links: dict[int, list[tuple[int, int]]] = {}
-        for eid, _ in ordered[i:j]:
-            if eid in be:
-                continue
-            e = tg.graph.edge(eid)
-            if e.u in bv or e.v in bv:
-                continue
-            links.setdefault(e.u, []).append((e.v, eid))
-            links.setdefault(e.v, []).append((e.u, eid))
-        frontier = [v for v in links if v in arr]
-        while frontier:
-            a = frontier.pop()
-            for b, eid in links[a]:
-                if b not in arr:
-                    arr[b] = lab
-                    frontier.append(b)
-        i = j
-    return arr
+        return {}
+    be = set(banned_edges)
+    edges = [e for e in tg.graph.edges if e.id not in be and e.u not in bv and e.v not in bv]
+    return _label_sweep(tg, source, 0, edges)
 
+
+def latest_departure(tg: TemporalGraph, target: int, avoid: int) -> dict[int, int]:
+    """Latest label at which a temporal walk that never meets `avoid` can
+    leave each vertex and still reach `target` (target maps to lifetime
+    + 1); a vertex no such walk leaves has no entry."""
+    if not tg.graph.has_vertex(target):
+        raise GraphError(f"unknown vertex {target}")
+    edges = [e for e in tg.graph.edges if e.u != avoid and e.v != avoid]
+    return _label_sweep(tg, target, tg.lifetime + 1, edges, descending=True)

@@ -18,7 +18,7 @@ from operator import itemgetter
 
 from mengerian.menger import _route_paths
 from mengerian.multigraph import GraphError, Multigraph
-from mengerian.temporal import TemporalGraph, earliest_arrival
+from mengerian.temporal import TemporalGraph
 
 
 def brute_reachable(tg, s, banned_vertices=(), banned_edges=()):
@@ -66,9 +66,9 @@ def reverse(tg):
 
 def latest_departures(tg, s, t):
     """Each vertex's latest label at which a walk avoiding s can leave it
-    and still reach t, t at lifetime + 1: earliest arrival from t in the
-    reversed graph, with s banned, flipped back."""
-    arrivals = earliest_arrival(reverse(tg), t, banned_vertices=(s,))
+    and still reach t, t at lifetime + 1: the brute-force earliest arrival
+    from t in the reversed graph, with s banned, flipped back."""
+    arrivals = brute_arrival(reverse(tg), t, banned_vertices=(s,))
     return {v: tg.lifetime + 1 - arrival for v, arrival in arrivals.items()}
 
 

@@ -507,6 +507,35 @@ class TestFalsifyCommand:
             main(["falsify", path])
         assert exc.value.code == 2
 
+    # counts are read like graph-file labels: ASCII digits, leading zeros
+    # allowed; int() alone would take "1_0" as 10, "+4" as 4 and "\u0663" as 3
+    @pytest.mark.parametrize("argv,expected", [
+        (["falsify", "--samples", "1_0"], "expected a positive integer, got '1_0'"),
+        (["falsify", "--samples", "+4"], "expected a positive integer, got '+4'"),
+        (["falsify", "--samples", "\u0663"], "expected a positive integer"),
+        (["falsify", "--samples", " 4"], "expected a positive integer, got ' 4'"),
+        (["falsify", "--samples", "0"], "expected a positive integer, got '0'"),
+        (["falsify", "--samples", "-1"], "expected a positive integer, got '-1'"),
+        (["falsify", "--exhaustive", "--seed", "1_0"], "expected a non-negative integer"),
+        (["falsify", "--exhaustive", "--seed", "+0"], "expected a non-negative integer"),
+        (["gen", "--model", "multigraph", "--seed", "1_0"], "expected a non-negative integer"),
+        (["gen", "--model", "multigraph", "--max-mult", "+2"], "expected a positive integer"),
+        (["gen", "--model", "multigraph", "--n", "\u0663"], "expected a non-negative integer"),
+    ])
+    def test_counts_are_ascii_digits(self, tmp_path, capsys, argv, expected):
+        path = pattern_file(tmp_path, F2)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [path] if argv[0] == "falsify" else argv)
+        assert exc.value.code == 2
+        assert expected in capsys.readouterr().err
+
+    def test_counts_allow_leading_zeros(self, tmp_path, capsys):
+        gem = pattern_file(tmp_path, F3)
+        plain = run(capsys, "falsify", "--samples", "300", "--seed", "4", gem)
+        assert run(capsys, "falsify", "--samples", "0300", "--seed", "004", gem) == plain
+        gen = ["gen", "--model", "multigraph", "--n", "6", "--m", "9"]
+        assert run(capsys, *gen, "--seed", "07") == run(capsys, *gen, "--seed", "7")
+
 
 class TestRepeatedCalls:
     def test_parse_errors_and_defaults_do_not_leak(self, tmp_path, capsys):

@@ -17,7 +17,6 @@ from mengerian.menger import (
     _hop_planes,
     _kept_routes,
     _kept_sets,
-    _latest_departures,
     _max_packing,
     _min_hitting,
     _minimal_family,
@@ -43,7 +42,6 @@ from oracles import (
     brute_reachable,
     brute_temporal_paths,
     hop_planes,
-    latest_departures,
     pair_routes,
     rank_assignments,
     route_trie,
@@ -144,21 +142,6 @@ class TestRoutes:
         seqs = [p.vertices for p in routes]
         assert len(seqs) == len(set(seqs))
         assert set(seqs) == {vs for vs, _ in brute_temporal_paths(t, s, d)}
-
-
-class TestLatestDepartures:
-    @given(st.integers(0, 10_000))
-    def test_one_sweep_matches_reversed_arrivals(self, seed):
-        # few labels, so many tie; every third graph asks about an edge's ends
-        rng = random.Random(seed)
-        n = rng.randint(2, 12)
-        t = random_temporal(rng, n, rng.randint(1, 2 * n), lifetime=rng.randint(1, 4))
-        if seed % 3 == 0:
-            e = rng.choice(t.graph.edges)
-            s, d = rng.sample(e.pair, 2)
-        else:
-            s, d = rng.sample(sorted(t.graph.vertices), 2)
-        assert _latest_departures(t, s, d) == latest_departures(t, s, d)
 
 
 def trie_routes(trie, s, slots):

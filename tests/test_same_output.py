@@ -68,3 +68,22 @@ def test_graph_commands_recognize_and_falsify_each_file(tmp_path):
     assert ran[2]["out"] == ran[3]["out"] == "no counterexample\n"
     assert all(r["out"].startswith("# counterexample: p < c") for r in ran[6:])
     assert same_output.differences(argvs, ran, ran) == []
+
+
+def test_graph_commands_query_the_first_non_adjacent_pair_of_labeled_files(tmp_path):
+    # a labeled 4-cycle a-b-d-c declared a, b, d, c: a-b is an edge, so the
+    # first non-adjacent pair is (a, d), joined by two routes; a labeled
+    # triangle has no such pair
+    (tmp_path / "c4.g").write_text("v a\nv b\nv d\nv c\n"
+                                   "e a b 1\ne b d 2 # b-d\ne d c 3\ne c a 1\n")
+    (tmp_path / "k3.g").write_text("v a\nv b\nv c\ne a b 1\ne b c 2\ne c a 3\n")
+    path = str(tmp_path / "c4.g")
+    argvs = same_output.graph_commands(str(tmp_path), str(tmp_path))
+    assert len(argvs) == 10
+    assert argvs[4:6] == [["menger", path, "--source", "a", "--target", "d"],
+                          ["menger", path, "--source", "a", "--target", "d", "--edge"]]
+    assert not any(argv[0] == "menger" for argv in argvs[6:])
+    ran = same_output.run_all(str(ROOT), argvs[4:6])
+    assert [r["code"] for r in ran] == [0, 0]
+    assert ran[0]["out"].startswith("p = 2\n") and "c = 2\n  cut: b c\n" in ran[0]["out"]
+    assert ran[1]["out"].startswith("p' = 2\n")

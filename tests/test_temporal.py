@@ -11,11 +11,12 @@ from mengerian.temporal import (
     TemporalWalk,
     WalkError,
     earliest_arrival,
+    latest_departure,
     validate_walk,
     walk_to_path,
 )
 from helpers import mg, random_multigraph, walk_sequence
-from oracles import brute_arrival, reverse
+from oracles import brute_arrival, latest_departures, reverse
 
 
 def tg(pairs_with_labels, vertices=None):
@@ -167,6 +168,10 @@ class TestEarliestArrival:
         assert earliest_arrival(LINE, 0, banned_vertices=[2])[3] == 9
         assert earliest_arrival(LINE, 0, banned_vertices=[2], banned_edges=[3]) == {0: 0, 1: 1}
         assert earliest_arrival(LINE, 0, banned_vertices=[0]) == {}
+        with pytest.raises(GraphError, match="unknown vertex 7"):
+            earliest_arrival(LINE, 7)
+        with pytest.raises(GraphError, match="unknown vertex 7"):
+            latest_departure(LINE, 7, avoid=0)
 
     @given(st.integers(0, 5000))
     def test_matches_bruteforce_reachability(self, seed):
@@ -177,6 +182,19 @@ class TestEarliestArrival:
         bv = rng.sample(vs, rng.randint(0, len(vs) // 2))
         be = rng.sample(sorted(t.times), rng.randint(0, len(t.times) // 2))
         assert earliest_arrival(t, s, bv, be) == brute_arrival(t, s, bv, be)
+
+
+class TestLatestDepartures:
+    @given(st.integers(0, 10_000))
+    def test_one_sweep_matches_reversed_arrivals(self, seed):
+        # few labels, so many tie; every ordered pair of distinct vertices,
+        # the avoided one adjacent to the target included
+        rng = random.Random(seed)
+        n = rng.randint(2, 12)
+        t = random_temporal(rng, n, rng.randint(1, 2 * n), max_label=rng.randint(1, 4))
+        for s in sorted(t.graph.vertices):
+            for d in sorted(t.graph.vertices - {s}):
+                assert latest_departure(t, d, avoid=s) == latest_departures(t, s, d)
 
 
 class TestReverse:

@@ -11,7 +11,10 @@ Python subprocess per tree calls that tree's `mengerian.cli.main` on each
 command in turn.  With `--graphs DIR`, each `*.g` file in DIR also gets
 `recognize FILE --json --proof`, `recognize FILE --dot OUT`,
 `falsify --samples 300 --seed 0 FILE` and `falsify --exhaustive FILE`,
-and the DOT text counts as output.
+and the DOT text counts as output.  A file whose edges carry labels
+also gets `menger FILE --source A --target B`, with and without
+`--edge`, where A, B is its first non-adjacent pair in the order the
+vertices are declared; a file without such a pair gets no `menger`.
 
 A command whose exit code or standard output differs between the trees
 is reported.  `elapsed_ms` is removed from JSON output first, since it
@@ -128,6 +131,25 @@ def workload_commands(perfbench: str, name: str, seed: int, workdir: str) -> lis
     return [list(c.argv) for c in cmds]
 
 
+def menger_pair(path: str) -> tuple[str, str] | None:
+    """The first non-adjacent pair of a labeled graph file, in the order its
+    vertices are declared; None when its edges carry no labels or every
+    pair is adjacent."""
+    names, adjacent, labeled = [], set(), False
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            fields = line.split("#", 1)[0].split()
+            if fields[:1] == ["v"]:
+                names += fields[1:]
+            elif fields[:1] == ["e"]:
+                adjacent.add(frozenset(fields[1:3]))
+                labeled = len(fields) == 4
+    if not labeled:
+        return None
+    return next(((a, b) for i, a in enumerate(names) for b in names[i + 1:]
+                 if frozenset((a, b)) not in adjacent), None)
+
+
 def graph_commands(graphs: str, workdir: str) -> list[list[str]]:
     dot = os.path.join(workdir, "out.dot")
     argvs = []
@@ -135,6 +157,10 @@ def graph_commands(graphs: str, workdir: str) -> list[list[str]]:
         argvs += [["recognize", path, "--json", "--proof"], ["recognize", path, "--dot", dot],
                   ["falsify", "--samples", "300", "--seed", "0", path],
                   ["falsify", "--exhaustive", path]]
+        pair = menger_pair(path)
+        if pair:
+            query = ["menger", path, "--source", pair[0], "--target", pair[1]]
+            argvs += [query, query + ["--edge"]]
     return argvs
 
 
@@ -145,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--workload", action="append", help="a workload (default: all)")
     ap.add_argument("--seed", type=int, action="append", help="a seed (default: 1 and 2)")
     ap.add_argument("--graphs", metavar="DIR",
-                    help="also recognize and falsify every *.g file in DIR")
+                    help="also recognize, falsify and (when labeled) query every *.g file in DIR")
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
