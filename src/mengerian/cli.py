@@ -69,9 +69,9 @@ class NamedGraph:
 
 
 def _decimal(text: str) -> int:
-    """ASCII digits as an int, leading zeros allowed; -1 for any other text,
-    such as "1_0", "+4" or non-ASCII digits, which int() alone takes."""
-    return int(text) if text.isascii() and text.isdigit() else -1
+    """ASCII digits as an int, leading zeros allowed; -1 for other text ("1_0",
+    "+4", non-ASCII digits) and past int()'s limit of 4300 digits."""
+    return int(text) if len(text) <= 4300 and text.isascii() and text.isdigit() else -1
 
 
 def parse_graphfile(text: str) -> NamedGraph:

@@ -52,13 +52,6 @@ class Edge:
     def pair(self) -> tuple[int, int]:
         return (self.u, self.v)
 
-    def other(self, x: int) -> int:
-        if x == self.u:
-            return self.v
-        if x == self.v:
-            return self.u
-        raise GraphError(f"vertex {x} is not an endpoint of edge {self.id}")
-
 
 _ID, _U, _V = attrgetter("id"), attrgetter("u"), attrgetter("v")
 
@@ -124,14 +117,6 @@ class Multigraph:
         return {v: tuple(ns) for v, ns in nbrs.items()}
 
     @cached_property
-    def _incident(self) -> dict[int, tuple[int, ...]]:
-        inc: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            inc[e.u].append(e.id)
-            inc[e.v].append(e.id)
-        return {v: tuple(ids) for v, ids in inc.items()}
-
-    @cached_property
     def _parallel(self) -> dict[tuple[int, int], tuple[int, ...]]:
         """Edge ids of each adjacent pair, ascending."""
         groups: dict[tuple[int, int], list[int]] = {}
@@ -171,12 +156,6 @@ class Multigraph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         try:
             return self._adj[v]
-        except KeyError:
-            raise GraphError(f"unknown vertex {v}") from None
-
-    def incident_edges(self, v: int) -> tuple[int, ...]:
-        try:
-            return self._incident[v]
         except KeyError:
             raise GraphError(f"unknown vertex {v}") from None
 
@@ -348,22 +327,23 @@ def find_path(
 
     Sources and targets must be disjoint.  The search never walks through
     a source or a target, so interior vertices lie outside both sets.
-    Deterministic: breadth-first, sources in sorted order, edges by id.
+    Deterministic: breadth-first, sources in sorted order, each vertex's
+    distinct neighbours in ascending order, so parallel edges count once.
     """
     src = sorted(set(sources))
     tgt = set(targets)
     bv = set(banned_vertices)
     if tgt & set(src):
         raise GraphError("sources and targets must be disjoint")
+    if not g.vertices.issuperset(src):
+        raise GraphError(f"unknown vertices {sorted(set(src) - g.vertices)}")
     parent: dict[int, int] = {}
     seen = set(s for s in src if s not in bv)
     queue = deque(s for s in src if s not in bv)
-    by_id = g._by_id
+    adj = g._adj
     while queue:
         x = queue.popleft()
-        for eid in g.incident_edges(x):
-            e = by_id[eid]
-            y = e.v if e.u == x else e.u
+        for y in adj[x]:
             if y in bv or y in seen:
                 continue
             parent[y] = x

@@ -27,6 +27,11 @@ def mult_map(g):
     return dict(Counter(e.pair for e in g.edges))
 
 
+def edge_degree(g, v):
+    """Number of edges at v, each parallel edge counted."""
+    return sum(v in e.pair for e in g.edges)
+
+
 def components(g):
     """Vertex sets of the connected components, by breadth-first search."""
     left = set(g.vertices)
@@ -81,8 +86,8 @@ def multigraph_isomorphic(g1, g2, max_vertices=9):
         return False
     if len(v1) > max_vertices:
         raise ValueError(f"refusing brute-force isomorphism beyond {max_vertices} vertices")
-    deg1 = sorted((g1.simple_degree(v), len(g1.incident_edges(v))) for v in v1)
-    deg2 = sorted((g2.simple_degree(v), len(g2.incident_edges(v))) for v in v2)
+    deg1 = sorted((g1.simple_degree(v), edge_degree(g1, v)) for v in v1)
+    deg2 = sorted((g2.simple_degree(v), edge_degree(g2, v)) for v in v2)
     if deg1 != deg2:
         return False
     m2 = mult_map(g2)
@@ -139,17 +144,18 @@ def random_multigraph(rng, n, m, max_mult=None):
 
 
 @st.composite
-def small_multigraphs(draw, max_n=6, max_m=9):
-    """Multigraphs on 0..n-1, n <= max_n, with up to max_m edges drawn at
-    random: parallel edges and isolated vertices come up often."""
+def small_multigraphs(draw, max_n=6, max_m=9, min_m=0):
+    """Multigraphs on 0..n-1, n <= max_n, with min_m to max_m edges drawn at
+    random (none on one vertex): parallel edges and isolated vertices come
+    up often."""
     n = draw(st.integers(min_value=1, max_value=max_n))
-    m = draw(st.integers(min_value=0, max_value=max_m))
+    m = draw(st.integers(min_value=min_m, max_value=max_m))
     if n == 1:
         return Multigraph.build(1, [])
     pairs = draw(
         st.lists(
             st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1]),
-            min_size=0,
+            min_size=min_m,
             max_size=m,
         )
     )

@@ -36,13 +36,13 @@ def brute_arrival(tg, s, banned_vertices=(), banned_edges=()):
     frontier = [(s, 0)]
     while frontier:
         v, a = frontier.pop()
-        for eid in tg.graph.incident_edges(v):
-            if eid in be:
+        for e in tg.graph.edges:
+            if v not in e.pair or e.id in be:
                 continue
-            lab = tg.label(eid)
+            lab = tg.label(e.id)
             if lab < a:
                 continue
-            w = tg.graph.edge(eid).other(v)
+            w = e.u + e.v - v
             if w in bv:
                 continue
             if (w, lab) not in states:
@@ -52,6 +52,29 @@ def brute_arrival(tg, s, banned_vertices=(), banned_edges=()):
     for v, a in states:
         arrival[v] = min(a, arrival.get(v, a))
     return arrival
+
+
+def shortest_path_order(g, sources, targets, banned_vertices=()):
+    """How many vertices a shortest path has from a source to a target
+    whose interior avoids the sources, the targets and the banned
+    vertices, or None when there is none: breadth-first by whole layers,
+    each layer grown by scanning every edge in both directions."""
+    tgt, bv = set(targets), set(banned_vertices)
+    seen = set(sources) | bv
+    layer = set(sources) - bv
+    order = 1
+    while layer:
+        order += 1
+        grown = set()
+        for e in g.edges:
+            for a, b in (e.pair, e.pair[::-1]):
+                if a in layer and b not in seen:
+                    if b in tgt:
+                        return order
+                    grown.add(b)
+        seen |= grown
+        layer = grown
+    return None
 
 
 def reverse(tg):
@@ -80,14 +103,16 @@ def brute_temporal_paths(tg, s, t):
         if cur == t:
             out.append((tuple(vpath), tuple(epath)))
             return
-        for eid in tg.graph.incident_edges(cur):
-            lab = tg.label(eid)
+        for e in tg.graph.edges:
+            if cur not in e.pair:
+                continue
+            lab = tg.label(e.id)
             if lab < last:
                 continue
-            y = tg.graph.edge(eid).other(cur)
+            y = e.u + e.v - cur
             if y in vpath:
                 continue
-            dfs(y, lab, vpath + [y], epath + [eid])
+            dfs(y, lab, vpath + [y], epath + [e.id])
 
     if s != t:
         dfs(s, 0, [s], [])

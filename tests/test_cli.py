@@ -85,6 +85,9 @@ class TestParsing:
         ("v a\nv b\ne a b 1_0\n", "line 3: label must be a positive integer, got '1_0'"),
         ("v a\nv b\ne a b +4\n", "line 3: label must be a positive integer, got '\\+4'"),
         ("v a\nv b\ne a b \u0663\n", "line 3: label must be a positive integer"),
+        # past int()'s 4300-digit limit, which 3.10.0-3.10.6 lack
+        pytest.param("v a\nv b\ne a b " + "1" * 5000 + "\n",
+                     "line 3: label must be a positive integer", id="label-of-5000-digits"),
         ("w a\n", "line 1: unknown directive 'w'"),
         ("v\n", "line 1: expected: v <name>"),
         ("v a\nv b\ne a\n", "line 3: expected: e <u> <v>"),
@@ -521,6 +524,8 @@ class TestFalsifyCommand:
         (["gen", "--model", "multigraph", "--seed", "1_0"], "expected a non-negative integer"),
         (["gen", "--model", "multigraph", "--max-mult", "+2"], "expected a positive integer"),
         (["gen", "--model", "multigraph", "--n", "\u0663"], "expected a non-negative integer"),
+        # past int()'s 4300-digit limit
+        (["falsify", "--samples", "1" * 5000], "expected a positive integer"),
     ])
     def test_counts_are_ascii_digits(self, tmp_path, capsys, argv, expected):
         path = pattern_file(tmp_path, F2)

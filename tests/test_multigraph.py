@@ -14,8 +14,8 @@ from mengerian.multigraph import (
     m_subdivide,
     maximal_chains,
 )
-from helpers import components, mg, random_multigraph, small_multigraphs
-from oracles import reference_blocks
+from helpers import components, edge_degree, mg, random_multigraph, small_multigraphs
+from oracles import reference_blocks, shortest_path_order
 
 
 # a doubled pair inside a small frame, used across several tests
@@ -58,10 +58,7 @@ class TestConstruction:
     def test_endpoints_normalized(self):
         e = Edge(0, 5, 2)
         assert (e.u, e.v) == (2, 5)
-        assert e.other(2) == 5
-        assert e.other(5) == 2
-        with pytest.raises(GraphError):
-            e.other(3)
+        assert e == Edge(0, 2, 5)
 
     def test_value_semantics(self):
         assert mg([(0, 1), (0, 1)]) == mg([(1, 0), (0, 1)])
@@ -81,11 +78,11 @@ class TestQueries:
 
     def test_degrees(self):
         assert FRAME.simple_degree(1) == 2
-        assert len(FRAME.incident_edges(1)) == 3
+        assert edge_degree(FRAME, 1) == 3
         assert FRAME.simple_degree(0) == 2
         g = mg([(0, 1)], vertices=[0, 1, 2])
         assert g.simple_degree(2) == 0
-        assert g.incident_edges(2) == ()
+        assert edge_degree(g, 2) == 0
 
     def test_neighbors_sorted(self):
         g = mg([(3, 1), (3, 0), (3, 2), (3, 2)])
@@ -184,7 +181,7 @@ class TestMSubdivide:
         assert h.multiplicity(1, z) == 2
         assert h.multiplicity(2, z) == 2
         assert h.simple_degree(z) == 2
-        assert len(h.incident_edges(z)) == 4
+        assert edge_degree(h, z) == 4
         # fresh ids continue past the old maximum
         assert sorted(e.id for e in h.edges)[-4:] == [5, 6, 7, 8]
 
@@ -200,7 +197,7 @@ class TestMSubdivide:
         assert len(h.vertices) == len(g.vertices) + 1
         assert len(h.edges) == len(g.edges) + mu
         assert h.simple_degree(z) == 2
-        assert len(h.incident_edges(z)) == 2 * mu
+        assert edge_degree(h, z) == 2 * mu
         assert not h.adjacent(u, v)
         assert h.simple_degree(u) == g.simple_degree(u)
 
@@ -378,8 +375,9 @@ class TestConnectivity:
     def test_find_path_prefers_bfs_order(self):
         g = mg([(0, 1), (1, 3), (0, 2), (2, 3), (0, 3)])
         assert find_path(g, [0], [3]) == (0, 3)
-        # of two shortest paths, the one leaving by the smaller edge id
-        assert find_path(mg([(0, 2), (2, 3), (0, 1), (1, 3)]), [0], [3]) == (0, 2, 3)
+        # of two shortest paths, the one through the smaller neighbour,
+        # whatever the edge ids
+        assert find_path(mg([(0, 2), (2, 3), (0, 1), (1, 3)]), [0], [3]) == (0, 1, 3)
 
     def test_find_path_multi_source(self):
         g = mg([(0, 1), (1, 2), (2, 3), (3, 4)])
@@ -390,3 +388,26 @@ class TestConnectivity:
         assert find_path(g, [0], [3]) is None
         with pytest.raises(GraphError):
             find_path(g, [0], [0, 3])
+        with pytest.raises(GraphError, match=r"^unknown vertices \[7\]$"):
+            find_path(g, [0, 7], [3])
+
+    @given(small_multigraphs(max_n=7, max_m=14, min_m=4), st.data())
+    def test_find_path_matches_reference(self, g, data):
+        vs = sorted(g.vertices)
+        sources = data.draw(st.sets(st.sampled_from(vs), min_size=1, max_size=2))
+        rest = sorted(g.vertices - sources)
+        targets = (data.draw(st.sets(st.sampled_from(rest), min_size=1, max_size=2))
+                   if rest else set())
+        banned = data.draw(st.sets(st.sampled_from(vs), max_size=2))
+        path = find_path(g, sources, targets, banned_vertices=banned)
+        want = shortest_path_order(g, sources, targets, banned)
+        assert (path is None) == (want is None)
+        if path is not None:
+            assert len(path) == want
+            assert path[0] in sources and path[-1] in targets
+            assert len(set(path)) == len(path)
+            assert all(g.adjacent(x, y) for x, y in zip(path, path[1:]))
+            assert not set(path[1:-1]) & (sources | targets | banned)
+            assert not {path[0], path[-1]} & banned
+        with pytest.raises(GraphError, match="disjoint"):
+            find_path(g, sources, targets | {min(sources)}, banned_vertices=banned)

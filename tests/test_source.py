@@ -67,21 +67,22 @@ def test_tracer_finds_every_name_it_rebinds(monkeypatch):
 
 
 def _names_used(tree):
-    """(name, line) for every name a module reads: variables, attributes,
-    and strings that spell an identifier, as the tracer names attributes."""
+    """(name, line, bare) for every name a module reads: variables (bare),
+    attributes, and strings that spell an identifier, as the tracer names
+    attributes."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, True
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, False
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and node.value.isidentifier():
-            yield node.value, node.lineno
+            yield node.value, node.lineno, False
 
 
 def _public_definitions(tree):
     """(qualified name, node) of each public top-level function or class
-    and each public method."""
+    and each public method; a method's qualified name holds a dot."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
             yield node.name, node
@@ -95,25 +96,25 @@ def test_every_public_name_has_a_user():
     # a public name must be read by another part of the package (its own
     # body and __init__'s re-export do not count), by the benchmark, or
     # open a code span of the README; otherwise only tests keep it alive.
-    # Attributes match by name alone: `chain.first` would keep a `first`
-    # method of any class.
+    # A method counts as read only through an attribute or an identifier
+    # string, not through a variable of the same name.  Attributes match
+    # by name alone: `chain.first` would keep a `first` method of any class.
     trees = {path: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(SOURCE.glob("*.py")) if path.name != "__init__.py"}
-    uses = [(path, name, line) for path, tree in trees.items()
-            for name, line in _names_used(tree)]
-    outside = {name for path in sorted(PERFBENCH.glob("*.py"))
-               for name, _ in _names_used(ast.parse(path.read_text(), filename=str(path)))}
+    uses = [(path, name, line, bare) for path, tree in trees.items()
+            for name, line, bare in _names_used(tree)]
+    uses += [(path, name, line, bare) for path in sorted(PERFBENCH.glob("*.py"))
+             for name, line, bare in _names_used(ast.parse(path.read_text(), filename=str(path)))]
     readme = (ROOT / "README.md").read_text()
-    outside |= {word for span in re.findall(r"`([A-Za-z_][\w.]*)[^`\n]*`", readme)
-                for word in span.split(".")}
+    uses += [(None, word, 0, False) for span in re.findall(r"`([A-Za-z_][\w.]*)[^`\n]*`", readme)
+             for word in span.split(".")]
     unused = [
         f"{path.stem}.{qualname}"
         for path, tree in trees.items()
         for qualname, node in _public_definitions(tree)
-        if node.name not in outside
-        and not any(name == node.name
-                    and (where != path or not node.lineno <= line <= node.end_lineno)
-                    for where, name, line in uses)
+        if not any(name == node.name and not (bare and "." in qualname)
+                   and (where != path or not node.lineno <= line <= node.end_lineno)
+                   for where, name, line, bare in uses)
     ]
     assert unused == [], unused
 

@@ -121,15 +121,13 @@ class TestWalkToPath:
         seq = [start]
         cur, lab = start, 0
         for _ in range(rng.randint(0, 8)):
-            options = [
-                eid for eid in t.graph.incident_edges(cur) if t.label(eid) >= lab
-            ]
+            options = [e for e in t.graph.edges if cur in e.pair and t.label(e.id) >= lab]
             if not options:
                 break
-            eid = rng.choice(options)
-            cur = t.graph.edge(eid).other(cur)
-            lab = t.label(eid)
-            seq += [eid, cur]
+            e = rng.choice(options)
+            cur = e.u + e.v - cur
+            lab = t.label(e.id)
+            seq += [e.id, cur]
         walk = validate_walk(t, seq)
         path = walk_to_path(t, walk)
         assert path.vertices[0] == walk.vertices[0]
