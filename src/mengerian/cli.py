@@ -20,6 +20,7 @@ import json
 import random
 import sys
 import time
+from bisect import insort
 
 from .menger import (
     CutUndefinedError,
@@ -29,7 +30,7 @@ from .menger import (
     max_disjoint_paths,
     min_vertex_cut,
 )
-from .multigraph import GraphError, Multigraph, m_subdivide
+from .multigraph import Edge, GraphError, Multigraph
 from .patterns import PATTERNS, MEmbedding
 from .recognizer import recognize, recognize_with_proof
 from .temporal import TemporalGraph
@@ -47,11 +48,11 @@ class NamedGraph:
     """A parsed graph file: multigraph, vertex names, optional labels."""
 
     def __init__(self, graph: Multigraph, names: tuple[str, ...],
-                 times: dict[int, int] | None):
+                 times: dict[int, int] | None, ids: dict[str, int]):
         self.graph = graph
         self.names = names
         self.times = times
-        self._ids = {name: i for i, name in enumerate(names)}
+        self._ids = ids  # name -> vertex id, the inverse of names
 
     def name(self, v: int) -> str:
         return self.names[v]
@@ -75,8 +76,11 @@ def _decimal(text: str) -> int:
 
 
 def parse_graphfile(text: str) -> NamedGraph:
+    """Read the format in this module's docstring; GraphFileError names the
+    line of the first fault."""
     names: list[str] = []
     ids: dict[str, int] = {}
+    get = ids.get
     pairs: list[tuple[int, int]] = []
     labels: list[int] = []
     labeled: bool | None = None  # decided by the first edge line
@@ -85,11 +89,34 @@ def parse_graphfile(text: str) -> NamedGraph:
         return GraphFileError(f"line {lineno}: {msg}")
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        fields = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if not fields:
             continue
-        fields = line.split()
-        if fields[0] == "v":
+        head = fields[0]
+        if head == "e":  # edge lines outnumber vertex lines
+            n = len(fields)
+            if n != 3 and n != 4:
+                raise fail(lineno, "expected: e <u> <v> [<label>]")
+            u = get(fields[1])
+            if u is None:
+                raise fail(lineno, f"undeclared vertex {fields[1]!r}")
+            v = get(fields[2])
+            if v is None:
+                raise fail(lineno, f"undeclared vertex {fields[2]!r}")
+            if u == v:
+                raise fail(lineno, f"self-loop at {fields[1]!r}")
+            has_label = n == 4
+            if labeled is not has_label:
+                if labeled is not None:
+                    raise fail(lineno, "labels must appear on all edges or on none")
+                labeled = has_label
+            if has_label:
+                lab = _decimal(fields[3])
+                if lab < 1:
+                    raise fail(lineno, f"label must be a positive integer, got {fields[3]!r}")
+                labels.append(lab)
+            pairs.append((u, v))
+        elif head == "v":
             if len(fields) != 2:
                 raise fail(lineno, "expected: v <name>")
             name = fields[1]
@@ -97,37 +124,24 @@ def parse_graphfile(text: str) -> NamedGraph:
                 raise fail(lineno, f"duplicate vertex {name!r}")
             ids[name] = len(names)
             names.append(name)
-        elif fields[0] == "e":
-            if len(fields) not in (3, 4):
-                raise fail(lineno, "expected: e <u> <v> [<label>]")
-            for name in fields[1:3]:
-                if name not in ids:
-                    raise fail(lineno, f"undeclared vertex {name!r}")
-            u, v = ids[fields[1]], ids[fields[2]]
-            if u == v:
-                raise fail(lineno, f"self-loop at {fields[1]!r}")
-            has_label = len(fields) == 4
-            if labeled is None:
-                labeled = has_label
-            elif labeled != has_label:
-                raise fail(lineno, "labels must appear on all edges or on none")
-            if has_label:
-                lab = _decimal(fields[3])
-                if lab < 1:
-                    raise fail(lineno, f"label must be a positive integer, got {fields[3]!r}")
-                labels.append(lab)
-            pairs.append((u, v))
         else:
-            raise fail(lineno, f"unknown directive {fields[0]!r}")
+            raise fail(lineno, f"unknown directive {head!r}")
 
     graph = Multigraph.build(range(len(names)), pairs)
     times = dict(enumerate(labels)) if labeled else None
-    return NamedGraph(graph, tuple(names), times)
+    return NamedGraph(graph, tuple(names), times, ids)
 
 
 def load_graphfile(path: str) -> NamedGraph:
-    with open(path, encoding="utf-8") as fh:
-        return parse_graphfile(fh.read())
+    """Read and parse a UTF-8 graph file; GraphFileError names the file and
+    the byte offset of text that is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphFileError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
+    return parse_graphfile(text)
 
 
 def emit_graphfile(graph: Multigraph, names: tuple[str, ...] | None = None,
@@ -231,8 +245,14 @@ def report_json(named: NamedGraph, verdict, proof, elapsed_ms: float) -> dict:
     }
 
 
+def _dot_id(name: str) -> str:
+    """name as a quoted DOT identifier, with `\\` and `"` escaped."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def emit_dot(named: NamedGraph, emb: MEmbedding | None = None) -> str:
     """DOT drawing; every parallel edge drawn, embedding segments colored."""
+    ids = [_dot_id(name) for name in named.names]
     color_of: dict[int, str] = {}
     branch_vertices: set[int] = set()
     if emb is not None:
@@ -246,7 +266,7 @@ def emit_dot(named: NamedGraph, emb: MEmbedding | None = None) -> str:
         attrs = ['shape=circle']
         if v in branch_vertices:
             attrs += ['style=filled', 'fillcolor="#fdd49e"']
-        out.append(f'  "{named.name(v)}" [{", ".join(attrs)}];')
+        out.append(f'  {ids[v]} [{", ".join(attrs)}];')
     for e in named.graph.edges:
         attrs = []
         if e.id in color_of:
@@ -254,7 +274,7 @@ def emit_dot(named: NamedGraph, emb: MEmbedding | None = None) -> str:
         elif emb is not None:
             attrs = ['color="#bbbbbb"']
         suffix = f' [{", ".join(attrs)}]' if attrs else ""
-        out.append(f'  "{named.name(e.u)}" -- "{named.name(e.v)}"{suffix};')
+        out.append(f'  {ids[e.u]} -- {ids[e.v]}{suffix};')
     out.append("}")
     return "\n".join(out) + "\n"
 
@@ -294,12 +314,32 @@ def random_multigraph(n: int, m: int, max_mult: int, rng: random.Random) -> Mult
 
 
 def subdivided_pattern(name: str, ops: int, rng: random.Random) -> Multigraph:
+    """A pattern after `ops` random m-subdivisions, as `m_subdivide` makes
+    them: each step picks one distinct adjacent pair, in sorted order, by
+    `rng.randrange`, and replaces its mu parallel edges by mu edges to the
+    next fresh vertex and then mu on from it, each with the next fresh id.
+
+    The sorted pairs and each pair's ids are kept across steps, and the
+    graph is built once at the end.
+    """
     g = {p.name: p for p in PATTERNS}[name].graph
+    ids_of: dict[tuple[int, int], range | list[int]] = {}
+    for e in g.edges:
+        ids_of.setdefault(e.pair, []).append(e.id)
+    pairs = sorted(ids_of)
+    first = z = max(g.vertices)
+    next_id = max(e.id for e in g.edges) + 1
     for _ in range(ops):
-        choices = sorted({e.pair for e in g.edges})
-        u, v = choices[rng.randrange(len(choices))]
-        g, _ = m_subdivide(g, u, v)
-    return g
+        u, v = pairs.pop(rng.randrange(len(pairs)))
+        mu = len(ids_of.pop((u, v)))
+        z += 1  # above every vertex, so (u, z) and (v, z) are new pairs
+        insort(pairs, (u, z))
+        insort(pairs, (v, z))
+        ids_of[u, z] = range(next_id, next_id + mu)
+        ids_of[v, z] = range(next_id + mu, next_id + 2 * mu)
+        next_id += 2 * mu
+    edges = tuple(Edge(i, a, b) for (a, b), ids in ids_of.items() for i in ids)
+    return Multigraph(g.vertices.union(range(first + 1, z + 1)), edges)
 
 
 # ----------------------------------------------------------------------

@@ -14,8 +14,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import attrgetter
-from typing import Iterable, Iterator
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple
 
 
 class GraphError(ValueError):
@@ -33,27 +33,37 @@ def _norm(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u <= v else (v, u)
 
 
-@dataclass(frozen=True, order=True)
-class Edge:
+class _EdgeFields(NamedTuple):
     id: int
     u: int
     v: int
 
-    def __post_init__(self) -> None:
-        if self.u == self.v:
-            raise GraphError(f"edge {self.id}: self-loop at vertex {self.u}")
-        if self.u > self.v:
-            # normalized so that equal pairs compare equal
-            lo, hi = self.v, self.u
-            object.__setattr__(self, "u", lo)
-            object.__setattr__(self, "v", hi)
 
-    @property
-    def pair(self) -> tuple[int, int]:
-        return (self.u, self.v)
+class Edge(_EdgeFields):
+    """One edge: its id and its ends, ordered so that u < v.
+
+    A tuple (id, u, v), so edges compare, hash and sort as those tuples
+    do; building one from ends in either order gives the same value.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, id: int, u: int, v: int) -> "Edge":
+        if u < v:
+            return tuple.__new__(cls, (id, u, v))
+        if u > v:
+            return tuple.__new__(cls, (id, v, u))
+        raise GraphError(f"edge {id}: self-loop at vertex {u}")
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> "Edge":
+        # `_replace` builds through here, so it orders the ends too
+        return cls(*iterable)
+
+    pair = property(itemgetter(slice(1, 3)), doc="(u, v)")
 
 
-_ID, _U, _V = attrgetter("id"), attrgetter("u"), attrgetter("v")
+_ID, _U, _V = itemgetter(0), itemgetter(1), itemgetter(2)
 
 
 @dataclass(frozen=True)

@@ -8,16 +8,20 @@ directly.  Slow but safe on small instances.
 Some references are the library's own earlier, plainer forms of code a
 faster one replaced: the block split on a built simple graph, time
 reversal with the latest-departure bound read off it, the hop-by-hop
-embedding check, and the falsifier's per-pair route listing with its
-route trie built one sequence at a time.
+embedding check, the falsifier's per-pair route listing with its
+route trie built one sequence at a time, the graph-file reader that
+strips and splits every line, and the subdivided-pattern generator that
+rebuilds the graph after every step.
 """
 
 import random
 from itertools import combinations, permutations
 from operator import itemgetter
 
+from mengerian.cli import GraphFileError
 from mengerian.menger import _route_paths
-from mengerian.multigraph import GraphError, Multigraph
+from mengerian.multigraph import GraphError, Multigraph, m_subdivide
+from mengerian.patterns import PATTERNS
 from mengerian.temporal import TemporalGraph
 
 
@@ -426,3 +430,73 @@ def check_m_subdivision(host, emb):
             return f"route for {(a, b)} shares interior vertices"
         seen_interior |= interior
     return None
+
+
+# ----------------------------------------------------------------------
+# graph files and generated inputs, as first written
+
+
+def read_graphfile(text):
+    """(vertex names, endpoint pairs in file order, labels or None) of a
+    graph file in `mengerian.cli`'s format, or GraphFileError naming the
+    line of the first fault: every line has its comment cut, is stripped
+    and split, and each check runs in the order the format lists it."""
+    names = []
+    ids = {}
+    pairs = []
+    labels = []
+    labeled = None
+
+    def fail(lineno, msg):
+        return GraphFileError(f"line {lineno}: {msg}")
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        if fields[0] == "v":
+            if len(fields) != 2:
+                raise fail(lineno, "expected: v <name>")
+            name = fields[1]
+            if name in ids:
+                raise fail(lineno, f"duplicate vertex {name!r}")
+            ids[name] = len(names)
+            names.append(name)
+        elif fields[0] == "e":
+            if len(fields) not in (3, 4):
+                raise fail(lineno, "expected: e <u> <v> [<label>]")
+            for name in fields[1:3]:
+                if name not in ids:
+                    raise fail(lineno, f"undeclared vertex {name!r}")
+            u, v = ids[fields[1]], ids[fields[2]]
+            if u == v:
+                raise fail(lineno, f"self-loop at {fields[1]!r}")
+            has_label = len(fields) == 4
+            if labeled is None:
+                labeled = has_label
+            elif labeled != has_label:
+                raise fail(lineno, "labels must appear on all edges or on none")
+            if has_label:
+                text_label = fields[3]
+                ok = len(text_label) <= 4300 and text_label.isascii() and text_label.isdigit()
+                lab = int(text_label) if ok else -1
+                if lab < 1:
+                    raise fail(lineno, f"label must be a positive integer, got {fields[3]!r}")
+                labels.append(lab)
+            pairs.append((u, v))
+        else:
+            raise fail(lineno, f"unknown directive {fields[0]!r}")
+    return names, pairs, (labels if labeled else None)
+
+
+def subdivided_pattern(name, ops, rng):
+    """A pattern after `ops` random m-subdivisions: each step lists the
+    distinct adjacent pairs of the graph built so far, sorted, picks one
+    with `rng.randrange` and subdivides it with `m_subdivide`."""
+    g = {p.name: p for p in PATTERNS}[name].graph
+    for _ in range(ops):
+        choices = sorted({e.pair for e in g.edges})
+        u, v = choices[rng.randrange(len(choices))]
+        g, _ = m_subdivide(g, u, v)
+    return g

@@ -8,6 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mengerian import cli, menger
 from mengerian.cli import (
@@ -27,6 +28,7 @@ from mengerian.patterns import F1, F2, F3, check_m_subdivision
 from mengerian.temporal import TemporalGraph
 
 from helpers import count_listings, is_connected, mg, mult_map, multigraph_isomorphic
+import oracles
 
 import random
 
@@ -41,6 +43,46 @@ def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+# graph-file pieces: names with leading zeros, labels that are
+# and are not positive ASCII integers (4300 characters is the longest
+# accepted), and lines that each break one rule when u and v are declared
+NAMES = ("a", "b", "c", "x1", "007", "7")
+GOOD_LABELS = ("1", "2", "9", "007", "10", "0" * 4299 + "1")
+FAULTY_LINES = ("v", "v {u} {v}", "v {u}", "e", "e {u}", "e {u} {v} 1 2", "e {u} {u}",
+                "e {u} zz", "e zz {v}", "e {u} {v} 0", "e {u} {v} x", "e {u} {v} +4",
+                "e {u} {v} 1_0", "e {u} {v} \u0663", "e {u} {v} " + "0" * 4300 + "1",
+                "e {u} {v}", "e {u} {v} 3", "w {u}", "ev {u} {v}", "V {u}")
+
+
+@st.composite
+def graph_files(draw):
+    """Graph-file text: v and e lines interleaved (each name declared before
+    an edge uses it), comment and blank lines, odd spacing and one line
+    ending throughout; about half of the files also hold faulty lines."""
+    names = draw(st.lists(st.sampled_from(NAMES), min_size=2, max_size=5, unique=True))
+    labeled = draw(st.booleans())
+    lines = []
+    for k, name in enumerate(names):
+        lines.append(f"v {name}")
+        for _ in range(draw(st.integers(0, 3)) if k else 0):
+            u, v = draw(st.permutations(names[:k + 1]))[:2]
+            lines.append(f"e {u} {v} {draw(st.sampled_from(GOOD_LABELS))}" if labeled
+                         else f"e {u} {v}")
+    for _ in range(draw(st.integers(0, 2)) * draw(st.booleans())):
+        u, v = draw(st.permutations(names))[:2]
+        fault = draw(st.sampled_from(FAULTY_LINES)).format(u=u, v=v)
+        lines.insert(len(lines) - draw(st.integers(0, len(lines))), fault)
+    text = []
+    for line in lines:
+        sep = draw(st.sampled_from([" ", "  ", "\t", " \t "]))
+        text.append(draw(st.sampled_from(["", " ", "\t"])) + sep.join(line.split(" "))
+                    + draw(st.sampled_from(["", " ", "  # note", "#", "\t#x y"])))
+        if draw(st.integers(0, 4)) == 0:
+            text.append(draw(st.sampled_from(["", "   ", "# comment", " # e a b"])))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return ending.join(text) + draw(st.sampled_from(["", ending]))
 
 
 def pattern_file(tmp_path, pattern, labeled=False):
@@ -93,8 +135,41 @@ class TestParsing:
         ("v a\nv b\ne a\n", "line 3: expected: e <u> <v>"),
     ])
     def test_errors_carry_line_numbers(self, text, fragment):
-        with pytest.raises(GraphFileError, match=fragment):
+        with pytest.raises(GraphFileError, match=fragment) as caught:
             parse_graphfile(text)
+        with pytest.raises(GraphFileError) as reference:
+            oracles.read_graphfile(text)
+        assert str(caught.value) == str(reference.value)
+
+    @settings(max_examples=250)
+    @given(graph_files())
+    def test_agrees_with_the_reference_reader(self, text):
+        try:
+            names, pairs, labels = oracles.read_graphfile(text)
+        except GraphFileError as exc:
+            with pytest.raises(GraphFileError) as caught:
+                parse_graphfile(text)
+            assert str(caught.value) == str(exc)
+            return
+        named = parse_graphfile(text)
+        assert named.names == tuple(names)
+        assert [named.id(name) for name in names] == list(range(len(names)))
+        assert named.graph.vertices == frozenset(range(len(names)))
+        assert [tuple(e) for e in named.graph.edges] == [
+            (i, min(p), max(p)) for i, p in enumerate(pairs)]
+        assert named.times == (None if labels is None else dict(enumerate(labels)))
+
+    def test_file_that_is_not_utf8_names_the_byte(self, tmp_path, capsys):
+        # 0xff never occurs in UTF-8; the offset counts from the start of
+        # the file, past the reader's first buffer of 8192 bytes
+        path = tmp_path / "latin1.graph"
+        path.write_bytes(b"v a\nv \xe9\n")
+        with pytest.raises(GraphFileError) as caught:
+            cli.load_graphfile(str(path))
+        assert str(caught.value) == f"{path}: not valid UTF-8 at byte 6"
+        path.write_bytes(b"#" * 10_000 + b"\nv a\xff\n")
+        assert run(capsys, "recognize", str(path)) == (
+            2, "", f"error: {path}: not valid UTF-8 at byte 10004\n")
 
     def test_names_resolve_both_ways(self):
         named = parse_graphfile("v left\nv right\ne left right\n")
@@ -610,6 +685,21 @@ class TestGenCommand:
         g = subdivided_pattern("F3", 4, random.Random(0))
         assert len(g.vertices) == F3.graph.vertices.__len__() + 4
 
+    @pytest.mark.parametrize("name", ["F1", "F2", "F3"])
+    def test_subdivided_pattern_matches_the_stepwise_reference(self, name):
+        for seed in range(12):
+            for ops in (0, 1, 2, 7, 40):
+                g = subdivided_pattern(name, ops, random.Random(seed))
+                assert g == oracles.subdivided_pattern(name, ops, random.Random(seed))
+
+    def test_four_thousand_subdivisions_within_a_second(self, capsys):
+        # the stepwise reference takes about a second at 1000 ops
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "gen", "--model", "m-subdivided-pattern",
+                           "--pattern", "F1", "--ops", "4000", "--seed", "3")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and len(parse_graphfile(out).graph.vertices) == 6 + 4000
+
     def test_inconsistent_parameters(self, capsys):
         code, _, err = run(capsys, "gen", "--model", "multigraph", "--n", "4",
                            "--m", "2", "--pattern", "F1")
@@ -686,3 +776,13 @@ class TestDotHelpers:
         named = parse_graphfile("v a\nv b\ne a b\ne a b\ne a b\n")
         text = emit_dot(named)
         assert text.count('"a" -- "b"') == 3
+
+    def test_quotes_and_backslashes_in_names_are_escaped(self):
+        # in a DOT string `\"` stands for a quote; a lone backslash before
+        # the closing quote would escape it
+        named = parse_graphfile('v a"b\\c\nv d\\\ne a"b\\c d\\\n')
+        text = emit_dot(named)
+        assert '  "a\\"b\\\\c" -- "d\\\\";' in text.splitlines()
+        quoted = re.findall(r'"((?:[^"\\]|\\.)*)"', text)
+        names = [re.sub(r"\\(.)", r"\1", q) for q in quoted if not q.startswith("#")]
+        assert names == ['a"b\\c', 'd\\', 'a"b\\c', 'd\\']

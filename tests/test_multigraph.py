@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -59,6 +61,29 @@ class TestConstruction:
         e = Edge(0, 5, 2)
         assert (e.u, e.v) == (2, 5)
         assert e == Edge(0, 2, 5)
+
+    def test_edge_is_an_ordered_immutable_value(self):
+        e = Edge(4, 9, 2)
+        assert (e.id, e.u, e.v, e.pair) == (4, 2, 9, (2, 9))
+        with pytest.raises(GraphError, match=r"^edge 4: self-loop at vertex 9$"):
+            Edge(4, 9, 9)
+        assert e == Edge(4, 2, 9) and hash(e) == hash(Edge(4, 2, 9))
+        assert e != Edge(5, 2, 9) and e != Edge(4, 2, 8)
+        # the tuple (id, u, v): sorted by id, then by ends, and equal to
+        # the plain tuple
+        assert sorted([Edge(3, 0, 1), Edge(1, 6, 5), Edge(1, 2, 9)]) == [
+            Edge(1, 2, 9), Edge(1, 5, 6), Edge(3, 0, 1)]
+        assert e == (4, 2, 9) and hash(e) == hash((4, 2, 9))
+        with pytest.raises(AttributeError):
+            e.u = 1
+        with pytest.raises(AttributeError):
+            e.weight = 1
+        # copies, and copies with a field replaced, are built as edges are
+        assert e._replace(u=12) == Edge(4, 9, 12)
+        with pytest.raises(GraphError, match=r"^edge 4: self-loop at vertex 9$"):
+            e._replace(u=9)
+        for again in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+            assert type(again) is Edge and again == e
 
     def test_value_semantics(self):
         assert mg([(0, 1), (0, 1)]) == mg([(1, 0), (0, 1)])

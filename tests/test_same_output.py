@@ -1,4 +1,5 @@
-"""The output comparison of tools/same_output.py: its normaliser and its diff."""
+"""The output comparison of tools/same_output.py: its normaliser, its diff
+and the commands it builds for graph files."""
 
 import importlib.util
 import json
@@ -31,10 +32,10 @@ def test_normalise_keeps_text_lines():
 def test_differences_names_exit_codes_and_stdout_but_not_timings():
     argvs = [["recognize", "a.g", "--json"], ["recognize", "b.g", "--json"],
              ["menger", "c.g"], ["falsify", "d.g"]]
-    old = [{"code": 0, "out": report(1.0)}, {"code": 0, "out": report(1.0)},
-           {"code": 0, "out": "paths 2\ncut 2\n"}, {"code": 0, "out": "none\n"}]
-    new = [{"code": 0, "out": report(5.0)}, {"code": 1, "out": report(1.0)},
-           {"code": 0, "out": "paths 2\ncut 3\n"}, {"code": 0, "out": "none\n"}]
+    old = [{"code": 0, "out": report(1.0), "err": ""}, {"code": 0, "out": report(1.0), "err": ""},
+           {"code": 0, "out": "paths 2\ncut 2\n", "err": ""}, {"code": 0, "out": "none\n", "err": ""}]
+    new = [{"code": 0, "out": report(5.0), "err": ""}, {"code": 1, "out": report(1.0), "err": ""},
+           {"code": 0, "out": "paths 2\ncut 3\n", "err": ""}, {"code": 0, "out": "none\n", "err": ""}]
     assert same_output.differences(argvs, old, new) == [
         "recognize b.g --json: exit code 0 != 1",
         "menger c.g: stdout differs from line 2",
@@ -42,10 +43,33 @@ def test_differences_names_exit_codes_and_stdout_but_not_timings():
 
 
 def test_differences_counts_a_missing_line():
-    old = [{"code": 0, "out": "Mengerian\n  crossed structures: 1\n"}]
-    new = [{"code": 0, "out": "Mengerian\n"}]
+    old = [{"code": 0, "out": "Mengerian\n  crossed structures: 1\n", "err": ""}]
+    new = [{"code": 0, "out": "Mengerian\n", "err": ""}]
     assert same_output.differences([["recognize", "x.g"]], old, new) == [
         "recognize x.g: stdout differs from line 2"]
+
+
+def test_differences_names_a_changed_error_message():
+    # the same exit code with another message is a change too
+    argvs = [["recognize", "x.g"], ["recognize", "y.g"]]
+    old = [{"code": 2, "out": "", "err": "error: line 3: self-loop at 'a'\n"},
+           {"code": 2, "out": "", "err": "error: line 1: unknown directive 'w'\n"}]
+    new = [{"code": 2, "out": "", "err": "error: line 3: self-loop at 'a'\n"},
+           {"code": 2, "out": "", "err": "error: line 2: unknown directive 'w'\n"}]
+    assert same_output.differences(argvs, old, new) == ["recognize y.g: stderr differs from line 1"]
+
+
+def test_a_file_that_is_not_utf8_gets_its_commands(tmp_path):
+    # the byte 0xff is not UTF-8; the pair reader takes it for U+FFFD, so
+    # the file is still queried, and each command reports the byte
+    path = tmp_path / "bad.g"
+    path.write_bytes(b"v a\nv \xff\nv c\ne a c 1\n")
+    assert same_output.menger_pair(str(path)) == ("a", "\ufffd")
+    argvs = same_output.graph_commands(str(tmp_path), str(tmp_path))
+    assert [argv[0] for argv in argvs] == ["recognize"] * 2 + ["falsify"] * 2 + ["menger"] * 2
+    ran = same_output.run_all(str(ROOT), argvs)
+    assert {(r["code"], r["out"], r["err"]) for r in ran} == {
+        (2, "", f"error: {path}: not valid UTF-8 at byte 6\n")}
 
 
 def test_graph_commands_recognize_and_falsify_each_file(tmp_path):

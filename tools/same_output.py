@@ -16,8 +16,8 @@ also gets `menger FILE --source A --target B`, with and without
 `--edge`, where A, B is its first non-adjacent pair in the order the
 vertices are declared; a file without such a pair gets no `menger`.
 
-A command whose exit code or standard output differs between the trees
-is reported.  `elapsed_ms` is removed from JSON output first, since it
+A command whose exit code, standard output or standard error differs
+between the trees is reported.  `elapsed_ms` is removed from JSON output first, since it
 is a timing.  Exits with 0 when nothing differs and 1 otherwise.
 """
 
@@ -36,15 +36,15 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # Runs in a subprocess with a tree's `src` as argv[1]: one JSON argv per
-# input line, one JSON {"code", "out"} per output line.
+# input line, one JSON {"code", "out", "err"} per output line.
 RUNNER = r"""
 import contextlib, io, json, os, sys
 sys.path.insert(0, sys.argv[1])
 from mengerian import cli
 for line in sys.stdin:
     argv = json.loads(line)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as exc:
@@ -58,7 +58,7 @@ for line in sys.stdin:
             with open(dot, encoding="utf-8") as fh:
                 text += fh.read()
             os.remove(dot)
-    print(json.dumps({"code": code, "out": text}), flush=True)
+    print(json.dumps({"code": code, "out": text, "err": err.getvalue()}), flush=True)
 """
 
 
@@ -84,17 +84,19 @@ def normalise(stdout: str) -> str:
 
 
 def differences(argvs: list[list[str]], old: list[dict], new: list[dict]) -> list[str]:
-    """One line per command whose exit code or normalised stdout differs."""
+    """One line per command whose exit code, normalised stdout or stderr
+    differs; a changed exit code hides the other two."""
     found = []
     for argv, a, b in zip(argvs, old, new):
         if a["code"] != b["code"]:
             found.append(f"{' '.join(argv)}: exit code {a['code']} != {b['code']}")
             continue
-        lines_a, lines_b = normalise(a["out"]).splitlines(), normalise(b["out"]).splitlines()
-        if lines_a != lines_b:
-            k = next((i for i, (x, y) in enumerate(zip(lines_a, lines_b)) if x != y),
-                     min(len(lines_a), len(lines_b)))
-            found.append(f"{' '.join(argv)}: stdout differs from line {k + 1}")
+        for key, stream in (("out", "stdout"), ("err", "stderr")):
+            lines_a, lines_b = normalise(a[key]).splitlines(), normalise(b[key]).splitlines()
+            if lines_a != lines_b:
+                k = next((i for i, (x, y) in enumerate(zip(lines_a, lines_b)) if x != y),
+                         min(len(lines_a), len(lines_b)))
+                found.append(f"{' '.join(argv)}: {stream} differs from line {k + 1}")
     return found
 
 
@@ -134,9 +136,10 @@ def workload_commands(perfbench: str, name: str, seed: int, workdir: str) -> lis
 def menger_pair(path: str) -> tuple[str, str] | None:
     """The first non-adjacent pair of a labeled graph file, in the order its
     vertices are declared; None when its edges carry no labels or every
-    pair is adjacent."""
+    pair is adjacent.  Bytes that are not UTF-8 read as U+FFFD, so such a
+    file still gets the commands that report it."""
     names, adjacent, labeled = [], set(), False
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="replace") as fh:
         for line in fh:
             fields = line.split("#", 1)[0].split()
             if fields[:1] == ["v"]:
