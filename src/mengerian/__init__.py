@@ -31,12 +31,10 @@ from .temporal import (
 from .menger import (
     Counterexample,
     CutUndefinedError,
-    MengerGap,
     ResourceLimitError,
     edge_menger,
     falsify_mengerian,
     max_disjoint_paths,
-    menger_gap,
     min_vertex_cut,
 )
 from .patterns import (
@@ -72,7 +70,6 @@ __all__ = [
     "GraphError",
     "InternalError",
     "MEmbedding",
-    "MengerGap",
     "Multigraph",
     "PATTERNS",
     "Pattern",
@@ -94,7 +91,6 @@ __all__ = [
     "make_witness",
     "max_disjoint_paths",
     "maximal_chains",
-    "menger_gap",
     "min_vertex_cut",
     "recognize",
     "recognize_with_proof",

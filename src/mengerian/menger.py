@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from bisect import bisect_left
 from functools import cache
 from itertools import chain, combinations, islice, permutations
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 from .multigraph import GraphError, InternalError, Multigraph, biconnected_components
 from .temporal import (
@@ -350,23 +350,6 @@ def min_vertex_cut(tg: TemporalGraph, s: int, t: int) -> frozenset[int]:
     cut = frozenset(_min_hitting(listing.masks, sorted(tg.graph.vertices), s, t))
     listing.cut = len(cut)
     return cut
-
-
-class MengerGap(NamedTuple):
-    paths: int
-    cut: int
-    gap: int
-
-
-def menger_gap(tg: TemporalGraph, s: int, t: int) -> MengerGap:
-    """p, c and their difference for a non-adjacent pair.
-
-    The cut comes first, so an adjacent pair raises CutUndefinedError
-    before any route is listed or the packing search runs.
-    """
-    c = len(min_vertex_cut(tg, s, t))
-    p = len(max_disjoint_paths(tg, s, t))
-    return MengerGap(p, c, c - p)
 
 
 # ----------------------------------------------------------------------

@@ -292,26 +292,30 @@ def find_f3_subdivision(host: Multigraph, apex: int | None = None) -> MEmbedding
 
 def _gem_at(U: Multigraph, w: int):
     """(spine, legs) of a gem with apex w, or None."""
-    T = set(U.neighbors(w))
+    adj = U._adj
+    T = set(adj[w])
     seen = {w}
     # any root finds a gem when there is one; the root only picks among
     # symmetric gems.  Entering each component at a vertex of T with the
     # most neighbours in T reports the crossed shapes that
     # tests/test_recognizer.py pins.
-    for root in sorted(T, key=lambda t: (-len(T.intersection(U.neighbors(t))), t)):
+    for root in sorted(T, key=lambda t: (-len(T.intersection(adj[t])), t)):
         if root in seen:
             continue
         seen.add(root)
         parent: dict[int, int | None] = {root: None}
         order = [root]
+        in_t = branching = 0
         for x in order:
-            for y in U.neighbors(x):
+            ns = adj[x]
+            in_t += x in T
+            branching += len(ns) >= 3
+            for y in ns:
                 if y not in seen:
                     seen.add(y)
                     parent[y] = x
                     order.append(y)
-        if (sum(v in T for v in order) >= 4
-                and sum(U.simple_degree(v) >= 3 for v in order) >= 2):
+        if in_t >= 4 and branching >= 2:
             found = _gem_in(U, w, T, order, parent)
             if found is not None:
                 return found

@@ -102,7 +102,7 @@ def recognize(g: Multigraph) -> Verdict:
                 return Verdict(False, emb, tuple(crossed), examined)
         if not block.has_parallel_edges():
             continue
-        branching = sum(block.simple_degree(v) >= 3 for v in block.vertices)
+        branching = sum(len(ns) >= 3 for ns in block._adj.values())
         for chain in maximal_chains(block):
             examined += 1
             apex_degree, others = _contracted_degrees(block, chain, branching)

@@ -6,6 +6,8 @@ from itertools import permutations
 from hypothesis import strategies as st
 
 from mengerian import menger
+from mengerian.cli import random_multigraph
+from mengerian.menger import max_disjoint_paths, min_vertex_cut
 from mengerian.multigraph import Multigraph
 from mengerian.temporal import TemporalGraph
 
@@ -124,23 +126,20 @@ def canonical_key(g):
     return best
 
 
-def random_multigraph(rng, n, m, max_mult=None):
-    """Seeded random multigraph on vertices 0..n-1 with m edges."""
-    pairs = []
-    counts = {}
-    attempts = 0
-    while len(pairs) < m and attempts < 50 * m + 50:
-        attempts += 1
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        if u == v:
-            continue
-        key = (min(u, v), max(u, v))
-        if max_mult is not None and counts.get(key, 0) >= max_mult:
-            continue
-        counts[key] = counts.get(key, 0) + 1
-        pairs.append(key)
-    return Multigraph.build(n, pairs)
+def random_temporal(rng, n, m, max_label=None):
+    """`cli.random_multigraph(n, m, m, rng)`, each edge labeled at random
+    in 1..max_label, which defaults to the edge count."""
+    g = random_multigraph(n, m, m, rng)
+    top = max_label or m
+    return TemporalGraph.make(g, {e.id: rng.randint(1, top) for e in g.edges})
+
+
+def p_and_c(tg, s, t):
+    """(p, c) of a non-adjacent pair, asked in the order `menger` and
+    `verify_witness` ask: the cut first, so an adjacent pair raises
+    CutUndefinedError before any route is listed."""
+    c = len(min_vertex_cut(tg, s, t))
+    return len(max_disjoint_paths(tg, s, t)), c
 
 
 @st.composite

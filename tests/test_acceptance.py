@@ -10,7 +10,7 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 
 from mengerian import cli
-from mengerian.cli import random_multigraph as dense_random_multigraph
+from mengerian.cli import random_multigraph
 from mengerian.menger import (
     CutUndefinedError,
     edge_menger,
@@ -28,7 +28,6 @@ from helpers import (
     doubled_k2n,
     is_connected,
     mg,
-    random_multigraph,
     without_edge,
 )
 from oracles import brute_c, brute_edge_c, brute_edge_p, brute_p, reverse
@@ -159,7 +158,7 @@ def labeled_instance(seed):
     rng = random.Random(1000 + seed)
     n = rng.randrange(3, 8)
     m = rng.randrange(2, 13)
-    g = random_multigraph(rng, n, m)
+    g = random_multigraph(n, m, m, rng)
     times = {e.id: rng.randrange(1, m + 2) for e in g.edges}
     s, t = rng.sample(range(n), 2)
     return TemporalGraph.make(g, times), s, t
@@ -261,7 +260,7 @@ class TestLargeRandomInstances:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_hundred_vertices_three_hundred_edges(self, seed):
-        g = dense_random_multigraph(100, 300, 3, random.Random(seed))
+        g = random_multigraph(100, 300, 3, random.Random(seed))
         start = time.perf_counter()
         verdict, proof = recognize_with_proof(g)
         assert time.perf_counter() - start < 10.0

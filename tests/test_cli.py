@@ -1,6 +1,8 @@
 """Graph file round trips, report integrity, and command exit codes."""
 
 import argparse
+import contextlib
+import io
 import json
 import re
 import shlex
@@ -8,7 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mengerian import cli, menger
 from mengerian.cli import (
@@ -24,7 +26,7 @@ from mengerian.cli import (
 )
 from mengerian.menger import max_disjoint_paths, min_vertex_cut
 from mengerian.multigraph import InternalError
-from mengerian.patterns import F1, F2, F3, check_m_subdivision
+from mengerian.patterns import F1, F2, F3, PATTERNS, check_m_subdivision
 from mengerian.temporal import TemporalGraph
 
 from helpers import count_listings, is_connected, mg, mult_map, multigraph_isomorphic
@@ -786,3 +788,130 @@ class TestDotHelpers:
         quoted = re.findall(r'"((?:[^"\\]|\\.)*)"', text)
         names = [re.sub(r"\\(.)", r"\1", q) for q in quoted if not q.startswith("#")]
         assert names == ['a"b\\c', 'd\\', 'a"b\\c', 'd\\']
+
+
+# CLI fuzzing: mutated graph files and random flag combinations.  Names
+# with quotes, a backslash and a non-ASCII letter.  A file draws its
+# labels from one pool, 4300 characters long or short; now and then a
+# label is refused: ill-formed, or 4301 characters long
+FUZZ_NAMES = ("a", "b", "007", '"a"', 'a"b', "a\\", "é")
+FUZZ_LABELS = (("9" * 4300, "0" * 4299 + "1"), ("1", "2", "3", "007"))
+BAD_LABELS = ("0", "+4", "1_0", "٣", "1" + "0" * 4300, "0" * 4300 + "7")
+FUZZ_BYTES = (b"", b"\xff", b"\xc3", b"\x80", b"\x00", b" ", b"\n", b"\r", b"#", b"e", b"v")
+BAD_COUNTS = ("-1", "+4", "1_0", "٣", "", "x", "9" * 5000)
+
+
+def rarely(draw):
+    """True about one time in eight."""
+    return draw(st.integers(0, 7)) == 7
+
+
+def fuzz_count(draw):
+    return draw(st.sampled_from(BAD_COUNTS)) if rarely(draw) else str(draw(st.integers(0, 12)))
+
+
+@st.composite
+def fuzzed_files(draw):
+    """Graph-file bytes: now and then random bytes; otherwise a pattern's
+    file or v and e lines (at most 6 edges, labels on all, none or some
+    of them, now and then a duplicate vertex line), now and then with up
+    to three byte edits; and the names it may declare."""
+    names = draw(st.permutations(FUZZ_NAMES))
+    if rarely(draw):
+        return draw(st.binary(max_size=80)), names
+    pool = draw(st.sampled_from(FUZZ_LABELS))
+    bad = draw(st.integers(0, 31))  # the edge, if any, whose label is refused
+
+    def label(k):
+        return draw(st.sampled_from(BAD_LABELS if k == bad else pool))
+
+    if draw(st.booleans()):
+        pattern = draw(st.sampled_from(PATTERNS))
+        times = None if rarely(draw) else {e.id: label(e.id) for e in pattern.graph.edges}
+        text = emit_graphfile(pattern.graph, names[:len(pattern.graph.vertices)], times)
+    else:
+        names = names[:draw(st.integers(2, 5))]
+        lines = [f"v {name}" for name in names]
+        if rarely(draw):
+            lines.insert(draw(st.integers(0, len(lines))), f"v {draw(st.sampled_from(names))}")
+        labeled = draw(st.sampled_from([True, False, None]))  # None: on some edges
+        for k in range(draw(st.integers(0, 6))):
+            if rarely(draw):  # a self-loop or an undeclared end
+                u, v = draw(st.sampled_from([(names[0], names[0]), (names[0], "zz")]))
+            else:
+                u, v = draw(st.permutations(names))[:2]
+            if labeled or (labeled is None and draw(st.booleans())):
+                lines.append(f"e {u} {v} {label(k)}")
+            else:
+                lines.append(f"e {u} {v}")
+        text = "\n".join(lines)
+    data = bytearray(text.encode())
+    for _ in range(draw(st.integers(1, 3)) if rarely(draw) else 0):
+        at = draw(st.integers(0, len(data)))
+        data[at:at + draw(st.integers(0, 2))] = draw(st.sampled_from(FUZZ_BYTES))
+    return bytes(data), names
+
+
+@st.composite
+def fuzzed_argvs(draw, path, dot, names):
+    """A command line: a command's required options (now and then one left
+    out) and any of its others, in any order, counts now and then
+    ill-formed, and now and then a stray token."""
+    cmd = draw(st.sampled_from(["recognize", "menger", "falsify", "gen"]))
+    if cmd == "recognize":
+        required, optional = [[path]], [["--proof"], ["--json"], ["--dot", dot]]
+    elif cmd == "menger":
+        source, target = draw(st.permutations(names + ["zz"]))[:2]
+        required, optional = [[path], ["--source", source], ["--target", target]], [["--edge"]]
+    elif cmd == "falsify":
+        # one mode, now and then both, which argparse refuses
+        modes = draw(st.permutations([["--exhaustive"], ["--samples", fuzz_count(draw)]]))
+        required = [[path], modes[0]]
+        optional = [["--seed", fuzz_count(draw)]] + [modes[1]] * rarely(draw)
+    elif draw(st.booleans()):
+        required = [["--model", "multigraph"]]
+        optional = [["--n", fuzz_count(draw)], ["--m", fuzz_count(draw)],
+                    ["--max-mult", fuzz_count(draw)], ["--seed", fuzz_count(draw)]]
+    else:
+        required = [["--model", "m-subdivided-pattern"],
+                    ["--pattern", draw(st.sampled_from(["F1", "F2", "F3"]))]]
+        optional = [["--ops", fuzz_count(draw)], ["--seed", fuzz_count(draw)]]
+    chosen = required + [opt for opt in optional if draw(st.booleans())]
+    if rarely(draw):
+        del chosen[draw(st.integers(0, len(required) - 1))]
+    argv = [cmd] + [token for opt in draw(st.permutations(chosen)) for token in opt]
+    if rarely(draw):
+        argv.insert(draw(st.integers(0, len(argv))),
+                    draw(st.sampled_from(["--nope", "--json", "--seed", "-x", "extra", "F4"])))
+    return argv
+
+
+def outcome(argv):
+    """Exit code (argparse's SystemExit included), stdout without its
+    `elapsed_ms` values, and stderr of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, re.sub(r'"elapsed_ms": [^,}]*', "", out.getvalue()), err.getvalue()
+
+
+class TestFuzz:
+    @settings(max_examples=300, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_no_input_ends_in_internal_error(self, tmp_path, data):
+        path = tmp_path / "g.graph"
+        text, names = data.draw(fuzzed_files())
+        path.write_bytes(text)
+        target = str(path)
+        if rarely(data.draw):
+            target = data.draw(st.sampled_from([str(tmp_path), str(tmp_path / "missing.graph")]))
+        argv = data.draw(fuzzed_argvs(target, str(tmp_path / "out.dot"), names))
+        first = outcome(argv)
+        code, _, err = first
+        assert code in (0, 1, 2), argv
+        assert not err.startswith("error: internal error"), (argv, err)
+        assert outcome(argv) == first, argv

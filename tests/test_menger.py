@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mengerian import menger
+from mengerian.cli import random_multigraph
 from mengerian.multigraph import Multigraph
 from mengerian.patterns import PATTERNS
 from mengerian.temporal import TemporalGraph, validate_walk
@@ -28,11 +29,17 @@ from mengerian.menger import (
     edge_menger,
     falsify_mengerian,
     max_disjoint_paths,
-    menger_gap,
     min_vertex_cut,
 )
 
-from helpers import count_listings, doubled_k2n, mg, random_multigraph, walk_sequence
+from helpers import (
+    count_listings,
+    doubled_k2n,
+    mg,
+    p_and_c,
+    random_temporal,
+    walk_sequence,
+)
 from oracles import (
     brute_c,
     brute_edge_c,
@@ -73,13 +80,6 @@ TWO_ROUTES = tg([
     (0, 2, 1),
     (2, 3, 2),
 ])
-
-
-def random_temporal(rng, n, m, lifetime=None):
-    g = random_multigraph(rng, n, m)
-    horizon = lifetime or m
-    return TemporalGraph.make(
-        g, {e.id: rng.randint(1, horizon) for e in g.edges})
 
 
 def labeled_path(n):
@@ -171,7 +171,8 @@ class TestRouteTrie:
         # interior; its trie keeps only prefixes of routes, so its nodes
         # and hops are those of the pair-by-pair trie
         rng = random.Random(seed)
-        g = random_multigraph(rng, rng.randint(2, 7), rng.randint(1, 12))
+        n, m = rng.randint(2, 7), rng.randint(1, 12)
+        g = random_multigraph(n, m, m, rng)
         vertices = sorted(g.vertices)
         s = rng.choice(vertices)
         others = [t for t in vertices if t != s]
@@ -201,7 +202,8 @@ class TestRouteTrie:
         # to every target, and from every target back to s, as sampling
         # tests the second orientation of a pair
         rng = random.Random(seed)
-        g = random_multigraph(rng, rng.randint(2, 7), rng.randint(1, 12))
+        n, m = rng.randint(2, 7), rng.randint(1, 12)
+        g = random_multigraph(n, m, m, rng)
         vertices = sorted(g.vertices)
         s = rng.choice(vertices)
         targets = [t for t in vertices if t != s]
@@ -436,33 +438,35 @@ class TestVertexCut:
         assert cut is None or len(cut) == 6
 
 
-class TestMengerGap:
+class TestCutThenPaths:
+    """p and c of one pair, asked as `menger` and `verify_witness` ask:
+    `min_vertex_cut`, then `max_disjoint_paths`."""
+
     def test_gem_gap(self):
-        assert menger_gap(GEM, 0, 3) == (1, 2, 1)
+        assert p_and_c(GEM, 0, 3) == (1, 2)
 
     def test_two_routes_no_gap(self):
-        gap = menger_gap(TWO_ROUTES, 0, 3)
-        assert gap.gap == 0
+        assert p_and_c(TWO_ROUTES, 0, 3) == (2, 2)
 
-    def test_adjacent_pair_refused_before_size_guard_and_search(self, monkeypatch):
+    def test_adjacent_pair_refused_before_listing_and_packing(self, monkeypatch):
         n = 20
         big = tg([(i, (i + 1) % n, i + 1) for i in range(n)] + [(0, 10, 5)])
-        with pytest.raises(CutUndefinedError):
-            menger_gap(big, 0, 1)
+        listed = count_listings(monkeypatch)
 
         def no_packing(*args, **kwargs):
             raise AssertionError("packing searched for an adjacent pair")
 
-        monkeypatch.setattr(menger, "max_disjoint_paths", no_packing)
+        monkeypatch.setattr(menger, "_max_packing", no_packing)
         with pytest.raises(CutUndefinedError):
-            menger_gap(big, 0, 1)
+            p_and_c(big, 0, 1)
+        assert listed == []
 
 
 class TestOneListingPerQuery:
-    def test_menger_gap_lists_once(self, monkeypatch):
+    def test_cut_then_paths_lists_once(self, monkeypatch):
         gem = TemporalGraph(GEM.graph, GEM.entries)  # no listing of earlier tests
         listed = count_listings(monkeypatch)
-        assert menger_gap(gem, 0, 3) == (1, 2, 1)
+        assert p_and_c(gem, 0, 3) == (1, 2)
         assert [g is gem for g in listed] == [True]
 
     def test_counterexample_certificate_lists_once(self, monkeypatch):
@@ -613,8 +617,8 @@ class TestFalsify:
     def test_gem_found_exhaustively(self):
         cx = falsify_mengerian(GEM.graph)
         assert cx is not None
-        gap = menger_gap(cx.labeled, cx.s, cx.t)
-        assert gap.paths == len(cx.paths) < len(cx.cut) == gap.cut
+        assert p_and_c(cx.labeled, cx.s, cx.t) == (len(cx.paths), len(cx.cut))
+        assert len(cx.paths) < len(cx.cut)
         assert not cx.labeled.graph.adjacent(cx.s, cx.t)
         assert cx.labeled.graph == GEM.graph
 
@@ -711,7 +715,7 @@ class TestFalsify:
         assert cx is not None and (cx.s, cx.t) == (0, 3)
         assert [cx.labeled.label(i) for i in range(9)] == [1, 6, 7, 6, 4, 6, 4, 1, 1]
         assert cx.cut == frozenset({1, 2}) and len(cx.paths) == 1
-        assert menger_gap(cx.labeled, cx.s, cx.t) == (1, 2, 1)
+        assert p_and_c(cx.labeled, cx.s, cx.t) == (1, 2)
 
     def test_long_pendant_path_costs_nothing(self):
         # a 4-cycle with a 2000-edge pendant path: only the 4 cycle edges
@@ -758,7 +762,8 @@ class TestFalsify:
         assert time.perf_counter() - start < 1.0
         assert cx is not None and cx.s < cx.t
         assert cx.labeled.graph == g
-        assert menger_gap(cx.labeled, cx.s, cx.t) == (len(cx.paths), len(cx.cut), 1)
+        assert p_and_c(cx.labeled, cx.s, cx.t) == (len(cx.paths), len(cx.cut))
+        assert len(cx.cut) - len(cx.paths) == 1
 
     def test_gem_block_between_cycles_exhaustive(self):
         # blocks in order: a 4-cycle, the gem (shifted by one), a 4-cycle;
@@ -768,7 +773,8 @@ class TestFalsify:
                + [(5, 8), (8, 9), (9, 10), (10, 5)])
         cx = falsify_mengerian(g)
         assert cx is not None and 1 <= cx.s < cx.t <= 5
-        assert menger_gap(cx.labeled, cx.s, cx.t).gap == 1
+        p, c = p_and_c(cx.labeled, cx.s, cx.t)
+        assert c - p == 1
         no_gem = mg([(0, 1), (1, 6), (6, 7), (7, 0), (1, 2), (2, 3), (3, 4), (4, 1)])
         assert falsify_mengerian(no_gem) is None
 
@@ -820,9 +826,12 @@ class TestFalsify:
             assert [(cx.s, cx.t, cx.labeled) for cx in got] == \
                 [(cx.s, cx.t, cx.labeled) for cx in results[1]]
         fan_cx = results[1][2]
-        gapping = [pair for pair in permutations(sorted(fan.vertices), 2)
-                   if not fan.adjacent(*pair)
-                   and menger_gap(fan_cx.labeled, *pair).gap > 0]
+        gapping = []
+        for pair in permutations(sorted(fan.vertices), 2):
+            if not fan.adjacent(*pair):
+                p, c = p_and_c(fan_cx.labeled, *pair)
+                if p < c:
+                    gapping.append(pair)
         # ties on one labeling go to the first pair in sorted order
         assert (fan_cx.s, fan_cx.t) == gapping[0] == (0, 3) and len(gapping) >= 2
 
@@ -855,7 +864,8 @@ class TestFalsify:
         g = mg([e.pair for e in GEM.graph.edges] + [(1, 2)] * 999)
         cx = falsify_mengerian(g, samples=2000, seed=0)
         assert cx is not None
-        assert menger_gap(cx.labeled, cx.s, cx.t).gap == 1
+        p, c = p_and_c(cx.labeled, cx.s, cx.t)
+        assert c - p == 1
         assert labels and max(labels) <= menger._CHUNK_LABELS
 
     @pytest.mark.parametrize("m", range(7))
@@ -907,12 +917,13 @@ class TestFalsify:
     @given(st.integers(0, 60))
     def test_agrees_with_naive_search(self, seed):
         rng = random.Random(seed)
-        g = random_multigraph(rng, rng.randint(3, 5), rng.randint(2, 4))
+        n, m = rng.randint(3, 5), rng.randint(2, 4)
+        g = random_multigraph(n, m, m, rng)
         ours = falsify_mengerian(g)
         naive = naive_search_all_labelings(g)
         if naive is None:
             assert ours is None
         else:
             assert ours is not None
-            gap = menger_gap(ours.labeled, ours.s, ours.t)
-            assert gap.gap >= 1
+            p, c = p_and_c(ours.labeled, ours.s, ours.t)
+            assert p < c

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from mengerian.cli import random_multigraph
 from mengerian.multigraph import (
     Chain,
     Edge,
@@ -16,7 +17,7 @@ from mengerian.multigraph import (
     m_subdivide,
     maximal_chains,
 )
-from helpers import components, edge_degree, mg, random_multigraph, small_multigraphs
+from helpers import components, edge_degree, mg, small_multigraphs
 from oracles import reference_blocks, shortest_path_order
 
 
@@ -266,11 +267,16 @@ class TestMaximalChains:
                  (4, 5)])
         assert maximal_chains(g4) == (Chain((3, 0, 1, 4)),)
 
-    @pytest.mark.parametrize("seed", [1401, 2490])
-    def test_random_cycles_hanging_from_branch_vertices(self, seed):
-        rng = random.Random(seed)
-        g = random_multigraph(rng, rng.randint(7, 9), rng.randint(9, 18), max_mult=3)
-        assert_chain_partition(g)
+    # two seeded random hosts (7-9 vertices, 9-18 edges, multiplicity
+    # <= 3) on which chain growth once came round to its own tail
+    @pytest.mark.parametrize("n, pairs", [
+        (9, [(0, 2), (6, 7), (2, 4), (4, 5), (1, 8), (3, 5), (6, 8), (6, 7), (2, 5),
+             (5, 7), (1, 8), (1, 6), (6, 8), (5, 7), (1, 8), (1, 6)]),
+        (8, [(4, 6), (0, 1), (0, 4), (2, 3), (1, 5), (3, 4), (4, 5), (4, 5), (6, 7),
+             (3, 4), (1, 5), (3, 7), (0, 4), (6, 7), (3, 4), (2, 6), (0, 1)]),
+    ], ids=["1401", "2490"])
+    def test_random_cycles_hanging_from_branch_vertices(self, n, pairs):
+        assert_chain_partition(Multigraph.build(n, pairs))
 
     @given(small_multigraphs())
     def test_partition_property(self, g):
@@ -386,7 +392,8 @@ class TestBlocks:
     def test_cut_vertices_match_bruteforce(self):
         rng = random.Random(7)
         for _ in range(150):
-            g = random_multigraph(rng, rng.randint(2, 7), rng.randint(1, 10))
+            n, m = rng.randint(2, 7), rng.randint(1, 10)
+            g = random_multigraph(n, m, m, rng)
             blocks = biconnected_components(g)
             in_blocks = {}
             for b in blocks:

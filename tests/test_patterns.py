@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+from mengerian.cli import random_multigraph
 from mengerian.multigraph import Edge, Multigraph, identify, m_subdivide, maximal_chains
 from mengerian.menger import max_disjoint_paths, min_vertex_cut
 from mengerian.patterns import (
@@ -24,7 +25,7 @@ from mengerian.patterns import (
 from mengerian.recognizer import recognize
 from mengerian.temporal import TemporalGraph
 
-from helpers import mg, random_multigraph, small_multigraphs
+from helpers import mg, small_multigraphs
 import oracles
 from oracles import brute_c, brute_has_gem, brute_p
 
@@ -248,7 +249,8 @@ class TestGemSearch:
     @given(st.integers(0, 80), st.booleans())
     def test_agrees_with_brute(self, seed, tail):
         rng = random.Random(seed)
-        g = random_multigraph(rng, rng.randint(5, 7), rng.randint(6, 11))
+        n, m = rng.randint(5, 7), rng.randint(6, 11)
+        g = random_multigraph(n, m, m, rng)
         host = with_tail(g) if tail else g
         ours = find_f3_subdivision(host)
         if ours is not None:
@@ -259,7 +261,8 @@ class TestGemSearch:
     def test_pinned_agrees_with_brute(self, seed, tail):
         # the recognizer's use: apex pinned to a contracted chain
         rng = random.Random(seed)
-        g = random_multigraph(rng, rng.randint(6, 9), rng.randint(9, 15))
+        n, m = rng.randint(6, 9), rng.randint(9, 15)
+        g = random_multigraph(n, m, m, rng)
         for chain in maximal_chains(g):
             g_l, ell = identify(g, chain.vertices)
             host = with_tail(g_l) if tail else g_l
@@ -306,7 +309,11 @@ class TestGemSearch:
     def test_nineteen_vertex_host_fast(self):
         # linear work per apex takes well under a millisecond here; a
         # search that tries corner choices one by one takes tenths of a second
-        host = random_multigraph(random.Random(11), 19, 32, max_mult=3)
+        host = Multigraph.build(19, [
+            (14, 17), (16, 18), (5, 6), (15, 16), (3, 5), (9, 14), (2, 4), (1, 17),
+            (12, 14), (0, 5), (2, 16), (6, 7), (0, 14), (10, 14), (6, 18), (7, 16),
+            (9, 15), (0, 2), (8, 14), (13, 17), (2, 8), (7, 10), (9, 16), (0, 2),
+            (3, 18), (3, 12), (9, 12), (0, 2), (0, 6), (1, 6), (12, 15), (12, 13)])
         start = time.perf_counter()
         emb = find_f3_subdivision(host)
         assert time.perf_counter() - start < 0.05

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mengerian import menger, recognizer
-from mengerian.menger import ResourceLimitError, falsify_mengerian, menger_gap
+from mengerian.cli import random_multigraph
+from mengerian.menger import ResourceLimitError, falsify_mengerian
 from mengerian.multigraph import (
     Multigraph,
     biconnected_components,
@@ -24,7 +25,7 @@ from mengerian.recognizer import (
     recognize_with_proof,
 )
 
-from helpers import doubled_k2n, mg, random_multigraph
+from helpers import doubled_k2n, mg, p_and_c
 from oracles import brute_has_gem
 
 
@@ -458,7 +459,7 @@ class TestContractedDegrees:
     def test_exact_and_never_skips_a_gem(self, seed):
         rng = random.Random(seed)
         n = rng.randint(3, 12)
-        g = random_multigraph(rng, n, rng.randint(n, 3 * n), max_mult=3)
+        g = random_multigraph(n, rng.randint(n, 3 * n), 3, rng)
         for block in biconnected_components(g):
             if not block.has_parallel_edges():
                 continue
@@ -563,7 +564,7 @@ class TestFalsifierAgreement:
     def test_random_seven_edge_graphs_agree(self):
         for seed in range(18):
             rng = random.Random(seed)
-            g = random_multigraph(rng, rng.randrange(4, 6), 7, max_mult=3)
+            g = random_multigraph(rng.randrange(4, 6), 7, 3, rng)
             assert recognize(g).mengerian == (falsify_mengerian(g) is None)
 
     def test_relabeled_gems_agree(self):
@@ -578,15 +579,15 @@ class TestFalsifierAgreement:
             cx = falsify_mengerian(g)
             # exhaustive search tests each pair in the orientation s < t
             assert cx is not None and cx.s < cx.t
-            gap = menger_gap(cx.labeled, cx.s, cx.t)
-            assert (gap.paths, gap.cut) == (len(cx.paths), len(cx.cut))
-            assert gap.gap >= 1
+            assert p_and_c(cx.labeled, cx.s, cx.t) == (len(cx.paths), len(cx.cut))
+            assert len(cx.paths) < len(cx.cut)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40)
     def test_small_graphs_are_all_mengerian_both_ways(self, seed):
         # below seven edges neither route can find anything
         rng = random.Random(seed)
-        g = random_multigraph(rng, rng.randrange(2, 6), rng.randrange(1, 6))
+        n, m = rng.randrange(2, 6), rng.randrange(1, 6)
+        g = random_multigraph(n, m, m, rng)
         assert recognize(g).mengerian
         assert falsify_mengerian(g) is None

@@ -15,7 +15,7 @@ from mengerian.temporal import (
     validate_walk,
     walk_to_path,
 )
-from helpers import mg, random_multigraph, walk_sequence
+from helpers import mg, random_temporal, walk_sequence
 from oracles import brute_arrival, latest_departures, reverse
 
 
@@ -27,12 +27,6 @@ def tg(pairs_with_labels, vertices=None):
 
 # 0-1-2-3 path labeled 1,2,3 with a late shortcut 0-3
 LINE = tg([(0, 1, 1), (1, 2, 2), (2, 3, 3), (0, 3, 9)])
-
-
-def random_temporal(rng, n, m, max_label=None):
-    g = random_multigraph(rng, n, m)
-    top = max_label or max(1, len(g.edges))
-    return TemporalGraph.make(g, {e.id: rng.randint(1, top) for e in g.edges})
 
 
 class TestConstruction:

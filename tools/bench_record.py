@@ -28,16 +28,19 @@ spell of the machine does not always fall on the same commit.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import re
 import subprocess
 import sys
-import tarfile
 import tempfile
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TOOLS = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(TOOLS)
+if TOOLS not in sys.path:
+    sys.path.insert(0, TOOLS)
+from same_output import export  # noqa: E402
+
 GAUGE = re.compile(r"# speed gauge: (\d+) readings, min ([\d.]+) ms,"
                    r" 2nd percentile ([\d.]+) ms, median ([\d.]+) ms")
 
@@ -65,11 +68,8 @@ def parse_run(stdout: str) -> tuple[dict, dict]:
 
 def record(commit: str, workload: str, seed: int, seconds: float) -> dict:
     """One untraced run of the commit's benchmark on one workload and seed."""
-    archive = subprocess.run(["git", "-C", ROOT, "archive", commit],
-                             check=True, capture_output=True).stdout
     with tempfile.TemporaryDirectory(prefix="bench-record-") as tree:
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tree)
+        export(commit, tree)
         run = subprocess.run(
             [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
              "--seconds", str(seconds), "--trace", "0"],
