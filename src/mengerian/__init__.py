@@ -21,13 +21,7 @@ from .multigraph import (
     m_subdivide,
     maximal_chains,
 )
-from .temporal import (
-    TemporalGraph,
-    TemporalPath,
-    TemporalWalk,
-    WalkError,
-    validate_walk,
-)
+from .temporal import TemporalGraph, TemporalPath
 from .menger import (
     Counterexample,
     CutUndefinedError,
@@ -77,9 +71,7 @@ __all__ = [
     "ResourceLimitError",
     "TemporalGraph",
     "TemporalPath",
-    "TemporalWalk",
     "Verdict",
-    "WalkError",
     "WitnessReport",
     "biconnected_components",
     "check_m_subdivision",
@@ -94,7 +86,6 @@ __all__ = [
     "min_vertex_cut",
     "recognize",
     "recognize_with_proof",
-    "validate_walk",
     "verify_witness",
     "__version__",
 ]

@@ -66,8 +66,6 @@ from .temporal import (
     TemporalPath,
     earliest_arrival,
     latest_departure,
-    validate_walk,
-    walk_to_path,
 )
 
 # Routes one pair may have before the graph is refused as too dense: the
@@ -374,7 +372,7 @@ def edge_menger(
     minimum cut, which only edges cross: the cut is the edges with
     exactly one end node reached.  Each path follows positive flow from
     s, leaving each vertex by its flow edge of smallest label (then id)
-    not before the arrival, up to t; `walk_to_path` splices out revisits.
+    not before the arrival, up to t; `_splice_walk` splices out revisits.
     """
     _check_pair(tg, s, t)
     g = tg.graph
@@ -438,15 +436,16 @@ def edge_menger(
         out.sort()
     paths = []
     for _ in range(value):
-        seq, v, arrived = [s], s, 0
+        vs, es, v, arrived = [s], [], s, 0
         while v != t:
             out = leaving.get(v, [])
             i = bisect_left(out, (arrived,))
             if i == len(out):
                 raise InternalError("flow conservation")
             arrived, eid, v = out.pop(i)
-            seq += [eid, v]
-        paths.append(walk_to_path(tg, validate_walk(tg, seq)))
+            vs.append(v)
+            es.append(eid)
+        paths.append(_splice_walk(vs, es))
 
     if len(cut) != value:
         raise InternalError("max flow must equal the edge cut")
@@ -456,6 +455,26 @@ def edge_menger(
     if len(used) != len(set(used)):
         raise InternalError("paths must be edge-disjoint")
     return tuple(paths), cut
+
+
+def _splice_walk(vs: list[int], es: list[int]) -> TemporalPath:
+    """The path left when revisits are spliced out of the temporal walk
+    with vertices vs and edge ids es.
+
+    Each splice joins the first arrival at the first repeated vertex to
+    the last departure from it, and repeats; the label chain stays
+    non-decreasing because the removed stretch sat between the two.
+    """
+    while True:
+        seen = set()
+        for v in vs:
+            if v in seen:
+                break
+            seen.add(v)
+        else:
+            return TemporalPath(tuple(vs), tuple(es))
+        i, j = vs.index(v), len(vs) - 1 - vs[::-1].index(v)
+        vs, es = vs[: i + 1] + vs[j + 1 :], es[:i] + es[j:]
 
 
 # ----------------------------------------------------------------------
@@ -709,13 +728,10 @@ def _kept_sets(keep: list[int], universe: int) -> list[tuple[int, int]]:
     labeling index and its kept set as a bitmask over routes, by lowest
     index.
     """
-    common = 0
     groups = [[universe, 0]]
     for i, bits in enumerate(keep):
         bits &= universe
-        if bits == universe:
-            common |= 1 << i
-        elif bits:
+        if bits:
             split = []
             for group in groups:
                 inside = group[0] & bits
@@ -725,7 +741,7 @@ def _kept_sets(keep: list[int], universe: int) -> list[tuple[int, int]]:
                     group[0] ^= inside
                     split.append([inside, group[1] | 1 << i])
             groups += split
-    return sorted(((labs & -labs).bit_length() - 1, kept | common) for labs, kept in groups)
+    return sorted(((labs & -labs).bit_length() - 1, kept) for labs, kept in groups)
 
 
 def _minimal_family(masks: list[int], alive: int) -> frozenset[int]:

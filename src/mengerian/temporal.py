@@ -1,9 +1,10 @@
-"""Time labels on multigraphs, temporal walks and reachability.
+"""Time labels on multigraphs, temporal paths and reachability.
 
 A time-function assigns a positive integer label to every edge.  A walk
 is temporal when consecutive edge labels never decrease, so an edge can
 be traversed at its own label after arriving at the same label
-(non-strict model).  `earliest_arrival` and `latest_departure` share one
+(non-strict model); a temporal path is such a walk that visits no
+vertex twice.  `earliest_arrival` and `latest_departure` share one
 sweep over the label groups, upward from a source and downward from a
 target.
 """
@@ -12,17 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .multigraph import Edge, GraphError, Multigraph
-
-
-class WalkError(ValueError):
-    """A sequence failed to be a temporal walk; `index` names the spot."""
-
-    def __init__(self, index: int, message: str):
-        self.index = index
-        super().__init__(f"position {index}: {message}")
 
 
 @dataclass(frozen=True)
@@ -61,82 +54,20 @@ class TemporalGraph:
 
 
 @dataclass(frozen=True)
-class TemporalWalk:
-    """Alternating vertex/edge sequence; may revisit vertices."""
+class TemporalPath:
+    """Alternating vertex/edge sequence with pairwise distinct vertices."""
 
     vertices: tuple[int, ...]
     edge_ids: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.vertices) != len(self.edge_ids) + 1 or not self.vertices:
-            raise GraphError("walk needs n edges and n+1 vertices")
-
-    def __len__(self) -> int:
-        return len(self.edge_ids)
-
-
-@dataclass(frozen=True)
-class TemporalPath(TemporalWalk):
-    """A temporal walk with pairwise distinct vertices."""
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
+        if len(self.vertices) != len(self.edge_ids) + 1:
+            raise GraphError("path needs n edges and n+1 vertices")
         if len(set(self.vertices)) != len(self.vertices):
             raise GraphError("path vertices must be distinct")
 
-
-def validate_walk(tg: TemporalGraph, seq: Sequence[int]) -> TemporalWalk:
-    """Check an alternating sequence v0, e1, v1, e2, v2, ... and wrap it.
-
-    Raises WalkError naming the first offending position.
-    """
-    if len(seq) % 2 == 0 or not seq:
-        raise WalkError(len(seq), "sequence must alternate v0, e1, v1, ... (odd length)")
-    vertices = list(seq[0::2])
-    edge_ids = list(seq[1::2])
-    for i, v in enumerate(vertices):
-        if not tg.graph.has_vertex(v):
-            raise WalkError(2 * i, f"unknown vertex {v}")
-    prev_label = None
-    for i, eid in enumerate(edge_ids):
-        pos = 2 * i + 1
-        try:
-            e = tg.graph.edge(eid)
-        except GraphError:
-            raise WalkError(pos, f"unknown edge {eid}") from None
-        if {e.u, e.v} != {vertices[i], vertices[i + 1]}:
-            raise WalkError(pos, f"edge {eid} does not join {vertices[i]} and {vertices[i + 1]}")
-        lab = tg.label(eid)
-        if prev_label is not None and lab < prev_label:
-            raise WalkError(pos, f"label {lab} after {prev_label} decreases")
-        prev_label = lab
-    return TemporalWalk(tuple(vertices), tuple(edge_ids))
-
-
-def walk_to_path(tg: TemporalGraph, walk: TemporalWalk) -> TemporalPath:
-    """Splice out revisits until the walk is a path.
-
-    Each splice joins the first arrival at a repeated vertex to the last
-    departure from it; the label chain stays non-decreasing because the
-    removed stretch sat between the two.
-    """
-    vs = list(walk.vertices)
-    es = list(walk.edge_ids)
-    while True:
-        seen: dict[int, int] = {}
-        dup = None
-        for i, v in enumerate(vs):
-            if v in seen:
-                dup = v
-                break
-            seen[v] = i
-        if dup is None:
-            break
-        i = seen[dup]
-        j = len(vs) - 1 - vs[::-1].index(dup)
-        vs = vs[: i + 1] + vs[j + 1 :]
-        es = es[:i] + es[j:]
-    return TemporalPath(tuple(vs), tuple(es))
+    def __len__(self) -> int:
+        return len(self.edge_ids)
 
 
 def _label_sweep(tg: TemporalGraph, start: int, start_label: int,

@@ -53,14 +53,6 @@ def is_connected(g):
     return sum(1 for _ in components(g)) <= 1
 
 
-def walk_sequence(walk):
-    """Interleaved v0, e1, v1, ... form accepted by validate_walk."""
-    out = [walk.vertices[0]]
-    for eid, v in zip(walk.edge_ids, walk.vertices[1:]):
-        out += [eid, v]
-    return out
-
-
 def without_edge(tg, eid):
     """tg with edge eid deleted; every vertex and every other label stays."""
     kept = tuple(e for e in tg.graph.edges if e.id != eid)

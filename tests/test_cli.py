@@ -886,16 +886,19 @@ def fuzzed_argvs(draw, path, dot, names):
     return argv
 
 
-def outcome(argv):
+def outcome(argv, dot):
     """Exit code (argparse's SystemExit included), stdout without its
-    `elapsed_ms` values, and stderr of one in-process run."""
+    `elapsed_ms` values, stderr, and the text of the DOT file at `dot`
+    (None if none was written) of one in-process run."""
+    dot.unlink(missing_ok=True)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    return code, re.sub(r'"elapsed_ms": [^,}]*', "", out.getvalue()), err.getvalue()
+    drawn = dot.read_text(encoding="utf-8") if dot.exists() else None
+    return code, re.sub(r'"elapsed_ms": [^,}]*', "", out.getvalue()), err.getvalue(), drawn
 
 
 class TestFuzz:
@@ -909,9 +912,10 @@ class TestFuzz:
         target = str(path)
         if rarely(data.draw):
             target = data.draw(st.sampled_from([str(tmp_path), str(tmp_path / "missing.graph")]))
-        argv = data.draw(fuzzed_argvs(target, str(tmp_path / "out.dot"), names))
-        first = outcome(argv)
-        code, _, err = first
+        dot = tmp_path / "out.dot"
+        argv = data.draw(fuzzed_argvs(target, str(dot), names))
+        first = outcome(argv, dot)
+        code, _, err, _ = first
         assert code in (0, 1, 2), argv
         assert not err.startswith("error: internal error"), (argv, err)
-        assert outcome(argv) == first, argv
+        assert outcome(argv, dot) == first, argv

@@ -74,24 +74,48 @@ def test_a_file_that_is_not_utf8_gets_its_commands(tmp_path):
 
 def test_graph_commands_recognize_and_falsify_each_file(tmp_path):
     # a 4-cycle has no gap; the gem (a path a-b-c-d and an apex e joined to
-    # all four) has one that both falsify modes find
+    # all four) has one that both falsify modes find; neither file carries
+    # labels, so each is queried on its labeled copy, at its pair (a, c)
     (tmp_path / "c4.g").write_text("v a\nv b\nv c\nv d\ne a b\ne b c\ne c d\ne d a\n")
     (tmp_path / "gem.g").write_text("v a\nv b\nv c\nv d\nv e\ne a b\ne b c\ne c d\n"
                                     "e e a\ne e b\ne e c\ne e d\n")
     (tmp_path / "notes.txt").write_text("not a graph\n")
-    argvs = same_output.graph_commands(str(tmp_path), str(tmp_path))
-    dot = str(tmp_path / "out.dot")
+    work = tmp_path / "work"
+    argvs = same_output.graph_commands(str(tmp_path), str(work))
+    dot = str(work / "out.dot")
+    query = ["--source", "a", "--target", "c"]
     assert argvs == [argv for name in ("c4.g", "gem.g") for argv in (
         ["recognize", str(tmp_path / name), "--json", "--proof"],
         ["recognize", str(tmp_path / name), "--dot", dot],
         ["falsify", "--samples", "300", "--seed", "0", str(tmp_path / name)],
         ["falsify", "--exhaustive", str(tmp_path / name)],
+        ["menger", str(work / "labeled" / name)] + query,
+        ["menger", str(work / "labeled" / name)] + query + ["--edge"],
     )]
     ran = same_output.run_all(str(ROOT), argvs)
-    assert [r["code"] for r in ran] == [0, 0, 0, 0, 1, 1, 1, 1]
+    assert [r["code"] for r in ran] == [0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0]
     assert ran[2]["out"] == ran[3]["out"] == "no counterexample\n"
-    assert all(r["out"].startswith("# counterexample: p < c") for r in ran[6:])
+    assert all(r["out"].startswith("# counterexample: p < c") for r in ran[8:10])
+    # the gem's copy labels its edges 1 2 3 1 2 3 1 in file order
+    assert ran[11]["out"] == ("p' = 2\n  path 1: a -1- b -2- c\n"
+                              "  path 2: a -1- e -1- d -3- c\nc' = 2\n  cut edges: 0 3\n")
     assert same_output.differences(argvs, ran, ran) == []
+
+
+def test_labeled_copy_labels_each_bare_edge_line_by_its_place(tmp_path):
+    # the k-th edge line gets k % 3 + 1 whatever else the file holds;
+    # comments, blank lines and bytes that are not UTF-8 are kept
+    bare = tmp_path / "bare.g"
+    bare.write_bytes(b"# four edges\nv a\nv \xff\r\nv c\n\ne a c # first\r\n"
+                     b"e c \xff\n  e  a \xff  \ne a c\n")
+    copy = same_output.labeled_copy(str(bare), str(tmp_path / "work"))
+    assert copy == str(tmp_path / "work" / "labeled" / "bare.g")
+    assert open(copy, "rb").read() == (b"# four edges\nv a\nv \xff\nv c\n\ne a c 1 # first\n"
+                                       b"e c \xff 2\ne a \xff 3\ne a c 1\n")
+    # a file whose edges all carry labels, or that has none, is read as it is
+    for name, text in (("labeled.g", "v a\nv b\ne a b 4\n"), ("empty.g", "v a\nv b\n")):
+        (tmp_path / name).write_text(text)
+        assert same_output.labeled_copy(str(tmp_path / name), str(tmp_path)) == str(tmp_path / name)
 
 
 def test_graph_commands_query_the_first_non_adjacent_pair_of_labeled_files(tmp_path):

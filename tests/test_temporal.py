@@ -5,18 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mengerian.multigraph import GraphError, Multigraph
-from mengerian.temporal import (
-    TemporalGraph,
-    TemporalPath,
-    TemporalWalk,
-    WalkError,
-    earliest_arrival,
-    latest_departure,
-    validate_walk,
-    walk_to_path,
-)
-from helpers import mg, random_temporal, walk_sequence
-from oracles import brute_arrival, latest_departures, reverse
+from mengerian.menger import _splice_walk
+from mengerian.temporal import TemporalGraph, TemporalPath, earliest_arrival, latest_departure
+from helpers import mg, random_temporal
+from oracles import brute_arrival, brute_temporal_paths, latest_departures, reverse
 
 
 def tg(pairs_with_labels, vertices=None):
@@ -52,59 +44,33 @@ class TestConstruction:
         other = tg([(0, 1, 1), (1, 2, 2), (2, 3, 3), (0, 3, 9)])
         assert other == LINE
 
-
-class TestWalkValidation:
-    def test_valid_walk(self):
-        w = validate_walk(LINE, [0, 0, 1, 1, 2, 2, 3])
-        assert isinstance(w, TemporalWalk)
-        assert w.vertices == (0, 1, 2, 3)
-        assert w.edge_ids == (0, 1, 2)
-
-    def test_single_vertex_walk(self):
-        w = validate_walk(LINE, [2])
-        assert len(w) == 0
-
-    def test_label_decrease_flagged(self):
-        with pytest.raises(WalkError) as exc:
-            validate_walk(LINE, [0, 3, 3, 2, 2])
-        assert exc.value.index == 3
-
-    def test_wrong_endpoint_flagged(self):
-        with pytest.raises(WalkError) as exc:
-            validate_walk(LINE, [0, 0, 2])
-        assert exc.value.index == 1
-
-    def test_unknown_vertex_and_edge(self):
-        with pytest.raises(WalkError) as exc:
-            validate_walk(LINE, [0, 0, 9])
-        assert exc.value.index == 2
-        with pytest.raises(WalkError) as exc:
-            validate_walk(LINE, [0, 77, 1])
-        assert exc.value.index == 1
-
-    def test_even_length_rejected(self):
-        with pytest.raises(WalkError):
-            validate_walk(LINE, [0, 0])
-
-    def test_equal_labels_allowed(self):
-        t = tg([(0, 1, 2), (1, 2, 2)])
-        w = validate_walk(t, [0, 0, 1, 1, 2])
-        assert w.vertices[-1] == 2
+    def test_path_shape(self):
+        assert len(TemporalPath((0, 1, 2), (0, 1))) == 2
+        with pytest.raises(GraphError, match="n edges and n\\+1 vertices"):
+            TemporalPath((0, 1), (0, 1))
+        with pytest.raises(GraphError, match="distinct"):
+            TemporalPath((0, 1, 0), (0, 0))
 
 
 class TestWalkToPath:
     def test_already_a_path(self):
-        w = validate_walk(LINE, [0, 0, 1, 1, 2])
-        p = walk_to_path(LINE, w)
+        p = _splice_walk([0, 1, 2], [0, 1])
         assert p.vertices == (0, 1, 2)
         assert p.edge_ids == (0, 1)
 
     def test_detour_spliced_out(self):
-        t = tg([(0, 1, 1), (1, 2, 2), (1, 2, 3), (1, 3, 4)])
-        w = validate_walk(t, [0, 0, 1, 1, 2, 2, 1, 3, 3])
-        p = walk_to_path(t, w)
+        # 0 -1-> 1 -2-> 2 -3-> 1 -4-> 3 on edges 0, 1, 2, 3
+        p = _splice_walk([0, 1, 2, 1, 3], [0, 1, 2, 3])
         assert p.vertices == (0, 1, 3)
         assert p.edge_ids == (0, 3)
+
+    def test_first_repeat_joins_its_first_arrival_to_its_last_departure(self):
+        # a x d y d x z d t: d repeats first, so a x d t, where erasing
+        # loops in time order would give a x z d t
+        a, x, d, y, z, t = range(6)
+        p = _splice_walk([a, x, d, y, d, x, z, d, t], list(range(8)))
+        assert p.vertices == (a, x, d, t)
+        assert p.edge_ids == (0, 1, 7)
 
     @given(st.data())
     def test_fuzz_always_yields_valid_path(self, data):
@@ -112,7 +78,7 @@ class TestWalkToPath:
         t = random_temporal(rng, rng.randint(2, 6), rng.randint(1, 10))
         # grow a random temporal walk greedily
         start = rng.choice(sorted(t.graph.vertices))
-        seq = [start]
+        vs, es = [start], []
         cur, lab = start, 0
         for _ in range(rng.randint(0, 8)):
             options = [e for e in t.graph.edges if cur in e.pair and t.label(e.id) >= lab]
@@ -121,14 +87,16 @@ class TestWalkToPath:
             e = rng.choice(options)
             cur = e.u + e.v - cur
             lab = t.label(e.id)
-            seq += [e.id, cur]
-        walk = validate_walk(t, seq)
-        path = walk_to_path(t, walk)
-        assert path.vertices[0] == walk.vertices[0]
-        assert path.vertices[-1] == walk.vertices[-1]
-        # the path must itself validate as a temporal walk
-        validate_walk(t, walk_sequence(path))
+            vs.append(cur)
+            es.append(e.id)
+        path = _splice_walk(vs, es)
         assert isinstance(path, TemporalPath)
+        assert path.vertices[0] == start and path.vertices[-1] == cur
+        # the path must itself be a temporal path of the graph
+        if start == cur:
+            assert path.edge_ids == ()
+        else:
+            assert (path.vertices, path.edge_ids) in brute_temporal_paths(t, start, cur)
 
 
 class TestEarliestArrival:

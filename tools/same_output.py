@@ -11,10 +11,13 @@ Python subprocess per tree calls that tree's `mengerian.cli.main` on each
 command in turn.  With `--graphs DIR`, each `*.g` file in DIR also gets
 `recognize FILE --json --proof`, `recognize FILE --dot OUT`,
 `falsify --samples 300 --seed 0 FILE` and `falsify --exhaustive FILE`,
-and the DOT text counts as output.  A file whose edges carry labels
+and the DOT text counts as output.  Each file with a non-adjacent pair
 also gets `menger FILE --source A --target B`, with and without
-`--edge`, where A, B is its first non-adjacent pair in the order the
-vertices are declared; a file without such a pair gets no `menger`.
+`--edge`, where A, B is its first such pair in the order the vertices
+are declared.  A file with edge lines `e U V` that carry no label is
+queried on a labeled copy, written once and read by both trees: the
+copy gives each such line the label k % 3 + 1, where k counts the
+file's edge lines from 0, and keeps every other line.
 
 A command whose exit code, standard output or standard error differs
 between the trees is reported.  `elapsed_ms` is removed from JSON output first, since it
@@ -134,11 +137,11 @@ def workload_commands(perfbench: str, name: str, seed: int, workdir: str) -> lis
 
 
 def menger_pair(path: str) -> tuple[str, str] | None:
-    """The first non-adjacent pair of a labeled graph file, in the order its
-    vertices are declared; None when its edges carry no labels or every
-    pair is adjacent.  Bytes that are not UTF-8 read as U+FFFD, so such a
-    file still gets the commands that report it."""
-    names, adjacent, labeled = [], set(), False
+    """The first non-adjacent pair of a graph file, in the order its
+    vertices are declared; None when every pair is adjacent.  Bytes that
+    are not UTF-8 read as U+FFFD, so such a file still gets the commands
+    that report it."""
+    names, adjacent = [], set()
     with open(path, encoding="utf-8", errors="replace") as fh:
         for line in fh:
             fields = line.split("#", 1)[0].split()
@@ -146,11 +149,33 @@ def menger_pair(path: str) -> tuple[str, str] | None:
                 names += fields[1:]
             elif fields[:1] == ["e"]:
                 adjacent.add(frozenset(fields[1:3]))
-                labeled = len(fields) == 4
-    if not labeled:
-        return None
     return next(((a, b) for i, a in enumerate(names) for b in names[i + 1:]
                  if frozenset((a, b)) not in adjacent), None)
+
+
+def labeled_copy(path: str, workdir: str) -> str:
+    """path itself when none of its edge lines lacks a label; otherwise a
+    copy in workdir/labeled where the k-th edge line `e U V` (k from 0)
+    gets label k % 3 + 1.  Lines are split as the graph-file reader splits
+    them, and bytes that are not UTF-8 are copied as they are."""
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        lines = fh.read().splitlines()
+    edges = labeled = 0
+    for i, line in enumerate(lines):
+        body, mark, note = line.partition("#")
+        fields = body.split()
+        if fields[:1] == ["e"]:
+            if len(fields) == 3:
+                lines[i] = " ".join(fields + [str(edges % 3 + 1)]) + (f" #{note}" if mark else "")
+                labeled += 1
+            edges += 1
+    if not labeled:
+        return path
+    copy = os.path.join(workdir, "labeled", os.path.basename(path))
+    os.makedirs(os.path.dirname(copy), exist_ok=True)
+    with open(copy, "w", encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
+        fh.write("".join(line + "\n" for line in lines))
+    return copy
 
 
 def graph_commands(graphs: str, workdir: str) -> list[list[str]]:
@@ -162,7 +187,8 @@ def graph_commands(graphs: str, workdir: str) -> list[list[str]]:
                   ["falsify", "--exhaustive", path]]
         pair = menger_pair(path)
         if pair:
-            query = ["menger", path, "--source", pair[0], "--target", pair[1]]
+            query = ["menger", labeled_copy(path, workdir),
+                     "--source", pair[0], "--target", pair[1]]
             argvs += [query, query + ["--edge"]]
     return argvs
 
@@ -174,7 +200,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--workload", action="append", help="a workload (default: all)")
     ap.add_argument("--seed", type=int, action="append", help="a seed (default: 1 and 2)")
     ap.add_argument("--graphs", metavar="DIR",
-                    help="also recognize, falsify and (when labeled) query every *.g file in DIR")
+                    help="also recognize, falsify and query every *.g file in DIR")
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
