@@ -133,9 +133,10 @@ def _check_pair(tg: TemporalGraph, s: int, t: int) -> None:
         raise GraphError("source and target must differ")
 
 
-def _over_budget(search: str, s: int, t: int) -> ResourceLimitError:
-    return ResourceLimitError(f"the {search} between {{s}} and {{t}} exceeds the work budget "
-                              f"of {_WORK_BUDGET} steps", s=s, t=t)
+def _over_budget(search: str, **ends: int) -> ResourceLimitError:
+    where = "between {s} and {t}" if "t" in ends else "from {s}"
+    return ResourceLimitError(f"the {search} {where} exceeds the work budget "
+                              f"of {_WORK_BUDGET} steps", **ends)
 
 
 def _too_many_routes(s: int, t: int) -> ResourceLimitError:
@@ -191,7 +192,7 @@ def _route_paths(tg: TemporalGraph, s: int, t: int) -> Iterator[TemporalPath]:
                 continue
             pushes += 1
             if pushes > _WORK_BUDGET:
-                raise _over_budget("route search", s, t)
+                raise _over_budget("route search", s=s, t=t)
             vpath.append(y)
             epath.append(eid)
             on_path.add(y)
@@ -245,7 +246,7 @@ def _max_packing(masks: list[int], s: int, t: int,
             used ^= masks[start]
             start += 1
         if tried > _WORK_BUDGET:
-            raise _over_budget("packing search", s, t)
+            raise _over_budget("packing search", s=s, t=t)
 
 
 def _min_hitting(masks: list[int], vertices: list[int], s: int, t: int) -> tuple[int, ...]:
@@ -276,7 +277,7 @@ def _min_hitting(masks: list[int], vertices: list[int], s: int, t: int) -> tuple
                 return tuple(vertices[b.bit_length() - 1] for b in subset)
         left -= comb(len(bits), size)
         if left < 0:
-            raise _over_budget("hitting-set search", s, t)
+            raise _over_budget("hitting-set search", s=s, t=t)
     raise InternalError("a route with an empty interior cannot be hit")
 
 
@@ -612,8 +613,7 @@ def _source_trie(
                     continue
                 pushes += 1
                 if pushes > _WORK_BUDGET:
-                    raise ResourceLimitError(f"the route search from {{s}} exceeds the work "
-                                             f"budget of {_WORK_BUDGET} steps", s=s)
+                    raise _over_budget("route search", s=s)
                 node = level[y] = [-1, slot_of.get(y, -1), -1, {}]
                 if node[1] >= 0:
                     if len(ends[node[1]]) == _ROUTE_CAP:
@@ -921,8 +921,8 @@ def falsify_mengerian(
             s, t, p, c = found
             label_of = {eid: column[first] for eid, column in zip(edge_ids, columns)}
             tg = TemporalGraph.make(g, {e.id: label_of.get(e.id, 1) for e in g.edges})
-            path_cert = max_disjoint_paths(tg, s, t)
             cut_cert = min_vertex_cut(tg, s, t)
+            path_cert = max_disjoint_paths(tg, s, t)
             if len(path_cert) != p or len(cut_cert) != c:
                 raise InternalError("route engine disagrees with the exact oracles")
             return Counterexample(tg, s, t, path_cert, cut_cert)

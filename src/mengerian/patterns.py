@@ -463,36 +463,47 @@ def assemble_f1(
 
     c1 and c2 run between the ends of the doubled chain, internally
     disjoint; j1 sits inside c1 and j2 inside c2; joint runs j1 to j2
-    avoiding both.  The hub ends up at whichever chain end leaves a
-    spare interior vertex before each attachment point.
+    avoiding both.  The hub is the first chain end, z0 then zq, that
+    leaves a spare interior vertex before each attachment point; the
+    embedding on it is built and checked once.
     """
     z0, zq = chain.first, chain.last
     joint = _oriented(joint, j1)
-    reasons = []
-    for hub in (z0, zq):
-        r1 = _oriented(c1, hub)
-        r2 = _oriented(c2, hub)
-        i1 = r1.index(j1)
-        i2 = r2.index(j2)
-        if i1 < 2 or i2 < 2:
-            reasons.append(f"hub {hub}: no spare vertex before an attachment")
-            continue
-        other = zq if hub == z0 else z0
-        s, t = r1[1], r2[1]
-        emb, reason = _embedding(host, F1, {0: s, 1: j1, 2: j2, 3: hub, 4: other, 5: t}, {
-            (0, 1): r1[1:i1 + 1],
-            (0, 3): (s, hub),
-            (1, 4): r1[i1:],
-            (3, 5): (hub, t),
-            (2, 5): tuple(reversed(r2[1:i2 + 1])),
-            (2, 4): r2[i2:],
-            (1, 2): joint,
-            (3, 4): _oriented(chain.vertices, hub),
-        })
-        if reason is None:
-            return emb
-        reasons.append(f"hub {hub}: {reason}")
-    raise AssemblyError("; ".join(reasons))
+    for hub, other in ((z0, zq), (zq, z0)):
+        r1, r2 = _oriented(c1, hub), _oriented(c2, hub)
+        i1, i2 = r1.index(j1), r2.index(j2)
+        if i1 >= 2 and i2 >= 2:
+            break
+    else:
+        raise AssemblyError("neither chain end leaves a spare vertex before both attachments")
+    s, t = r1[1], r2[1]
+    emb, reason = _embedding(host, F1, {0: s, 1: j1, 2: j2, 3: hub, 4: other, 5: t}, {
+        (0, 1): r1[1:i1 + 1],
+        (0, 3): (s, hub),
+        (1, 4): r1[i1:],
+        (3, 5): (hub, t),
+        (2, 5): r2[i2:0:-1],
+        (2, 4): r2[i2:],
+        (1, 2): joint,
+        (3, 4): _oriented(chain.vertices, hub),
+    })
+    if reason is not None:
+        raise AssemblyError(f"hub {hub}: {reason}")
+    return emb
+
+
+def _spare_arcs(cycle: tuple[int, ...], j: int,
+                which: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The arc of a closed cycle from its start to j, and the arc from j
+    back, oriented so that the first holds a spare interior vertex: the
+    way the cycle is written when that works, else the other way."""
+    k = cycle.index(j)
+    out, back = cycle[:k + 1], cycle[k:]
+    if len(out) >= 3:
+        return out, back
+    if len(back) >= 3:
+        return back[::-1], out[::-1]
+    raise AssemblyError(f"no spare vertex on the {which} cycle")
 
 
 def assemble_f2(
@@ -508,8 +519,9 @@ def assemble_f2(
 
     cycle1 passes through the first chain end and is written closed
     (first == last); j1 is one of its interior vertices, likewise cycle2
-    and j2 at the other end; joint runs j1 to j2.  One arc of each cycle
-    must hold a spare interior vertex beyond the attachment point.
+    and j2 at the other end; joint runs j1 to j2.  On each cycle the
+    first arc to its attachment point that holds a spare interior vertex
+    is taken, and the embedding on them is built and checked once.
     """
     z0, zq = chain.first, chain.last
     if cycle1[0] != cycle1[-1] or cycle2[0] != cycle2[-1]:
@@ -520,35 +532,19 @@ def assemble_f2(
         raise AssemblyError("need one cycle through each chain end")
     jj1, jj2 = (j1, j2) if cycle1[0] == z0 else (j2, j1)
     joint = _oriented(joint, jj1)
-
-    k1 = cyc1.index(jj1)
-    arc_a = cyc1[: k1 + 1]                       # z0 .. j1
-    arc_b = cyc1[k1:]                             # j1 .. z0
-    k2 = cyc2.index(jj2)
-    arc_c = cyc2[: k2 + 1]                       # zq .. j2
-    arc_d = cyc2[k2:]                             # j2 .. zq
-
-    reasons = []
-    for s_arc, u_arc in ((arc_a, arc_b), (tuple(reversed(arc_b)), tuple(reversed(arc_a)))):
-        if len(s_arc) < 3:
-            reasons.append("no spare vertex on the first cycle")
-            continue
-        for t_arc, v_arc in ((arc_c, arc_d), (tuple(reversed(arc_d)), tuple(reversed(arc_c)))):
-            if len(t_arc) < 3:
-                reasons.append("no spare vertex on the second cycle")
-                continue
-            s, t = s_arc[1], t_arc[1]
-            emb, reason = _embedding(host, F2, {0: s, 1: jj1, 2: jj2, 3: z0, 4: zq, 5: t}, {
-                (0, 1): s_arc[1:],
-                (0, 3): (s, z0),
-                (1, 3): u_arc,
-                (1, 2): joint,
-                (3, 4): _oriented(chain.vertices, z0),
-                (4, 5): (zq, t),
-                (2, 5): tuple(reversed(t_arc[1:])),
-                (2, 4): v_arc,
-            })
-            if reason is None:
-                return emb
-            reasons.append(reason)
-    raise AssemblyError("; ".join(reasons))
+    s_arc, u_arc = _spare_arcs(cyc1, jj1, "first")
+    t_arc, v_arc = _spare_arcs(cyc2, jj2, "second")
+    s, t = s_arc[1], t_arc[1]
+    emb, reason = _embedding(host, F2, {0: s, 1: jj1, 2: jj2, 3: z0, 4: zq, 5: t}, {
+        (0, 1): s_arc[1:],
+        (0, 3): (s, z0),
+        (1, 3): u_arc,
+        (1, 2): joint,
+        (3, 4): _oriented(chain.vertices, z0),
+        (4, 5): (zq, t),
+        (2, 5): t_arc[:0:-1],
+        (2, 4): v_arc,
+    })
+    if reason is not None:
+        raise AssemblyError(reason)
+    return emb

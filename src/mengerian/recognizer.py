@@ -14,9 +14,13 @@ already excluded), so legs 0 and 1 with the spine between their teeth
 make one path between chain ends, and legs 2 and 3 another.  When legs
 0 and 1 meet the same end, the two paths are cycles, one through each
 end, and they assemble into a certified F2 embedding.  Otherwise the
-paths cross the chain and assemble into F1, or the block is pinched
+paths cross the chain and assemble into F1, except when legs 0 and 2
+meet the same end and both middle legs are bare edges.  Then F1 needs
+a connection outside the two paths; without one the block is pinched
 around the chain in a crossed shape that cannot carry F1 or F2 and is
-kept as a diagnostic.
+kept as a diagnostic.  Which construction applies is read off the
+legs, so an assembly that fails is a fault, not a verdict: its
+AssemblyError propagates.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from .multigraph import (
     maximal_chains,
 )
 from .patterns import (
-    AssemblyError,
     MEmbedding,
     assemble_f1,
     assemble_f2,
@@ -189,10 +192,12 @@ def _analyze_chain(block: Multigraph, chain: Chain):
     For each way the gem's legs can reach the chain ends, c1 runs from
     leg 0's end along leg 0, the spine to tooth 1 and leg 1 to its end;
     c2 likewise along legs 2 and 3.  Closed c1 and c2 give F2.  Open
-    ones cross, and give F1 with the spine between teeth 1 and 2 as the
-    joint; when that fails, both middle legs are bare edges, and F1
-    needs a connection outside the two paths.  Without one the shape is
-    crossed.
+    ones cross.  When legs 0 and 3 meet the same end, or a middle leg
+    has an interior vertex, a chain end leaves a spare vertex before
+    both attachments, and they give F1 with the spine between teeth 1
+    and 2 as the joint.  When both middle legs are bare edges (legs 0
+    and 2 then meet the same end), F1 needs a connection outside the
+    two paths.  Without one the shape is crossed.
     """
     g_l, ell = identify(block, chain.vertices)
     gem = find_f3_subdivision(g_l, apex=ell)
@@ -223,11 +228,8 @@ def _analyze_chain(block: Multigraph, chain: Chain):
         c1, c2 = path(ends, 0), path(ends, 2)
         if ends[0] == ends[1]:
             return assemble_f2(block, chain, c1, b, c2, c, seg_bc)
-        try:
+        if ends[0] == ends[3] or len(legs[1]) > 2 or len(legs[2]) > 2:
             return assemble_f1(block, chain, c1, c2, b, c, seg_bc)
-        except AssemblyError:
-            if ends[0] == ends[3]:
-                raise
         # legs 0 and 2 share an end, and both middle legs are bare edges
         got = _external_connections(block, chain, c1, c2, b, c, seg_bc,
                                     legs[0][-2], legs[3][-2])

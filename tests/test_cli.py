@@ -7,6 +7,7 @@ import json
 import re
 import shlex
 import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -812,24 +813,39 @@ def fuzz_count(draw):
 
 @st.composite
 def fuzzed_files(draw):
-    """Graph-file bytes: now and then random bytes; otherwise a pattern's
-    file or v and e lines (at most 6 edges, labels on all, none or some
-    of them, now and then a duplicate vertex line), now and then with up
-    to three byte edits; and the names it may declare."""
+    """Graph-file bytes: now and then random bytes; otherwise one of
+    three kinds of file, alike often: a well-formed labeled one (3 to 5
+    names, at most 6 edges, none between its first two names), a
+    pattern's file, or v and e lines (at most 6 edges, labels on all,
+    none or some of them, now and then a duplicate vertex line).  The
+    last two now and then get up to three byte edits.  With the bytes
+    come the names the file may declare and a declared pair that is not
+    adjacent, so `menger` can answer on it: the well-formed file's first
+    two names, or the pattern's terminals; None for the other kinds."""
     names = draw(st.permutations(FUZZ_NAMES))
     if rarely(draw):
-        return draw(st.binary(max_size=80)), names
+        return draw(st.binary(max_size=80)), names, None
     pool = draw(st.sampled_from(FUZZ_LABELS))
-    bad = draw(st.integers(0, 31))  # the edge, if any, whose label is refused
+    kind = draw(st.sampled_from(["well-formed", "pattern", "lines"]))
+    if kind == "well-formed":
+        names = names[:draw(st.integers(3, 5))]
+        pairs = list(combinations(names, 2))[1:]
+        lines = [f"v {name}" for name in names]
+        lines += [f"e {u} {v} {draw(st.sampled_from(pool))}"
+                  for u, v in draw(st.lists(st.sampled_from(pairs), max_size=6))]
+        return "\n".join(lines).encode(), names, names[:2]
+    bad = draw(st.integers(0, 15))  # the edge, if any, whose label is refused
 
     def label(k):
         return draw(st.sampled_from(BAD_LABELS if k == bad else pool))
 
-    if draw(st.booleans()):
+    if kind == "pattern":
         pattern = draw(st.sampled_from(PATTERNS))
         times = None if rarely(draw) else {e.id: label(e.id) for e in pattern.graph.edges}
         text = emit_graphfile(pattern.graph, names[:len(pattern.graph.vertices)], times)
+        pair = names[pattern.source], names[pattern.target]
     else:
+        pair = None
         names = names[:draw(st.integers(2, 5))]
         lines = [f"v {name}" for name in names]
         if rarely(draw):
@@ -849,19 +865,22 @@ def fuzzed_files(draw):
     for _ in range(draw(st.integers(1, 3)) if rarely(draw) else 0):
         at = draw(st.integers(0, len(data)))
         data[at:at + draw(st.integers(0, 2))] = draw(st.sampled_from(FUZZ_BYTES))
-    return bytes(data), names
+    return bytes(data), names, pair
 
 
 @st.composite
-def fuzzed_argvs(draw, path, dot, names):
+def fuzzed_argvs(draw, path, dot, names, pair):
     """A command line: a command's required options (now and then one left
     out) and any of its others, in any order, counts now and then
-    ill-formed, and now and then a stray token."""
-    cmd = draw(st.sampled_from(["recognize", "menger", "falsify", "gen"]))
+    ill-formed, and now and then a stray token.  Given a non-adjacent
+    pair, the command is `menger` half the time, and `menger` asks for
+    that pair."""
+    cmds = ["recognize", "menger", "falsify", "gen"] + ["menger"] * 2 * (pair is not None)
+    cmd = draw(st.sampled_from(cmds))
     if cmd == "recognize":
         required, optional = [[path]], [["--proof"], ["--json"], ["--dot", dot]]
     elif cmd == "menger":
-        source, target = draw(st.permutations(names + ["zz"]))[:2]
+        source, target = draw(st.permutations(pair or names + ["zz"]))[:2]
         required, optional = [[path], ["--source", source], ["--target", target]], [["--edge"]]
     elif cmd == "falsify":
         # one mode, now and then both, which argparse refuses
@@ -907,13 +926,13 @@ class TestFuzz:
     @given(st.data())
     def test_no_input_ends_in_internal_error(self, tmp_path, data):
         path = tmp_path / "g.graph"
-        text, names = data.draw(fuzzed_files())
+        text, names, pair = data.draw(fuzzed_files())
         path.write_bytes(text)
         target = str(path)
         if rarely(data.draw):
             target = data.draw(st.sampled_from([str(tmp_path), str(tmp_path / "missing.graph")]))
         dot = tmp_path / "out.dot"
-        argv = data.draw(fuzzed_argvs(target, str(dot), names))
+        argv = data.draw(fuzzed_argvs(target, str(dot), names, pair))
         first = outcome(argv, dot)
         code, _, err, _ = first
         assert code in (0, 1, 2), argv

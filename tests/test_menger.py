@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from mengerian import menger
 from mengerian.cli import random_multigraph
-from mengerian.multigraph import Multigraph
+from mengerian.multigraph import GraphError, Multigraph
 from mengerian.patterns import PATTERNS
 from mengerian.temporal import TemporalGraph
 from mengerian.menger import (
@@ -298,6 +298,13 @@ class TestDisjointPaths:
     def test_unreachable(self):
         t = tg([(0, 1, 1)], vertices=[0, 1, 2])
         assert max_disjoint_paths(t, 0, 2) == ()
+
+    @pytest.mark.parametrize("oracle", [max_disjoint_paths, min_vertex_cut])
+    def test_pair_must_be_two_vertices_of_the_graph(self, oracle):
+        with pytest.raises(GraphError, match=r"^unknown vertex in pair \(0, 9\)$"):
+            oracle(TWO_ROUTES, 0, 9)
+        with pytest.raises(GraphError, match="^source and target must differ$"):
+            oracle(TWO_ROUTES, 3, 3)
 
     def test_long_labeled_path(self):
         assert len(max_disjoint_paths(labeled_path(1500), 0, 1499)) == 1

@@ -116,6 +116,12 @@ class TestQueries:
         assert g.parallel_edges(2, 3) == (2, 3)
         assert g.parallel_edges(3, 2) == (2, 3)
 
+    def test_unknown_vertex(self):
+        with pytest.raises(GraphError, match=r"^unknown vertex in pair \(0, 9\)$"):
+            FRAME.parallel_edges(0, 9)
+        with pytest.raises(GraphError, match="^unknown vertex 9$"):
+            FRAME.neighbors(9)
+
     @given(small_multigraphs())
     def test_multiplicity_symmetry_and_total(self, g):
         pairs = {e.pair for e in g.edges}
@@ -229,6 +235,12 @@ class TestMSubdivide:
 
 
 class TestMaximalChains:
+    def test_chain_validation(self):
+        with pytest.raises(GraphError, match="^a chain needs at least two vertices$"):
+            Chain((0,))
+        with pytest.raises(GraphError, match="^chain vertices must be distinct$"):
+            Chain((0, 1, 0))
+
     def test_no_parallels_no_chains(self):
         assert maximal_chains(mg([(0, 1), (1, 2), (2, 0)])) == ()
 

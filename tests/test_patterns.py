@@ -130,6 +130,23 @@ class TestCheckMSubdivision:
         del emb.routes[(2, 3)]
         assert "pattern has" in check_m_subdivision(F3.graph, emb)
 
+    @pytest.mark.parametrize("fault, reason", [
+        (lambda emb: emb.hop_edges.pop((2, 3)),
+         "hop edge selections do not cover the pattern pairs"),
+        (lambda emb: emb.branch.pop(4), "branch map does not cover the pattern vertices"),
+        (lambda emb: emb.branch.update({4: 9}), "branch image 9 is not a host vertex"),
+        (lambda emb: emb.routes.update({(0, 1): (0,)}), "route for (0, 1) is malformed"),
+        (lambda emb: emb.routes.update({(0, 1): (1, 0)}),
+         "route for (0, 1) does not join its branch vertices"),
+        (lambda emb: (emb.routes.update({(0, 1): (0, 1, 0, 1)}),
+                      emb.hop_edges.update({(0, 1): ((0,), (0,), (0,))})),
+         "route for (0, 1) repeats a vertex"),
+    ], ids=["hops", "branch-map", "branch-image", "malformed", "unjoined", "repeated"])
+    def test_each_fault_is_named(self, fault, reason):
+        emb = identity_embedding(F3)
+        fault(emb)
+        assert check_m_subdivision(F3.graph, emb) == reason
+
 
 def corrupted(pattern, seed, kind):
     """A subdivided copy of the pattern and its embedding, with one fault of
@@ -404,8 +421,22 @@ class TestAssembleF1:
             (0, 4), (4, 2),
             (3, 4),
         ])
-        with pytest.raises(AssemblyError):
+        with pytest.raises(AssemblyError, match="^neither chain end leaves a spare vertex "
+                           "before both attachments$"):
             assemble_f1(host, chain_of(host), (0, 3, 2), (0, 4, 2), 3, 4, (3, 4))
+
+    def test_first_workable_hub_fails_alone(self):
+        # c1 and c2 share the vertex after hub 0, which leaves a spare
+        # vertex before both attachments: its one embedding fails the
+        # check, and the error names that hub only
+        host = mg([
+            (0, 1), (0, 1), (1, 2), (1, 2),
+            (0, 3), (3, 4), (4, 2),
+            (3, 6), (6, 2),
+            (4, 6),
+        ])
+        with pytest.raises(AssemblyError, match="^hub 0: branch map is not injective$"):
+            assemble_f1(host, chain_of(host), (0, 3, 4, 2), (0, 3, 6, 2), 4, 6, (4, 6))
 
     def test_long_joint(self):
         host = mg([
@@ -452,9 +483,29 @@ class TestAssembleF2:
         ])
         chain = next(c for c in maximal_chains(host)
                      if set(c.vertices) == {0, 1, 2})
-        with pytest.raises(AssemblyError):
+        with pytest.raises(AssemblyError, match="^no spare vertex on the first cycle$"):
             assemble_f2(host, chain,
                         (0, 3, 0), 3, (2, 5, 6, 2), 6, (3, 6))
+
+    def test_arc_with_the_spare_vertex_is_taken_either_way_round(self):
+        want = assemble_f2(self.HOST, chain_of(self.HOST),
+                           (0, 3, 4, 0), 4, (2, 5, 6, 2), 6, (4, 6))
+        emb = assemble_f2(self.HOST, chain_of(self.HOST),
+                          (0, 4, 3, 0), 4, (2, 6, 5, 2), 6, (4, 6))
+        assert (emb.branch, emb.routes) == (want.branch, want.routes)
+
+    def test_first_workable_arcs_fail_alone(self):
+        # the joint runs through t, the spare vertex of the second cycle's
+        # first arc: the one embedding fails its check with a single reason
+        host = mg([
+            (0, 1), (0, 1), (1, 2), (1, 2),
+            (0, 3), (3, 4), (4, 0),
+            (2, 5), (5, 6), (6, 2),
+            (4, 5),
+        ])
+        with pytest.raises(AssemblyError,
+                           match=r"^route for \(1, 2\) passes through a branch vertex$"):
+            assemble_f2(host, chain_of(host), (0, 3, 4, 0), 4, (2, 5, 6, 2), 6, (4, 5, 6))
 
     def test_open_cycle_rejected(self):
         with pytest.raises(AssemblyError):

@@ -15,7 +15,15 @@ from mengerian.multigraph import (
     m_subdivide,
     maximal_chains,
 )
-from mengerian.patterns import F1, F2, F3, PATTERNS, check_m_subdivision, find_f3_subdivision
+from mengerian.patterns import (
+    F1,
+    F2,
+    F3,
+    PATTERNS,
+    AssemblyError,
+    check_m_subdivision,
+    find_f3_subdivision,
+)
 from mengerian.recognizer import (
     _contracted_degrees,
     CrossedStructure,
@@ -379,6 +387,21 @@ class TestCrossedStructure:
         g, _ = m_subdivide(crossed_graph(), 3, 7)
         self._assert_f1(g)
 
+    def test_failed_assembly_on_a_stretched_middle_leg_is_a_fault(self, monkeypatch):
+        # without the 4-7 back connection, stretching 0-6 gives a crossing
+        # whose legs 0 and 2 meet one end and whose middle leg 6..ell has an
+        # interior vertex: F1 assembles directly, so an assembly failure
+        # there is a fault, not a crossed shape
+        g, _ = m_subdivide(mg([p for p in CROSSED_PAIRS if p != (4, 7)]), 0, 6)
+        self._assert_f1(g)
+
+        def refuse(*args):
+            raise AssemblyError("refused")
+
+        monkeypatch.setattr(recognizer, "assemble_f1", refuse)
+        with pytest.raises(AssemblyError, match="refused"):
+            recognize(g)
+
     # A cross part b2 joined to a side by an outside path: to c2's side
     # (F1 through b and the joint's far end), or to a1 or x1 (F1 through
     # the joint's far end and c).  Each pins the one path found from b2,
@@ -473,6 +496,24 @@ class TestContractedDegrees:
                     assert find_f3_subdivision(g_l, apex=ell) is None
                     if len(g_l.vertices) <= 7:
                         assert not brute_has_gem(g_l, apex=ell)
+
+    def test_pinned_search_can_come_back_empty(self):
+        # chain 0=4 passes the degree check, yet its contraction holds no
+        # gem with the contracted vertex as apex (found by a seeded sweep
+        # of random_multigraph)
+        g = Multigraph.build(8, [(1, 5), (5, 7), (0, 1), (0, 4), (2, 4), (2, 3), (0, 4),
+                                 (1, 7), (0, 3), (4, 5)])
+        (block,) = [b for b in biconnected_components(g) if b.has_parallel_edges()]
+        (chain,) = maximal_chains(block)
+        assert chain.vertices == (0, 4)
+        branching = sum(block.simple_degree(v) >= 3 for v in block.vertices)
+        apex_degree, others = _contracted_degrees(block, chain, branching)
+        assert apex_degree >= 4 and others >= 2
+        g_l, ell = identify(block, chain.vertices)
+        assert find_f3_subdivision(g_l, apex=ell) is None
+        verdict = recognize(g)
+        assert verdict.mengerian and verdict.crossed == () and verdict.chains_examined == 1
+        assert falsify_mengerian(g, samples=20000, seed=0) is None
 
 
 class TestChainWork:

@@ -141,3 +141,31 @@ def test_one_place_builds_embeddings():
                 and getattr(node.func, "id", getattr(node.func, "attr", None)) == "MEmbedding"
             ]
     assert found == []
+
+
+def test_one_helper_words_every_budget_refusal():
+    # `menger._over_budget` words the refusal of every search that runs
+    # past the work budget, so each search names itself the same way;
+    # string pieces split across lines count as the one string they make
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and "exceeds the work budget" in node.value
+    ]
+    assert len(found) == 1, found
+
+
+def test_no_handler_catches_assembly_errors():
+    # recognition picks each F1/F2 construction from the gem's legs, so an
+    # assembly that fails is a fault to report, not a verdict to steer
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ExceptHandler) and node.type is not None
+        and any(getattr(n, "id", getattr(n, "attr", None)) == "AssemblyError"
+                for n in ast.walk(node.type))
+    ]
+    assert found == []

@@ -36,6 +36,15 @@ class TestConstruction:
         with pytest.raises(GraphError):
             TemporalGraph.make(g, {0: -3})
 
+    def test_duplicate_label_id(self):
+        with pytest.raises(GraphError, match="^duplicate edge id in time labels$"):
+            TemporalGraph(mg([(0, 1)]), ((0, 1), (0, 2)))
+
+    def test_label_of_unknown_edge(self):
+        assert LINE.label(3) == 9
+        with pytest.raises(GraphError, match="^no edge with id 7$"):
+            LINE.label(7)
+
     def test_lifetime(self):
         assert LINE.lifetime == 9
         assert TemporalGraph.make(Multigraph.build(2, []), {}).lifetime == 0
