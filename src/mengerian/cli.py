@@ -1,6 +1,7 @@
 """Command line interface: graph files, JSON reports, DOT drawings, generators.
 
-Graph file format, one record per line (`#` starts a comment):
+Graph file format, one record per line (`#` starts a comment that runs
+to the end of its line; a line ends at LF, CR LF or CR only):
 
     v <name>              declare a vertex
     e <u> <v> [<label>]   declare one edge; repeat lines for parallel edges
@@ -88,7 +89,9 @@ def parse_graphfile(text: str) -> NamedGraph:
     def fail(lineno: int, msg: str) -> GraphFileError:
         return GraphFileError(f"line {lineno}: {msg}")
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    if "\r" in text:  # a line ends at \n, \r\n or \r, not at str.splitlines()' others
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         fields = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if not fields:
             continue

@@ -8,12 +8,13 @@ pattern by replacing each pair of endpoints (with its multiplicity mu)
 by a path of hops that each carry exactly mu parallel edges, with fresh
 interior vertices.
 
-`MEmbedding` records such a containment explicitly; `check_m_subdivision`
-verifies one against a host graph, whole routes at once, or hop by hop
-to name the first fault.  `assemble_f1` /
-`assemble_f2` build certified embeddings of F1 and F2 out of path
-material.  Every embedding found here gets its hops' lowest-id parallel
-edges, and the check, from one constructor.
+The parallel edges of one host pair are interchangeable, so an
+embedding takes, on every hop, the lowest-id mu edges of the hop's host
+pair.  `MEmbedding` records such a containment explicitly, and
+`check_m_subdivision` verifies one against a host graph, naming the
+first fault.  `assemble_f1` / `assemble_f2` build certified embeddings
+of F1 and F2 out of path material.  Every embedding found here gets its
+hops' edges, and the check, from one constructor.
 
 `find_f3_subdivision` searches for the F3 shape, a gem: a path through
 four teeth, each joined to an apex.  Per apex w it takes the BFS tree of
@@ -29,8 +30,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .multigraph import Chain, GraphError, InternalError, Multigraph
+from .multigraph import Chain, InternalError, Multigraph
 
 
 @dataclass(frozen=True)
@@ -43,6 +45,12 @@ class Pattern:
     source: int
     target: int
     vertex_names: tuple[tuple[int, str], ...]
+
+    @cached_property
+    def pairs(self) -> dict[tuple[int, int], int]:
+        """Each adjacent pair (a, b), a < b, in ascending order, with its multiplicity."""
+        return {pair: self.graph.multiplicity(*pair)
+                for pair in sorted({e.pair for e in self.graph.edges})}
 
     def pair_labels(self, a: int, b: int) -> tuple[int, ...]:
         """Reference labels of the a,b parallel class, by ascending edge id."""
@@ -102,8 +110,9 @@ class MEmbedding:
 
     branch maps pattern vertices to host vertices.  routes maps each
     pattern pair (a, b), a < b, to the host path from branch[a] to
-    branch[b]; hop_edges gives, per hop of that path, the chosen host
-    edge ids (exactly the pair's multiplicity many).
+    branch[b]; hop_edges gives, per hop of that path, the host edge ids
+    it carries: the lowest-id ones of the hop's host pair, exactly the
+    pattern pair's multiplicity many.
     """
 
     pattern: Pattern
@@ -120,25 +129,20 @@ class MEmbedding:
         return self.branch[self.pattern.target]
 
 
-def _pattern_pairs(pattern: Pattern) -> dict[tuple[int, int], int]:
-    out: dict[tuple[int, int], int] = {}
-    for e in pattern.graph.edges:
-        out[e.pair] = pattern.graph.multiplicity(*e.pair)
-    return out
-
-
 def check_m_subdivision(host: Multigraph, emb: MEmbedding) -> str | None:
     """Why `emb` is not an m-subdivision embedding, or None when it is.
 
-    An embedding whose hops carry their host pairs' lowest-id edges, as
-    every one `_embedding` builds does, is accepted a whole route at a
-    time (`_routes_fit`): set operations on the route's vertices and one
-    comparison of its hops with the host's parallel classes.  Any other
-    embedding is walked hop by hop, in pattern pair order; the walk
-    names the first fault, or accepts it after all.
+    The routes are checked in pattern pair order and the first fault is
+    named.  Each route must join its branch vertices without repeating a
+    vertex, and each of its hops carry the lowest-id edges of the hop's
+    host pair, exactly its pattern pair's multiplicity of them; the
+    routes' interiors must be disjoint and avoid the branch vertices.
+    Two hops then join different pairs, so no edge serves twice.  A
+    route's hops are compared with the host's parallel classes all at
+    once; only when they differ is the first bad hop looked for.
     """
     pat = emb.pattern
-    want = _pattern_pairs(pat)
+    want = pat.pairs
     if set(emb.routes) != set(want):
         return f"routes cover {sorted(emb.routes)}, pattern has {sorted(want)}"
     if set(emb.hop_edges) != set(want):
@@ -151,64 +155,31 @@ def check_m_subdivision(host: Multigraph, emb: MEmbedding) -> str | None:
         if not host.has_vertex(v):
             return f"branch image {v} is not a host vertex"
 
-    branch_img = set(emb.branch.values())
-    if _routes_fit(host, emb, want, branch_img):
-        return None
-    seen_interior: set[int] = set()
-    seen_edges: set[int] = set()
-    for (a, b), mu in sorted(want.items()):
-        route = emb.routes[(a, b)]
-        hops = emb.hop_edges[(a, b)]
+    branch, parallel = emb.branch, host._parallel
+    branch_img = set(branch.values())
+    taken = set(branch_img)  # and every interior vertex of the routes so far
+    for (a, b), mu in want.items():
+        route, hops = emb.routes[(a, b)], emb.hop_edges[(a, b)]
         if len(route) < 2 or len(hops) != len(route) - 1:
             return f"route for {(a, b)} is malformed"
-        if route[0] != emb.branch[a] or route[-1] != emb.branch[b]:
+        if route[0] != branch[a] or route[-1] != branch[b]:
             return f"route for {(a, b)} does not join its branch vertices"
         if len(set(route)) != len(route):
             return f"route for {(a, b)} repeats a vertex"
-        for x, y, ids in zip(route, route[1:], hops):
-            if len(set(ids)) != mu:
-                return f"hop {x},{y} of {(a, b)} needs exactly {mu} edges"
-            for eid in ids:
-                try:
-                    e = host.edge(eid)
-                except GraphError:
-                    return f"edge {eid} does not exist in the host"
-                if e.pair != (min(x, y), max(x, y)):
-                    return f"edge {eid} does not join {x} and {y}"
-                if eid in seen_edges:
-                    return f"edge {eid} is used twice"
-                seen_edges.add(eid)
-        interior = set(route[1:-1])
-        if interior & branch_img:
-            return f"route for {(a, b)} passes through a branch vertex"
-        if interior & seen_interior:
+        lowest = [parallel.get((x, y) if x < y else (y, x), ())[:mu]
+                  for x, y in zip(route, route[1:])]
+        if set(map(len, hops)) != {mu} or list(hops) != lowest:
+            for x, y, ids, low in zip(route, route[1:], hops, lowest):
+                if len(ids) != mu or tuple(ids) != low:
+                    return (f"hop {x},{y} of {(a, b)} must carry exactly {mu} edges: "
+                            "its pair's lowest-id ones")
+        interior = route[1:-1]
+        if not taken.isdisjoint(interior):
+            if not branch_img.isdisjoint(interior):
+                return f"route for {(a, b)} passes through a branch vertex"
             return f"route for {(a, b)} shares interior vertices"
-        seen_interior |= interior
+        taken.update(interior)
     return None
-
-
-def _routes_fit(host: Multigraph, emb: MEmbedding, want: dict[tuple[int, int], int],
-                branch_img: set[int]) -> bool:
-    """Whether emb is one `_embedding` builds, on routes its walk accepts.
-
-    Each route must join its branch vertices without repeating a vertex,
-    and each of its hops carry the lowest-id edges of the hop's host
-    pair, exactly its pattern pair's multiplicity of them; the routes'
-    interiors must be disjoint and avoid the branch vertices.  Two hops
-    then join different pairs, so no edge serves twice.  An embedding
-    with other hop edges is left to the walk.
-    """
-    branch, parallel = emb.branch, host._parallel
-    interiors: list[int] = []
-    for (a, b), mu in want.items():
-        route, hops = emb.routes[(a, b)], emb.hop_edges[(a, b)]
-        if not (len(route) >= 2 and route[0] == branch[a] and route[-1] == branch[b]
-                and len(set(route)) == len(route) and set(map(len, hops)) == {mu}
-                and list(hops) == [parallel.get((x, y) if x < y else (y, x), ())[:mu]
-                                   for x, y in zip(route, route[1:])]):
-            return False
-        interiors += route[1:-1]
-    return len(set(interiors)) == len(interiors) and branch_img.isdisjoint(interiors)
 
 
 def _embedding(host: Multigraph, pattern: Pattern, branch: dict[int, int],
@@ -218,7 +189,7 @@ def _embedding(host: Multigraph, pattern: Pattern, branch: dict[int, int],
     Each hop takes its lowest-id parallel edges, as many as its pattern
     pair's multiplicity.
     """
-    mult = _pattern_pairs(pattern)
+    mult = pattern.pairs
     parallel = host._parallel
     hop_edges = {}
     for key, route in routes.items():

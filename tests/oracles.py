@@ -14,6 +14,7 @@ strips and splits every line, and the subdivided-pattern generator that
 rebuilds the graph after every step.
 """
 
+import io
 import random
 from itertools import combinations, permutations
 from operator import itemgetter
@@ -323,57 +324,70 @@ def brute_edge_c(tg, s, t):
 
 
 # ----------------------------------------------------------------------
-# gem subdivisions, checked segment by segment
+# m-topological minors, by the definition
 
 
-def _simple_paths_avoiding(g, x, y, banned):
-    """All simple x..y paths whose interior avoids `banned`."""
-    out = []
+def brute_m_minor(g, pattern, pin=None):
+    """Does the multigraph g hold `pattern` as an m-topological minor: an
+    injective map of the pattern's vertices into g's, and per pattern
+    pair of multiplicity mu a path of g between the pair's images whose
+    every hop has multiplicity mu or more, the paths internally disjoint
+    and avoiding the images?  pin maps pattern vertices to the host
+    vertices they must land on.
 
-    def dfs(cur, vpath):
-        if cur == y:
-            out.append(tuple(vpath))
-            return
-        for nxt in g.neighbors(cur):
-            if nxt in vpath or (nxt != y and nxt in banned):
-                continue
-            vpath.append(nxt)
-            dfs(nxt, vpath)
-            vpath.pop()
+    The routes leave a branch vertex to distinct neighbours, so it needs,
+    per incident pattern pair, a distinct neighbour joined to it by at
+    least the pair's multiplicity; every injective map onto such vertices
+    is tried, and per map every path of each pair, pair by pair."""
+    pairs = sorted({e.pair: pattern.graph.multiplicity(*e.pair)
+                    for e in pattern.graph.edges}.items())
+    pvs = sorted(pattern.graph.vertices)
+    pin = pin or {}
 
-    dfs(x, [x])
-    return out
+    def roomy(x, needs):
+        # the largest need against the largest multiplicity, and so on down
+        have = sorted((g.multiplicity(x, y) for y in g.neighbors(x)), reverse=True)
+        return len(have) >= len(needs) and all(h >= n for h, n in zip(have, needs))
 
+    candidates = []
+    for p in pvs:
+        needs = sorted((mu for pair, mu in pairs if p in pair), reverse=True)
+        candidates.append([x for x in sorted(g.vertices)
+                           if roomy(x, needs) and pin.get(p, x) == x])
 
-def brute_has_gem(g, apex=None):
-    """Does a simple graph contain a subdivision of the 4-wheel-minus-a-spoke
-    shape: path a-b-c-d plus an apex adjacent to all four?  With `apex`
-    given, only subdivisions whose apex is that vertex count."""
-    vs = sorted(g.vertices)
-    for w in (vs if apex is None else [apex]):
-        if g.simple_degree(w) < 4:
-            continue
-        rest = [v for v in vs if v != w]
-        for quad in permutations(rest, 4):
-            a, b, c, d = quad
-            branches = {w, a, b, c, d}
-            segs = [(w, a), (w, b), (w, c), (w, d), (a, b), (b, c), (c, d)]
+    def paths(x, y, mu, banned):
+        """Every x..y path whose hops have multiplicity mu or more and
+        whose interior avoids banned."""
+        stack = [(x, (x,))]
+        while stack:
+            cur, path = stack.pop()
+            for nxt in g.neighbors(cur):
+                if g.multiplicity(cur, nxt) < mu:
+                    continue
+                if nxt == y:
+                    yield path + (y,)
+                elif nxt not in banned and nxt not in path:
+                    stack.append((nxt, path + (nxt,)))
 
-            def place(i, used):
-                if i == len(segs):
+    def route(i, branch, banned):
+        if i == len(pairs):
+            return True
+        (a, b), mu = pairs[i]
+        return any(route(i + 1, branch, banned | set(path[1:-1]))
+                   for path in paths(branch[a], branch[b], mu, banned))
+
+    def place(k, branch):
+        if k == len(pvs):
+            return route(0, branch, frozenset(branch.values()))
+        for x in candidates[k]:
+            if x not in branch.values():
+                branch[pvs[k]] = x
+                if place(k + 1, branch):
                     return True
-                x, y = segs[i]
-                for path in _simple_paths_avoiding(g, x, y, (branches - {x, y}) | used):
-                    interior = set(path[1:-1])
-                    if interior & used:
-                        continue
-                    if place(i + 1, used | interior):
-                        return True
-                return False
+                del branch[pvs[k]]
+        return False
 
-            if place(0, set()):
-                return True
-    return False
+    return place(0, {})
 
 
 # ----------------------------------------------------------------------
@@ -439,7 +453,8 @@ def check_m_subdivision(host, emb):
 def read_graphfile(text):
     """(vertex names, endpoint pairs in file order, labels or None) of a
     graph file in `mengerian.cli`'s format, or GraphFileError naming the
-    line of the first fault: every line has its comment cut, is stripped
+    line of the first fault: the text is read line by line in Python's
+    universal newlines mode, every line has its comment cut, is stripped
     and split, and each check runs in the order the format lists it."""
     names = []
     ids = {}
@@ -450,7 +465,7 @@ def read_graphfile(text):
     def fail(lineno, msg):
         return GraphFileError(f"line {lineno}: {msg}")
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -8,6 +8,7 @@ from collections import Counter
 from itertools import combinations, combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
 
 from mengerian import cli
 from mengerian.cli import random_multigraph
@@ -28,9 +29,10 @@ from helpers import (
     doubled_k2n,
     is_connected,
     mg,
+    small_multigraphs,
     without_edge,
 )
-from oracles import brute_c, brute_edge_c, brute_edge_p, brute_p, reverse
+from oracles import brute_c, brute_edge_c, brute_edge_p, brute_m_minor, brute_p, reverse
 
 
 class TestPatternGaps:
@@ -151,6 +153,35 @@ class TestSmallGraphSweep:
         assert canonical_key(g) == canonical_key(F3.graph)
         assert verdict.embedding.pattern.name == "F3"
         assert time.perf_counter() - start < 1800.0
+
+
+class TestStructuralReference:
+    """recognize agrees with the definition: a multigraph is Mengerian
+    exactly when none of F1, F2, F3 is an m-topological minor of it."""
+
+    @settings(max_examples=100)
+    @given(small_multigraphs(max_n=7, max_m=12))
+    def test_mengerian_exactly_when_no_pattern_is_an_m_minor(self, g):
+        verdict = recognize(g)
+        minors = [p for p in PATTERNS if brute_m_minor(g, p)]
+        assert verdict.mengerian == (not minors)
+        if not verdict.mengerian:
+            assert verdict.embedding.pattern in minors
+
+    def test_thousand_seeded_multigraphs_reach_every_verdict(self):
+        # denser than the property's graphs, so that each pattern is the
+        # verdict's now and then: both sides of the equality are exercised
+        verdicts = Counter()
+        for seed in range(1000):
+            rng = random.Random(seed)
+            g = random_multigraph(rng.randint(6, 7), rng.randint(9, 12), 3, rng)
+            verdict = recognize(g)
+            minors = [p for p in PATTERNS if brute_m_minor(g, p)]
+            assert verdict.mengerian == (not minors), seed
+            if not verdict.mengerian:
+                assert verdict.embedding.pattern in minors, seed
+            verdicts[verdict.embedding.pattern.name if minors else "Mengerian"] += 1
+        assert set(verdicts) == {"Mengerian", "F1", "F2", "F3"}, verdicts
 
 
 def labeled_instance(seed):

@@ -63,7 +63,9 @@ FAULTY_LINES = ("v", "v {u} {v}", "v {u}", "e", "e {u}", "e {u} {v} 1 2", "e {u}
 def graph_files(draw):
     """Graph-file text: v and e lines interleaved (each name declared before
     an edge uses it), comment and blank lines, odd spacing and one line
-    ending throughout; about half of the files also hold faulty lines."""
+    ending throughout (LF, CR LF or CR); comments now and then hold
+    characters that `str.splitlines` would end a line at; about half of
+    the files also hold faulty lines."""
     names = draw(st.lists(st.sampled_from(NAMES), min_size=2, max_size=5, unique=True))
     labeled = draw(st.booleans())
     lines = []
@@ -81,10 +83,11 @@ def graph_files(draw):
     for line in lines:
         sep = draw(st.sampled_from([" ", "  ", "\t", " \t "]))
         text.append(draw(st.sampled_from(["", " ", "\t"])) + sep.join(line.split(" "))
-                    + draw(st.sampled_from(["", " ", "  # note", "#", "\t#x y"])))
+                    + draw(st.sampled_from(["", " ", "  # note", "#", "\t#x y",
+                                            "# a\u2028b\x85c\x0cd"])))
         if draw(st.integers(0, 4)) == 0:
             text.append(draw(st.sampled_from(["", "   ", "# comment", " # e a b"])))
-    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return ending.join(text) + draw(st.sampled_from(["", ending]))
 
 
@@ -112,6 +115,24 @@ class TestParsing:
         assert named.times == {0: 3, 1: 1}
         tg = named.temporal()
         assert tg.label(0) == 3
+
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c",
+                                      "\x1d", "\x1e"])
+    def test_comment_runs_to_the_end_of_its_line(self, char):
+        # str.splitlines() would end the line at char, and read "more" as
+        # a directive on a line of its own
+        named = parse_graphfile(f"v a # note{char}more\nv b\ne a b\n")
+        assert named.names == ("a", "b") and mult_map(named.graph) == {(0, 1): 1}
+        with pytest.raises(GraphFileError, match=r"^line 2: unknown directive 'w'$"):
+            parse_graphfile(f"v a # note{char}more\nw b\n")
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_crlf_and_cr_end_lines_as_lf_does(self, ending):
+        text = "# labeled\nv a\nv b  # second\n\ne a b 3\ne b a 1\n"
+        named, lf = parse_graphfile(text.replace("\n", ending)), parse_graphfile(text)
+        assert (named.names, named.graph, named.times) == (lf.names, lf.graph, lf.times)
+        with pytest.raises(GraphFileError, match=r"^line 4: undeclared vertex 'c'$"):
+            parse_graphfile(ending.join(["v a", "v b", "", "e a c", ""]))
 
     def test_empty_file_is_empty_graph(self):
         named = parse_graphfile("# nothing\n\n")
@@ -288,6 +309,24 @@ class TestRecognizeCommand:
         assert len(max_disjoint_paths(tg, s, t)) == witness["measured_p"] == 1
         assert len(min_vertex_cut(tg, s, t)) == witness["measured_c"] == 2
         assert witness["refused"] is None
+
+    def test_json_hop_on_another_parallel_edge_is_refused(self, tmp_path, capsys):
+        # F1 with a third hub-hub edge: the report's hub-hub hop carries the
+        # two lowest ids; edited to carry the new edge instead, it is
+        # refused by the same two calls that recheck a report
+        text = emit_graphfile(F1.graph) + "e 3 4\n"
+        code, out, _ = run(capsys, "recognize", "--json", write(tmp_path, "f1.graph", text))
+        assert code == 1
+        data = json.loads(out)["embedding"]
+        named = parse_graphfile(text)
+        assert check_m_subdivision(named.graph, embedding_from_json(named, data)) is None
+        seg = data["segments"]["3,4"]
+        x, y = (named.id(v) for v in seg["route"][:2])
+        ids = named.graph.parallel_edges(x, y)
+        assert len(ids) == 3 and seg["hops"][0] == list(ids[:2])
+        seg["hops"][0] = [ids[0], ids[2]]
+        reason = check_m_subdivision(named.graph, embedding_from_json(named, data))
+        assert reason == f"hop {x},{y} of (3, 4) must carry exactly 2 edges: its pair's lowest-id ones"
 
     def test_budget_refusal_says_why(self, tmp_path, capsys, monkeypatch):
         # a proof past the work budget ships as skipped, and the refusal
@@ -798,7 +837,8 @@ class TestDotHelpers:
 FUZZ_NAMES = ("a", "b", "007", '"a"', 'a"b', "a\\", "é")
 FUZZ_LABELS = (("9" * 4300, "0" * 4299 + "1"), ("1", "2", "3", "007"))
 BAD_LABELS = ("0", "+4", "1_0", "٣", "1" + "0" * 4300, "0" * 4300 + "7")
-FUZZ_BYTES = (b"", b"\xff", b"\xc3", b"\x80", b"\x00", b" ", b"\n", b"\r", b"#", b"e", b"v")
+FUZZ_BYTES = (b"", b"\xff", b"\xc3", b"\x80", b"\x00", b" ", b"\n", b"\r", b"#", b"e", b"v",
+              b"\xe2\x80\xa8", b"\xc2\x85", b"\x0c", b"\r\n")
 BAD_COUNTS = ("-1", "+4", "1_0", "٣", "", "x", "9" * 5000)
 
 
@@ -807,8 +847,8 @@ def rarely(draw):
     return draw(st.integers(0, 7)) == 7
 
 
-def fuzz_count(draw):
-    return draw(st.sampled_from(BAD_COUNTS)) if rarely(draw) else str(draw(st.integers(0, 12)))
+def fuzz_count(draw, top=12):
+    return draw(st.sampled_from(BAD_COUNTS)) if rarely(draw) else str(draw(st.integers(0, top)))
 
 
 @st.composite
@@ -819,12 +859,13 @@ def fuzzed_files(draw):
     pattern's file, or v and e lines (at most 6 edges, labels on all,
     none or some of them, now and then a duplicate vertex line).  The
     last two now and then get up to three byte edits.  With the bytes
-    come the names the file may declare and a declared pair that is not
+    come the names the file may declare, a declared pair that is not
     adjacent, so `menger` can answer on it: the well-formed file's first
-    two names, or the pattern's terminals; None for the other kinds."""
+    two names, or the pattern's terminals; None for the other kinds,
+    and whether the file is a pattern's."""
     names = draw(st.permutations(FUZZ_NAMES))
     if rarely(draw):
-        return draw(st.binary(max_size=80)), names, None
+        return draw(st.binary(max_size=80)), names, None, False
     pool = draw(st.sampled_from(FUZZ_LABELS))
     kind = draw(st.sampled_from(["well-formed", "pattern", "lines"]))
     if kind == "well-formed":
@@ -833,7 +874,7 @@ def fuzzed_files(draw):
         lines = [f"v {name}" for name in names]
         lines += [f"e {u} {v} {draw(st.sampled_from(pool))}"
                   for u, v in draw(st.lists(st.sampled_from(pairs), max_size=6))]
-        return "\n".join(lines).encode(), names, names[:2]
+        return "\n".join(lines).encode(), names, names[:2], False
     bad = draw(st.integers(0, 15))  # the edge, if any, whose label is refused
 
     def label(k):
@@ -865,17 +906,19 @@ def fuzzed_files(draw):
     for _ in range(draw(st.integers(1, 3)) if rarely(draw) else 0):
         at = draw(st.integers(0, len(data)))
         data[at:at + draw(st.integers(0, 2))] = draw(st.sampled_from(FUZZ_BYTES))
-    return bytes(data), names, pair
+    return bytes(data), names, pair, kind == "pattern"
 
 
 @st.composite
-def fuzzed_argvs(draw, path, dot, names, pair):
+def fuzzed_argvs(draw, path, dot, names, pair, pattern):
     """A command line: a command's required options (now and then one left
     out) and any of its others, in any order, counts now and then
     ill-formed, and now and then a stray token.  Given a non-adjacent
     pair, the command is `menger` half the time, and `menger` asks for
-    that pair."""
-    cmds = ["recognize", "menger", "falsify", "gen"] + ["menger"] * 2 * (pair is not None)
+    that pair; on a pattern's file it is `falsify` as often as `menger`,
+    so that a counterexample gets printed now and then."""
+    cmds = (["recognize", "menger", "falsify", "gen"] + ["menger"] * 2 * (pair is not None)
+            + ["falsify"] * 2 * pattern)
     cmd = draw(st.sampled_from(cmds))
     if cmd == "recognize":
         required, optional = [[path]], [["--proof"], ["--json"], ["--dot", dot]]
@@ -883,8 +926,12 @@ def fuzzed_argvs(draw, path, dot, names, pair):
         source, target = draw(st.permutations(pair or names + ["zz"]))[:2]
         required, optional = [[path], ["--source", source], ["--target", target]], [["--edge"]]
     elif cmd == "falsify":
-        # one mode, now and then both, which argparse refuses
-        modes = draw(st.permutations([["--exhaustive"], ["--samples", fuzz_count(draw)]]))
+        # one mode, now and then both, which argparse refuses; on a
+        # pattern's file mostly --exhaustive, which finds F3's gap at once,
+        # else up to 400 samples, which find a gap now and then
+        modes = [["--exhaustive"], ["--samples", fuzz_count(draw, 400 if pattern else 12)]]
+        if not pattern or rarely(draw):
+            modes = draw(st.permutations(modes))
         required = [[path], modes[0]]
         optional = [["--seed", fuzz_count(draw)]] + [modes[1]] * rarely(draw)
     elif draw(st.booleans()):
@@ -926,13 +973,13 @@ class TestFuzz:
     @given(st.data())
     def test_no_input_ends_in_internal_error(self, tmp_path, data):
         path = tmp_path / "g.graph"
-        text, names, pair = data.draw(fuzzed_files())
+        text, names, pair, pattern = data.draw(fuzzed_files())
         path.write_bytes(text)
         target = str(path)
         if rarely(data.draw):
             target = data.draw(st.sampled_from([str(tmp_path), str(tmp_path / "missing.graph")]))
         dot = tmp_path / "out.dot"
-        argv = data.draw(fuzzed_argvs(target, str(dot), names, pair))
+        argv = data.draw(fuzzed_argvs(target, str(dot), names, pair, pattern))
         first = outcome(argv, dot)
         code, _, err, _ = first
         assert code in (0, 1, 2), argv

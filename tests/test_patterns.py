@@ -1,6 +1,7 @@
 """Pattern constants, embedding verification, gem search, assemblers."""
 
 import random
+import re
 import time
 from itertools import combinations
 
@@ -27,7 +28,7 @@ from mengerian.temporal import TemporalGraph
 
 from helpers import mg, small_multigraphs
 import oracles
-from oracles import brute_c, brute_has_gem, brute_p
+from oracles import brute_c, brute_m_minor, brute_p
 
 
 def identity_embedding(pattern):
@@ -102,6 +103,23 @@ class TestCheckMSubdivision:
         reason = check_m_subdivision(F1.graph, emb)
         assert reason is not None and "exactly 2" in reason
 
+    @pytest.mark.parametrize("pattern, pair", [(F3, (0, 1)), (F1, (3, 4))], ids=["F3", "F1"])
+    def test_hop_must_carry_its_pairs_lowest_id_edges(self, pattern, pair):
+        # a parallel edge that joins the hop's ends as well as the
+        # lowest-id one does is refused, with its hop named
+        extra = len(pattern.graph.edges)
+        host = Multigraph(pattern.graph.vertices, pattern.graph.edges + (Edge(extra, *pair),))
+        emb = identity_embedding(pattern)
+        ids = host.parallel_edges(*pair)
+        emb.hop_edges[pair] = (ids[:-2] + ids[-1:],)
+        assert oracles.check_m_subdivision(host, emb) is None
+        mu = pattern.graph.multiplicity(*pair)
+        assert check_m_subdivision(host, emb) == (
+            f"hop {pair[0]},{pair[1]} of {pair} must carry exactly {mu} edges: "
+            "its pair's lowest-id ones")
+        emb.hop_edges[pair] = (ids[:-1],)
+        assert check_m_subdivision(host, emb) is None
+
     def test_non_injective_branch(self):
         emb = identity_embedding(F3)
         emb.branch[0] = emb.branch[1]
@@ -150,7 +168,8 @@ class TestCheckMSubdivision:
 
 def corrupted(pattern, seed, kind):
     """A subdivided copy of the pattern and its embedding, with one fault of
-    the given kind (None and "parallel": none)."""
+    the given kind (None and "parallel": none, by the definition; a
+    "parallel" hop does not carry its pair's lowest-id edges)."""
     rng = random.Random(seed)
     host = pattern.graph
     for _ in range(rng.randrange(1, 6)):
@@ -187,7 +206,8 @@ def corrupted(pattern, seed, kind):
     elif kind in ("branch", "shared"):
         # reroute one interior vertex's two hops, by fresh edges as many as
         # the pattern pair's multiplicity, through a branch vertex or
-        # through another route's interior
+        # through another route's interior; each hop carries its pair's
+        # lowest-id edges, which are fresh unless the pair was adjacent
         key = rng.choice([k for k in keys if len(emb.routes[k]) > 2])
         route = list(emb.routes[key])
         i = rng.randrange(1, len(route) - 1)
@@ -203,13 +223,29 @@ def corrupted(pattern, seed, kind):
                           + tuple(Edge(eid, w, route[i + 1]) for eid in fresh[1]))
         route[i] = w
         emb.routes[key] = tuple(route)
-        hops[key][i - 1:i + 1] = fresh
+        hops[key][i - 1:i + 1] = [host.parallel_edges(route[i - 1], w)[:mu],
+                                  host.parallel_edges(w, route[i + 1])[:mu]]
     emb.hop_edges = {k: tuple(map(tuple, hops[k])) for k in keys}
     return host, emb
 
 
+def heavy_hops(host, emb):
+    """The faults of the hops, in pattern pair order, that do not carry
+    exactly their pair's lowest-id edges, as `check_m_subdivision` words
+    them."""
+    mult = emb.pattern.pairs
+    return [f"hop {x},{y} of {key} must carry exactly {mult[key]} edges: "
+            "its pair's lowest-id ones"
+            for key in sorted(emb.routes)
+            for x, y, ids in zip(emb.routes[key], emb.routes[key][1:], emb.hop_edges[key])
+            if tuple(ids) != host.parallel_edges(x, y)[:mult[key]] or len(ids) != mult[key]]
+
+
 class TestCheckNamesFirstFault:
-    """The whole-route check names the same first fault as a hop-by-hop walk."""
+    """The one-pass check against the hop-by-hop walk, which takes any
+    parallel edges on a hop: it accepts what the walk accepts when every
+    hop carries its pair's lowest-id edges, names a faulty hop first, and
+    otherwise names the walk's route-level fault."""
 
     @given(st.sampled_from(PATTERNS), st.integers(0, 10_000),
            st.sampled_from([None, "parallel", "swap", "unknown", "repeat", "doubled", "branch",
@@ -218,7 +254,20 @@ class TestCheckNamesFirstFault:
         host, emb = corrupted(pattern, seed, kind)
         reason = oracles.check_m_subdivision(host, emb)
         assert (reason is None) == (kind in (None, "parallel"))
-        assert check_m_subdivision(host, emb) == reason
+        heavy = heavy_hops(host, emb)
+        # one hop is corrupted, or none is: a rerouted hop takes its pair's lowest ids
+        assert len(heavy) == (kind not in (None, "branch", "shared"))
+        ours = check_m_subdivision(host, emb)
+        assert (ours is None) == (reason is None and not heavy)
+        if heavy:
+            assert ours == heavy[0]
+        elif reason is not None and reason.endswith("is used twice"):
+            # a rerouted hop's lowest-id edge is another route's: the walk
+            # meets it before the interiors that share it
+            assert re.fullmatch(r"route for \(\d, \d\) (passes through a branch vertex"
+                                r"|shares interior vertices)", ours)
+        else:
+            assert ours == reason
 
 
 WHEEL = mg([(0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 1), (4, 2), (4, 3)])
@@ -272,7 +321,7 @@ class TestGemSearch:
         ours = find_f3_subdivision(host)
         if ours is not None:
             assert check_m_subdivision(host, ours) is None
-        assert (ours is not None) == brute_has_gem(g.underlying_simple())
+        assert (ours is not None) == brute_m_minor(g, F3)
 
     @given(st.integers(0, 80), st.booleans())
     def test_pinned_agrees_with_brute(self, seed, tail):
@@ -287,7 +336,7 @@ class TestGemSearch:
             if ours is not None:
                 assert ours.branch[4] == ell
                 assert check_m_subdivision(host, ours) is None
-            assert (ours is not None) == brute_has_gem(g_l.underlying_simple(), apex=ell)
+            assert (ours is not None) == brute_m_minor(g_l, F3, pin={4: ell})
 
     @given(small_multigraphs(max_n=12, max_m=30), st.data())
     def test_host_and_underlying_simple_agree(self, g, data):
@@ -307,7 +356,7 @@ class TestGemSearch:
                 ours = find_f3_subdivision(g)
                 if ours is not None:
                     assert check_m_subdivision(g, ours) is None
-                assert (ours is not None) == brute_has_gem(g), pairs
+                assert (ours is not None) == brute_m_minor(g, F3), pairs
 
     @pytest.mark.parametrize("spokes", [(1, 2, 3, 4), (1, 2, 3, 4, 5)], ids=["deg4", "deg5"])
     def test_every_six_vertex_graph_pinned(self, spokes):
@@ -321,7 +370,7 @@ class TestGemSearch:
             if ours is not None:
                 assert ours.branch[4] == 0
                 assert check_m_subdivision(g, ours) is None
-            assert (ours is not None) == brute_has_gem(g, apex=0), pairs
+            assert (ours is not None) == brute_m_minor(g, F3, pin={4: 0}), pairs
 
     def test_nineteen_vertex_host_fast(self):
         # linear work per apex takes well under a millisecond here; a

@@ -34,7 +34,7 @@ from mengerian.recognizer import (
 )
 
 from helpers import doubled_k2n, mg, p_and_c
-from oracles import brute_has_gem
+from oracles import brute_m_minor
 
 
 def edge_ids(g):
@@ -495,7 +495,7 @@ class TestContractedDegrees:
                 if got[0] < 4 or got[1] < 2:
                     assert find_f3_subdivision(g_l, apex=ell) is None
                     if len(g_l.vertices) <= 7:
-                        assert not brute_has_gem(g_l, apex=ell)
+                        assert not brute_m_minor(g_l, F3, pin={4: ell})
 
     def test_pinned_search_can_come_back_empty(self):
         # chain 0=4 passes the degree check, yet its contraction holds no
