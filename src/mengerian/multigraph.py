@@ -137,12 +137,6 @@ class Multigraph:
     # ------------------------------------------------------------------
     # queries
 
-    def edge(self, edge_id: int) -> Edge:
-        try:
-            return self._by_id[edge_id]
-        except KeyError:
-            raise GraphError(f"no edge with id {edge_id}") from None
-
     def has_vertex(self, v: int) -> bool:
         return v in self.vertices
 

@@ -8,25 +8,24 @@ it.  Such a gem needs the contracted vertex to have four distinct
 neighbours and two other vertices to have three.  Both counts are read
 off the chain's ends without building anything, and a chain short of
 either is settled there.  Any other chain is contracted, and an F3
-search pinned to its vertex looks for the gem.  A hit sends two legs to
-each chain end (any other split would mean an F3 the block check
-already excluded), so legs 0 and 1 with the spine between their teeth
-make one path between chain ends, and legs 2 and 3 another.  When legs
-0 and 1 meet the same end, the two paths are cycles, one through each
-end, and they assemble into a certified F2 embedding.  Otherwise the
-paths cross the chain and assemble into F1, except when legs 0 and 2
-meet the same end and both middle legs are bare edges.  Then F1 needs
-a connection outside the two paths; without one the block is pinched
-around the chain in a crossed shape that cannot carry F1 or F2 and is
-kept as a diagnostic.  Which construction applies is read off the
-legs, so an assembly that fails is a fault, not a verdict: its
-AssemblyError propagates.
+search pinned to its vertex looks for the gem.  Each leg of a hit
+reaches one chain end, two legs each end: anything else is a gem in the
+block, pinned at a chain end, that the block check would have found.  So
+legs 0 and 1 with the spine between their teeth make one path between
+chain ends, and legs 2 and 3 another.  When legs 0 and 1 meet the same
+end, the two paths are cycles, one through each end, and they assemble
+into a certified F2 embedding.  Otherwise the paths cross the chain and
+assemble into F1, except when legs 0 and 2 meet the same end and both
+middle legs are bare edges.  Then F1 needs a connection outside the two
+paths; without one the block is pinched around the chain in a crossed
+shape that cannot carry F1 or F2 and is kept as a diagnostic.  Which
+construction applies is read off the legs, so an assembly that fails is
+a fault, not a verdict: its AssemblyError propagates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .multigraph import (
     Chain,
@@ -189,15 +188,24 @@ def _analyze_chain(block: Multigraph, chain: Chain):
     `_contracted_degrees`; on the others the pinned search below would
     come back empty.
 
-    For each way the gem's legs can reach the chain ends, c1 runs from
-    leg 0's end along leg 0, the spine to tooth 1 and leg 1 to its end;
-    c2 likewise along legs 2 and 3.  Closed c1 and c2 give F2.  Open
-    ones cross.  When legs 0 and 3 meet the same end, or a middle leg
-    has an interior vertex, a chain end leaves a spare vertex before
-    both attachments, and they give F1 with the spine between teeth 1
-    and 2 as the joint.  When both middle legs are bare edges (legs 0
-    and 2 then meet the same end), F1 needs a connection outside the
-    two paths.  Without one the shape is crossed.
+    Each leg's last vertex before ell is adjacent to exactly one chain
+    end, and two legs meet each end; anything else raises InternalError.
+    For otherwise some end E gets three legs (two of the others, plus
+    the leg with both ends when there is one), and the remaining leg
+    reaches E directly or through the other end and the chain's
+    interior, which no spine or leg uses.  That is a gem in the block
+    with apex E, and E has four neighbours, so the block search
+    `find_f3_subdivision(block)` ran before any chain was analyzed and
+    would have returned it.
+
+    c1 runs from leg 0's end along leg 0, the spine to tooth 1 and leg 1
+    to its end; c2 likewise along legs 2 and 3.  Closed c1 and c2 give
+    F2.  Open ones cross.  When legs 0 and 3 meet the same end, or a
+    middle leg has an interior vertex, a chain end leaves a spare vertex
+    before both attachments, and they give F1 with the spine between
+    teeth 1 and 2 as the joint.  When both middle legs are bare edges
+    (legs 0 and 2 then meet the same end), F1 needs a connection outside
+    the two paths.  Without one the shape is crossed.
     """
     g_l, ell = identify(block, chain.vertices)
     gem = find_f3_subdivision(g_l, apex=ell)
@@ -207,37 +215,29 @@ def _analyze_chain(block: Multigraph, chain: Chain):
     b, c, seg_bc = gem.branch[1], gem.branch[2], gem.routes[(1, 2)]
     z0, zq = chain.first, chain.last
 
-    options = []
+    ends = []
     for leg in legs:
-        opts = [e for e in (z0, zq) if block.adjacent(e, leg[-2])]
-        if not opts:
-            raise InternalError("every leg must reach a chain end")
-        options.append(opts)
+        reach = [e for e in (z0, zq) if block.adjacent(e, leg[-2])]
+        if len(reach) != 1:
+            raise InternalError(f"a leg reaches {'both chain ends' if reach else 'no chain end'},"
+                                " which would re-create an F3 the block check excluded")
+        ends += reach
+    if ends.count(z0) != 2:
+        raise InternalError("an uneven split would re-create an F3 the block check excluded")
 
-    def path(ends: tuple[int, ...], i: int) -> tuple[int, ...]:
+    def path(i: int) -> tuple[int, ...]:
         """Chain end, leg i, the spine to tooth i+1, leg i+1, chain end."""
         return ((ends[i],) + legs[i][-2::-1] + gem.routes[(i, i + 1)][1:]
                 + legs[i + 1][1:-1] + (ends[i + 1],))
 
-    fallback: CrossedStructure | None = None
-    for ends in product(*options):
-        if ends.count(z0) != 2:
-            raise InternalError(
-                "an uneven split would re-create an F3 the block check excluded"
-            )
-        c1, c2 = path(ends, 0), path(ends, 2)
-        if ends[0] == ends[1]:
-            return assemble_f2(block, chain, c1, b, c2, c, seg_bc)
-        if ends[0] == ends[3] or len(legs[1]) > 2 or len(legs[2]) > 2:
-            return assemble_f1(block, chain, c1, c2, b, c, seg_bc)
-        # legs 0 and 2 share an end, and both middle legs are bare edges
-        got = _external_connections(block, chain, c1, c2, b, c, seg_bc,
-                                    legs[0][-2], legs[3][-2])
-        if isinstance(got, MEmbedding):
-            return got
-        if fallback is None:
-            fallback = got
-    return fallback
+    c1, c2 = path(0), path(2)
+    if ends[0] == ends[1]:
+        return assemble_f2(block, chain, c1, b, c2, c, seg_bc)
+    if ends[0] == ends[3] or len(legs[1]) > 2 or len(legs[2]) > 2:
+        return assemble_f1(block, chain, c1, c2, b, c, seg_bc)
+    # legs 0 and 2 share an end, and both middle legs are bare edges
+    return _external_connections(block, chain, c1, c2, b, c, seg_bc,
+                                 legs[0][-2], legs[3][-2])
 
 
 def _external_connections(

@@ -18,45 +18,25 @@ from .patterns import MEmbedding
 from .temporal import TemporalGraph
 
 
-def lift_labeling(emb: MEmbedding) -> dict[int, int]:
-    """Labels for the embedded subgraph's edges only.
-
-    Per hop, the chosen host edges in ascending id order take the
-    pattern pair's reference labels in ascending order.
-    """
-    out: dict[int, int] = {}
-    for pair, hops in emb.hop_edges.items():
-        labels = sorted(emb.pattern.pair_labels(*pair))
-        for hop in hops:
-            for eid, lab in zip(sorted(hop), labels):
-                out[eid] = lab
-    return out
-
-
-def extend_to_host(host: Multigraph, emb: MEmbedding) -> dict[int, int]:
+def make_witness(host: Multigraph, emb: MEmbedding) -> TemporalGraph:
     """A labeling of every host edge preserving the embedded gap.
 
-    Embedded edges shift up by one so that label 1 stays free; unused
-    edges at the embedded target get 1 (nothing arrives that early, so
-    they are dead ends), all other unused edges get a label above the
-    whole embedded range (walks entering them can never come back down).
+    Per hop, the chosen host edges in ascending id order take the
+    pattern pair's reference labels in ascending order, shifted up by
+    one so that label 1 stays free.  Unused edges at the embedded target
+    get 1 (nothing arrives that early, so they are dead ends), all other
+    unused edges get a label above the whole embedded range (walks
+    entering them can never come back down).
     """
-    lifted = lift_labeling(emb)
-    late = max(lifted.values()) + 2
-    target = emb.target
-    out: dict[int, int] = {}
-    for e in host.edges:
-        if e.id in lifted:
-            out[e.id] = lifted[e.id] + 1
-        elif target in e.pair:
-            out[e.id] = 1
-        else:
-            out[e.id] = late
-    return out
-
-
-def make_witness(host: Multigraph, emb: MEmbedding) -> TemporalGraph:
-    return TemporalGraph.make(host, extend_to_host(host, emb))
+    lifted: dict[int, int] = {}
+    for pair, hops in emb.hop_edges.items():
+        labels = sorted(lab + 1 for lab in emb.pattern.pair_labels(*pair))
+        for hop in hops:
+            lifted.update(zip(sorted(hop), labels))
+    late = max(lifted.values()) + 1
+    return TemporalGraph.make(host, {
+        e.id: lifted[e.id] if e.id in lifted else (1 if emb.target in e.pair else late)
+        for e in host.edges})
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from operator import itemgetter
 
 from mengerian.cli import GraphFileError
 from mengerian.menger import _route_paths
-from mengerian.multigraph import GraphError, Multigraph, m_subdivide
+from mengerian.multigraph import Multigraph, m_subdivide
 from mengerian.patterns import PATTERNS
 from mengerian.temporal import TemporalGraph
 
@@ -186,9 +186,10 @@ def reference_blocks(g):
                             if pe == (min(px, x), max(px, x)):
                                 break
                         blocks_pairs.append(comp)
+    by_id = {e.id: e for e in g.edges}
     out = []
     for comp in blocks_pairs:
-        es = tuple(g.edge(i) for i in sorted(i for p in comp for i in g.parallel_edges(*p)))
+        es = tuple(by_id[i] for i in sorted(i for p in comp for i in g.parallel_edges(*p)))
         out.append(Multigraph(frozenset(x for e in es for x in e.pair), es))
     out.sort(key=lambda b: (min(b.vertices), b.edges[0].id))
     return tuple(out)
@@ -413,6 +414,7 @@ def check_m_subdivision(host, emb):
             return f"branch image {v} is not a host vertex"
 
     branch_img = set(emb.branch.values())
+    by_id = {e.id: e for e in host.edges}
     seen_interior = set()
     seen_edges = set()
     for (a, b), mu in sorted(want.items()):
@@ -428,9 +430,8 @@ def check_m_subdivision(host, emb):
             if len(set(ids)) != mu:
                 return f"hop {x},{y} of {(a, b)} needs exactly {mu} edges"
             for eid in ids:
-                try:
-                    e = host.edge(eid)
-                except GraphError:
+                e = by_id.get(eid)
+                if e is None:
                     return f"edge {eid} does not exist in the host"
                 if e.pair != (min(x, y), max(x, y)):
                     return f"edge {eid} does not join {x} and {y}"

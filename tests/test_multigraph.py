@@ -188,8 +188,9 @@ class TestIdentify:
         assert z == max(g.vertices) + 1
         dropped = {e.id for e in g.edges if e.u in zs and e.v in zs}
         assert {e.id for e in h.edges} == {e.id for e in g.edges} - dropped
+        by_id = {e.id: e for e in g.edges}
         for e in h.edges:
-            old = g.edge(e.id)
+            old = by_id[e.id]
             if old.u in zs or old.v in zs:
                 kept = old.v if old.u in zs else old.u
                 assert set(e.pair) == {kept, z}

@@ -9,6 +9,7 @@ from mengerian import menger, recognizer
 from mengerian.cli import random_multigraph
 from mengerian.menger import ResourceLimitError, falsify_mengerian
 from mengerian.multigraph import (
+    InternalError,
     Multigraph,
     biconnected_components,
     identify,
@@ -436,6 +437,54 @@ class TestCrossedStructure:
         assert verdict.embedding.pattern.name == "F1"
         assert proof.report is not None and proof.report.confirmed
         assert (proof.report.path_count, proof.report.cut_size) == (1, 2)
+
+
+    # The smallest crossed graphs: one doubled 0-1 chain, 9 edges with no
+    # corner-to-corner back connection, 10 with the 4-7 one.
+    SMALLEST_CROSSED = [(0, 1), (0, 1), (0, 4), (0, 6), (1, 5), (1, 7), (4, 5), (6, 7), (5, 6)]
+
+    @pytest.mark.parametrize("extra, kind, corners, b1", [
+        ([], 1, (4, 5, 6, 7), None),
+        ([(4, 7)], 2, (6, 5, 4, 7), frozenset()),
+    ], ids=["9-edges", "10-edges"])
+    def test_smallest_crossed_graphs(self, extra, kind, corners, b1):
+        v = recognize(mg(self.SMALLEST_CROSSED + extra))
+        assert v.mengerian and v.chains_examined == 1
+        (cs,) = v.crossed
+        assert (cs.kind, cs.chain.vertices, cs.corners, cs.b1) == (kind, (0, 1), corners, b1)
+
+class TestLegEnds:
+    """Each leg of a pinned gem reaches one chain end, two legs each end.
+
+    Any other split is a gem in the block pinned at a chain end, so the
+    block search finds it first; with that search bypassed, the chain
+    analysis names the case."""
+
+    CASES = {
+        "a leg reaches both chain ends": (
+            Multigraph.build(6, [(1, 3), (0, 1), (1, 2), (0, 4), (2, 5), (4, 5), (1, 4), (0, 5),
+                                 (1, 4), (2, 3)]), (1, 4)),
+        "an uneven split": (
+            Multigraph.build(6, [(3, 4), (0, 3), (0, 5), (0, 2), (1, 5), (4, 5), (0, 1), (0, 2),
+                                 (2, 4)]), (0, 2)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_block_search_finds_the_gem_at_a_chain_end(self, case):
+        g, chain = self.CASES[case]
+        assert [c.vertices for c in maximal_chains(g)] == [chain]
+        v = recognize(g)
+        assert v.embedding.pattern.name == "F3" and v.chains_examined == 0
+        assert v.embedding.branch[4] in chain
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_chain_analysis_names_the_case(self, monkeypatch, case):
+        g, _ = self.CASES[case]
+        pinned = recognizer.find_f3_subdivision
+        monkeypatch.setattr(recognizer, "find_f3_subdivision",
+                            lambda host, apex=None: None if apex is None else pinned(host, apex))
+        with pytest.raises(InternalError, match=f"^{case}"):
+            recognize(g)
 
 
 class TestBlocks:

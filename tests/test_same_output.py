@@ -135,3 +135,29 @@ def test_graph_commands_query_the_first_non_adjacent_pair_of_labeled_files(tmp_p
     assert [r["code"] for r in ran] == [0, 0]
     assert ran[0]["out"].startswith("p = 2\n") and "c = 2\n  cut: b c\n" in ran[0]["out"]
     assert ran[1]["out"].startswith("p' = 2\n")
+
+
+def test_gen_files_mix_random_multigraphs_and_subdivided_patterns(tmp_path):
+    # five in six files are random multigraphs, the rest subdivided
+    # patterns taking F1, F2 and F3 in turn; each file is queried as a
+    # --graphs file is
+    argvs = same_output.gen_argvs(360)
+    models = [argv[argv.index("--model") + 1] for argv in argvs]
+    assert models.count("multigraph") == 300
+    assert [argv[argv.index("--seed") + 1] for argv in argvs] == [str(i) for i in range(360)]
+    patterns = [argv[4] for argv in argvs if argv[2] == "m-subdivided-pattern"]
+    assert patterns[:3] == ["F1", "F2", "F3"] and {patterns.count(p) for p in set(patterns)} == {20}
+    for argv in argvs:
+        opt = dict(zip(argv[1::2], argv[2::2]))
+        if opt["--model"] == "multigraph":
+            n = int(opt["--n"])
+            assert 4 <= n <= 9 and n <= int(opt["--m"]) <= 3 * n and opt["--max-mult"] == "3"
+        else:
+            assert 0 <= int(opt["--ops"]) <= 5
+    gen = tmp_path / "gen"
+    same_output.write_gen_files(str(ROOT), 12, str(gen))
+    files = sorted(p.name for p in gen.iterdir())
+    assert files == [f"gen{i:04d}.g" for i in range(12)]
+    assert (gen / "gen0005.g").read_text().startswith("v ")
+    argvs = same_output.graph_commands(str(gen), str(gen))
+    assert sum(argv[:2] == ["recognize", str(gen / name)] for argv in argvs for name in files) == 24

@@ -1,4 +1,5 @@
-"""Labeling lift, host extension, and oracle verification of witnesses."""
+"""Witness labelings (the lift onto the embedding and its extension to the
+host) and their oracle verification."""
 
 import random
 
@@ -6,12 +7,7 @@ from hypothesis import given, strategies as st
 
 from mengerian.multigraph import Multigraph, m_subdivide
 from mengerian.patterns import F1, PATTERNS, MEmbedding, check_m_subdivision
-from mengerian.witness import (
-    extend_to_host,
-    lift_labeling,
-    make_witness,
-    verify_witness,
-)
+from mengerian.witness import make_witness, verify_witness
 
 import pytest
 
@@ -42,13 +38,17 @@ def subdivide_hop(host, emb, key, hop_idx):
 class TestLift:
     @pytest.mark.parametrize("pat", PATTERNS, ids=lambda p: p.name)
     def test_identity_reproduces_reference(self, pat):
-        assert lift_labeling(identity_embedding(pat)) == dict(pat.labels)
+        # a pendant edge off the source leaves the embedded labels as they are
+        n = len(pat.graph.vertices)
+        host = Multigraph.build(n + 1, [e.pair for e in pat.graph.edges] + [(pat.source, n)])
+        times = make_witness(host, identity_embedding(pat)).times
+        assert {e: times[e] - 1 for e, _ in pat.labels} == dict(pat.labels)
 
     def test_subdivided_chain_hops_share_the_pair_labels(self):
         host, emb = subdivide_hop(F1.graph, identity_embedding(F1), (3, 4), 0)
-        lifted = lift_labeling(emb)
+        times = make_witness(host, emb).times
         for hop in emb.hop_edges[(3, 4)]:
-            assert sorted(lifted[e] for e in hop) == [3, 6]
+            assert sorted(times[e] - 1 for e in hop) == [3, 6]
 
 
 class TestExtend:
@@ -56,15 +56,17 @@ class TestExtend:
         base = F1.graph
         host = Multigraph.build(
             7, [e.pair for e in base.edges] + [(5, 6), (6, 0)])
-        labels = extend_to_host(host, identity_embedding(F1))
-        assert labels[9] == 1        # touches the target
-        assert labels[10] == 11      # beyond every embedded label
-        assert min(labels[e.id] for e in base.edges) == 2
+        tg = make_witness(host, identity_embedding(F1))
+        assert [e for e, _ in tg.entries] == [e.id for e in host.edges]  # in host order
+        times = tg.times
+        assert times[9] == 1        # touches the target
+        assert times[10] == 11      # beyond every embedded label
+        assert min(times[e.id] for e in base.edges) == 2
 
     @pytest.mark.parametrize("pat", PATTERNS, ids=lambda p: p.name)
     def test_pure_pattern_just_shifts(self, pat):
-        labels = extend_to_host(pat.graph, identity_embedding(pat))
-        assert labels == {e: lab + 1 for e, lab in pat.labels}
+        times = make_witness(pat.graph, identity_embedding(pat)).times
+        assert times == {e: lab + 1 for e, lab in pat.labels}
 
 
 class TestVerify:

@@ -1,6 +1,7 @@
 """Check that two commits print the same for every benchmark workload command.
 
-    python3 tools/same_output.py [OLD [NEW]] [--workload NAME ...] [--seed N ...] [--graphs DIR]
+    python3 tools/same_output.py [OLD [NEW]] [--workload NAME ...] [--seed N ...]
+                                 [--graphs DIR] [--gen N]
 
 OLD and NEW default to HEAD^ and HEAD.  Both commits are exported with
 `git archive` into fresh temporary directories.  For each workload and
@@ -17,7 +18,9 @@ also gets `menger FILE --source A --target B`, with and without
 are declared.  A file with edge lines `e U V` that carry no label is
 queried on a labeled copy, written once and read by both trees: the
 copy gives each such line the label k % 3 + 1, where k counts the
-file's edge lines from 0, and keeps every other line.
+file's edge lines from 0, and keeps every other line.  With `--gen N`,
+OLD's `mengerian gen` writes N seeded files (see `gen_argvs`) into a
+temporary directory, which is then queried as `--graphs` queries DIR.
 
 A command whose exit code, standard output or standard error differs
 between the trees is reported.  `elapsed_ms` is removed from JSON output first, since it
@@ -31,6 +34,7 @@ import glob
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tarfile
@@ -193,6 +197,36 @@ def graph_commands(graphs: str, workdir: str) -> list[list[str]]:
     return argvs
 
 
+def gen_argvs(count: int) -> list[list[str]]:
+    """`mengerian gen` commands for `--gen`: file i has seed i.  Five in
+    six are `--model multigraph` with n 4-9, n to 3n edges and
+    multiplicity at most 3; every sixth is `m-subdivided-pattern` with
+    F1, F2 and F3 in turn and 0-5 ops."""
+    argvs = []
+    for i in range(count):
+        rng = random.Random(i)
+        if i % 6 == 5:
+            argvs.append(["gen", "--model", "m-subdivided-pattern", "--pattern",
+                          ("F1", "F2", "F3")[i // 6 % 3], "--ops", str(rng.randint(0, 5)),
+                          "--seed", str(i)])
+        else:
+            n = rng.randint(4, 9)
+            argvs.append(["gen", "--model", "multigraph", "--n", str(n),
+                          "--m", str(rng.randint(n, 3 * n)), "--max-mult", "3", "--seed", str(i)])
+    return argvs
+
+
+def write_gen_files(tree: str, count: int, directory: str) -> None:
+    """The files of `gen_argvs(count)`, written by the tree's package as
+    gen0000.g, gen0001.g, ... in directory."""
+    os.makedirs(directory)
+    for i, ran in enumerate(run_all(tree, gen_argvs(count))):
+        if ran["code"] != 0:
+            raise RuntimeError(f"gen file {i} failed: {ran['err'].strip()}")
+        with open(os.path.join(directory, f"gen{i:04d}.g"), "w", encoding="utf-8") as fh:
+            fh.write(ran["out"])
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("old", nargs="?", default="HEAD^")
@@ -201,6 +235,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--seed", type=int, action="append", help="a seed (default: 1 and 2)")
     ap.add_argument("--graphs", metavar="DIR",
                     help="also recognize, falsify and query every *.g file in DIR")
+    ap.add_argument("--gen", type=int, metavar="N",
+                    help="also recognize, falsify and query N seeded `mengerian gen` files")
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
@@ -221,6 +257,10 @@ def main(argv: list[str] | None = None) -> int:
                                 workload_commands(perfbench, name, seed, workdir)))
         if args.graphs:
             batches.append((args.graphs, graph_commands(args.graphs, tmp)))
+        if args.gen:
+            gen_dir = os.path.join(tmp, "gen")
+            write_gen_files(trees["old"], args.gen, gen_dir)
+            batches.append((f"{args.gen} gen files", graph_commands(gen_dir, gen_dir)))
         found = []
         for label, argvs in batches:
             old, new = (run_all(trees[side], argvs) for side in ("old", "new"))
