@@ -441,8 +441,10 @@ def cmd_gen(args) -> int:
     if args.model == "multigraph":
         if args.pattern or args.ops is not None:
             raise GraphFileError("--pattern/--ops only apply to m-subdivided-pattern")
-        g = random_multigraph(args.n, args.m, args.max_mult, rng)
+        g = random_multigraph(args.n or 0, args.m or 0, args.max_mult or 3, rng)
     else:
+        if (args.n, args.m, args.max_mult) != (None, None, None):
+            raise GraphFileError("--n/--m/--max-mult only apply to multigraph")
         if args.pattern is None:
             raise GraphFileError("m-subdivided-pattern requires --pattern")
         g = subdivided_pattern(args.pattern, args.ops or 0, rng)
@@ -513,9 +515,9 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen", help="write a graph file to standard output")
     g.add_argument("--model", required=True,
                    choices=("multigraph", "m-subdivided-pattern"))
-    g.add_argument("--n", type=_non_negative, default=0)
-    g.add_argument("--m", type=_non_negative, default=0)
-    g.add_argument("--max-mult", type=_positive, default=3)
+    g.add_argument("--n", type=_non_negative)
+    g.add_argument("--m", type=_non_negative)
+    g.add_argument("--max-mult", type=_positive)
     g.add_argument("--pattern", choices=tuple(p.name for p in PATTERNS))
     g.add_argument("--ops", type=_non_negative)
     g.add_argument("--seed", type=_non_negative, default=0)

@@ -253,18 +253,21 @@ def find_f3_subdivision(host: Multigraph, apex: int | None = None) -> MEmbedding
     checked edge by edge before it is returned.
     """
     for w in ([apex] if apex is not None else sorted(host.vertices)):
-        if host.simple_degree(w) < 4:
-            continue
-        found = _gem_at(host, w)
+        found = find_gem(host._adj, w)
         if found is not None:
-            return _gem_embedding(host, w, *found)
+            emb, reason = _embedding(host, F3, *found)
+            if reason is not None:
+                raise InternalError(f"gem search produced a bad embedding: {reason}")
+            return emb
     return None
 
 
-def _gem_at(U: Multigraph, w: int):
-    """(spine, legs) of a gem with apex w, or None."""
-    adj = U._adj
+def find_gem(adj: dict[int, tuple[int, ...]], w: int):
+    """Checked (branch, routes) of an F3 with apex w, or None: the search
+    of `find_f3_subdivision` on an adjacency like `Multigraph._adj`."""
     T = set(adj[w])
+    if len(T) < 4:
+        return None
     seen = {w}
     # any root finds a gem when there is one; the root only picks among
     # symmetric gems.  Entering each component at a vertex of T with the
@@ -287,13 +290,13 @@ def _gem_at(U: Multigraph, w: int):
                     parent[y] = x
                     order.append(y)
         if in_t >= 4 and branching >= 2:
-            found = _gem_in(U, w, T, order, parent)
+            found = _gem_in(adj, w, T, order, parent)
             if found is not None:
-                return found
+                return _gem_routes(adj, w, *found)
     return None
 
 
-def _gem_in(U: Multigraph, w: int, T: set[int], order: list[int],
+def _gem_in(adj: dict[int, tuple[int, ...]], w: int, T: set[int], order: list[int],
             parent: dict[int, int | None]):
     """A gem with apex w inside one component of U - w, or None.
 
@@ -372,7 +375,7 @@ def _gem_in(U: Multigraph, w: int, T: set[int], order: list[int],
     queue = deque(owner)
     while queue:
         x = queue.popleft()
-        for y in U.neighbors(x):
+        for y in adj[x]:
             if y == c or y == w:
                 continue
             if y not in owner:
@@ -391,22 +394,30 @@ def _gem_in(U: Multigraph, w: int, T: set[int], order: list[int],
     return None  # c is a star centre
 
 
-def _gem_embedding(host: Multigraph, w: int, spine: list[int],
-                   legs: list[tuple[int, ...]]) -> MEmbedding:
-    """Checked F3 embedding: the teeth legs[k][0] lie on the spine in order.
+def _gem_routes(adj: dict[int, tuple[int, ...]], w: int, spine: list[int],
+                legs: list[tuple[int, ...]]):
+    """F3's branch map and routes: the teeth legs[k][0] lie on the spine in order.
 
-    The spine runs from its smaller end.
+    The spine runs from its smaller end and is cut at the teeth.  Each
+    route must be a path of `adj` that repeats no vertex, the interiors
+    disjoint and clear of the branch vertices: for F3, whose pairs are
+    all single, `check_m_subdivision` without edge ids.
     """
     if spine[0] > spine[-1]:
         spine, legs = spine[::-1], legs[::-1]
     cut = [spine.index(leg[0]) for leg in legs]
     routes = {(k, k + 1): tuple(spine[cut[k]:cut[k + 1] + 1]) for k in range(3)}
     routes.update({(k, 4): tuple(leg) for k, leg in enumerate(legs)})
-    emb, reason = _embedding(host, F3, {**{k: leg[0] for k, leg in enumerate(legs)}, 4: w},
-                             routes)
-    if reason is not None:
-        raise InternalError(f"gem search produced a bad embedding: {reason}")
-    return emb
+    branch = {**{k: leg[0] for k, leg in enumerate(legs)}, 4: w}
+    taken = set(branch.values())
+    for key in F3.pairs:
+        route = routes[key]
+        if (len(route) < 2 or len(set(route)) != len(route) or not taken.isdisjoint(route[1:-1])
+                or any(y not in adj[x] for x, y in zip(route, route[1:]))):
+            raise InternalError(f"gem search produced a bad embedding: route for {key}"
+                                " is not a simple path clear of the others")
+        taken.update(route[1:-1])
+    return branch, routes
 
 
 # ----------------------------------------------------------------------

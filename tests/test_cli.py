@@ -755,6 +755,11 @@ class TestGenCommand:
         code, _, err = run(capsys, "gen", "--model", "multigraph", "--n", "3",
                            "--m", "10", "--max-mult", "1")
         assert code == 2
+        for flag in ("--n", "--m", "--max-mult"):
+            code, out, err = run(capsys, "gen", "--model", "m-subdivided-pattern",
+                                 "--pattern", "F1", flag, "3")
+            assert code == 2 and out == ""
+            assert "--n/--m/--max-mult only apply to multigraph" in err
 
 
 class TestReadme:

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mengerian.cli import random_multigraph
-from mengerian.multigraph import Edge, Multigraph, identify, m_subdivide, maximal_chains
+from mengerian.multigraph import (
+    Edge,
+    InternalError,
+    Multigraph,
+    identify,
+    m_subdivide,
+    maximal_chains,
+)
 from mengerian.menger import max_disjoint_paths, min_vertex_cut
 from mengerian.patterns import (
     F1,
@@ -20,6 +27,7 @@ from mengerian.patterns import (
     MEmbedding,
     assemble_f1,
     assemble_f2,
+    _gem_routes,
     check_m_subdivision,
     find_f3_subdivision,
 )
@@ -299,6 +307,18 @@ class TestGemSearch:
     def test_apex_restriction(self):
         assert find_f3_subdivision(WHEEL, apex=4) is not None
         assert find_f3_subdivision(WHEEL, apex=0) is None
+
+    @pytest.mark.parametrize("spine, legs", [
+        ([0, 2, 1, 3], [(0, 4), (2, 4), (1, 4), (3, 4)]),  # hop 0-2 is no edge
+        ([0, 1, 2, 3], [(0, 4), (1, 2, 4), (2, 4), (3, 4)]),  # a leg through a tooth
+        ([0, 1, 0, 3], [(0, 4), (1, 4), (0, 4), (3, 4)]),  # a tooth twice
+    ], ids=["no-edge", "through-a-tooth", "tooth-twice"])
+    def test_bad_gem_is_refused_before_use(self, spine, legs):
+        # the routes a pinned search returns are checked on the adjacency
+        # alone, with no hop edges to check them by
+        assert _gem_routes(WHEEL._adj, 4, [0, 1, 2, 3], [(t, 4) for t in range(4)])
+        with pytest.raises(InternalError, match="bad embedding"):
+            _gem_routes(WHEEL._adj, 4, spine, legs)
 
     def test_none_in_small_graphs(self):
         assert find_f3_subdivision(mg([(0, 1), (1, 2), (2, 3)])) is None

@@ -1,6 +1,7 @@
 """Recognizer verdicts, embeddings, and crossed-structure diagnostics."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,8 +25,10 @@ from mengerian.patterns import (
     AssemblyError,
     check_m_subdivision,
     find_f3_subdivision,
+    find_gem,
 )
 from mengerian.recognizer import (
+    _contracted_adj,
     _contracted_degrees,
     CrossedStructure,
     Proof,
@@ -34,7 +37,7 @@ from mengerian.recognizer import (
     recognize_with_proof,
 )
 
-from helpers import doubled_k2n, mg, p_and_c
+from helpers import doubled_k2n, doubled_ladder, mg, p_and_c
 from oracles import brute_m_minor
 
 
@@ -480,9 +483,7 @@ class TestLegEnds:
     @pytest.mark.parametrize("case", CASES)
     def test_chain_analysis_names_the_case(self, monkeypatch, case):
         g, _ = self.CASES[case]
-        pinned = recognizer.find_f3_subdivision
-        monkeypatch.setattr(recognizer, "find_f3_subdivision",
-                            lambda host, apex=None: None if apex is None else pinned(host, apex))
+        monkeypatch.setattr(recognizer, "find_f3_subdivision", lambda host: None)
         with pytest.raises(InternalError, match=f"^{case}"):
             recognize(g)
 
@@ -526,9 +527,9 @@ def long_spoke_k25(hops):
 class TestContractedDegrees:
     """The degrees a chain's contraction would have, read off its ends."""
 
-    @given(st.integers(0, 100_000))
-    @settings(max_examples=300)
-    def test_exact_and_never_skips_a_gem(self, seed):
+    @staticmethod
+    def chains(seed):
+        """(block, chain, branching) for each chain of a seeded random multigraph."""
         rng = random.Random(seed)
         n = rng.randint(3, 12)
         g = random_multigraph(n, rng.randint(n, 3 * n), 3, rng)
@@ -537,14 +538,30 @@ class TestContractedDegrees:
                 continue
             branching = sum(block.simple_degree(v) >= 3 for v in block.vertices)
             for chain in maximal_chains(block):
-                g_l, ell = identify(block, chain.vertices)
-                got = _contracted_degrees(block, chain, branching)
-                others = sum(g_l.simple_degree(v) >= 3 for v in g_l.vertices if v != ell)
-                assert got == (g_l.simple_degree(ell), others)
-                if got[0] < 4 or got[1] < 2:
-                    assert find_f3_subdivision(g_l, apex=ell) is None
-                    if len(g_l.vertices) <= 7:
-                        assert not brute_m_minor(g_l, F3, pin={4: ell})
+                yield block, chain, branching
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=300)
+    def test_exact_and_never_skips_a_gem(self, seed):
+        for block, chain, branching in self.chains(seed):
+            g_l, ell = identify(block, chain.vertices)
+            got = _contracted_degrees(block, chain, branching)
+            others = sum(g_l.simple_degree(v) >= 3 for v in g_l.vertices if v != ell)
+            assert got == (g_l.simple_degree(ell), others)
+            if got[0] < 4 or got[1] < 2:
+                assert find_f3_subdivision(g_l, apex=ell) is None
+                if len(g_l.vertices) <= 7:
+                    assert not brute_m_minor(g_l, F3, pin={4: ell})
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=300)
+    def test_adjacency_and_pinned_search_match_the_built_contraction(self, seed):
+        for block, chain, _ in self.chains(seed):
+            g_l, ell = identify(block, chain.vertices)
+            adj, got_ell = _contracted_adj(block, chain)
+            assert (adj, got_ell) == (g_l._adj, ell)
+            emb = find_f3_subdivision(g_l, apex=ell)
+            assert find_gem(adj, ell) == (None if emb is None else (emb.branch, emb.routes))
 
     def test_pinned_search_can_come_back_empty(self):
         # chain 0=4 passes the degree check, yet its contraction holds no
@@ -565,8 +582,26 @@ class TestContractedDegrees:
         assert falsify_mengerian(g, samples=20000, seed=0) is None
 
 
+def fully_subdivided(pattern):
+    """The pattern with every parallel class m-subdivided once."""
+    g = pattern.graph
+    for u, v in sorted({e.pair for e in pattern.graph.edges}):
+        g, _ = m_subdivide(g, u, v)
+    return g
+
+
+# graphs whose chains pass the degree check, so each gets a pinned search
+SEARCHED = pytest.mark.parametrize("make, pattern", [
+    (lambda: fully_subdivided(F1), "F1"),
+    (lambda: fully_subdivided(F2), "F2"),
+    (crossed_graph, None),
+], ids=["subdivided-F1", "subdivided-F2", "crossed"])
+
+
 class TestChainWork:
-    """Chains whose contraction cannot hold a pinned gem are never built."""
+    """No chain is contracted into a graph of its own: chains whose
+    contraction cannot hold a pinned gem are not searched, and the others
+    are searched on an adjacency."""
 
     @pytest.fixture
     def identified(self, monkeypatch):
@@ -590,6 +625,34 @@ class TestChainWork:
         verdict = recognize(long_spoke_k25(12))
         assert verdict.mengerian and verdict.chains_examined == 1
         assert identified == []
+
+    @SEARCHED
+    def test_searched_chains_build_nothing(self, monkeypatch, identified, make, pattern):
+        searched = []
+        real = recognizer.find_gem
+
+        def counted(adj, w):
+            searched.append(w)
+            return real(adj, w)
+
+        monkeypatch.setattr(recognizer, "find_gem", counted)
+        verdict = recognize(make())
+        assert getattr(verdict.embedding, "pattern", None) is {"F1": F1, "F2": F2}.get(pattern)
+        assert searched and identified == []
+
+    def test_doubled_ladder_is_quick(self):
+        # every rung is a chain, and every inner rung passes the degree
+        # check; each is searched on a copy of the block's adjacency
+        g = doubled_ladder(800)
+        start = time.perf_counter()
+        verdict = recognize(g)
+        assert time.perf_counter() - start < 1.5
+        assert verdict.mengerian and verdict.chains_examined == 800 and verdict.crossed == ()
+
+    def test_small_doubled_ladder_agrees_with_brute_force(self):
+        g = doubled_ladder(3)
+        assert recognize(g).mengerian
+        assert not any(brute_m_minor(g, p) for p in PATTERNS)
 
 
 class TestNoThrowawayGraphs:
@@ -618,6 +681,27 @@ class TestNoThrowawayGraphs:
         assert verdict.mengerian and len(verdict.crossed) == crossed
         assert copies == []
 
+    @SEARCHED
+    def test_no_graph_is_built_after_the_block_split(self, monkeypatch, make, pattern):
+        built, split = [], []
+        init, blocks = Multigraph.__post_init__, recognizer.biconnected_components
+
+        def counted(g):
+            if split:
+                built.append(g)
+            init(g)
+
+        def split_once(g):
+            out = blocks(g)
+            split.append(len(out))
+            return out
+
+        monkeypatch.setattr(Multigraph, "__post_init__", counted)
+        monkeypatch.setattr(recognizer, "biconnected_components", split_once)
+        verdict = recognize(make())
+        assert verdict.chains_examined >= 1 and split == [1]
+        assert built == []
+
     def test_proof_on_subdivided_f1_runs_no_arrival_search(self, monkeypatch):
         # route listing bounds its branches by one sweep of its own, not by
         # an earliest-arrival search on a reversed copy of the witness
@@ -629,10 +713,7 @@ class TestNoThrowawayGraphs:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(menger, "earliest_arrival", counted)
-        g = F1.graph
-        for u, v in sorted({e.pair for e in F1.graph.edges}):
-            g, _ = m_subdivide(g, u, v)
-        verdict, proof = recognize_with_proof(g)
+        verdict, proof = recognize_with_proof(fully_subdivided(F1))
         assert verdict.embedding.pattern is F1
         assert proof.report is not None and proof.report.confirmed
         assert calls == []
