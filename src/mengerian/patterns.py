@@ -23,7 +23,8 @@ holding w's neighbours, and reads a gem off its shape.  When the tree is
 a spider, one more BFS around its centre either links two arms into a
 gem or shows that the centre separates w's neighbours from one another,
 which leaves no room for a gem.  The work is linear per apex, with no
-randomness and no backtracking.
+randomness and no backtracking.  `find_gem` is the search at one apex
+of a bare adjacency, as the recognizer's contracted chains have.
 """
 
 from __future__ import annotations

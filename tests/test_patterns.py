@@ -25,9 +25,9 @@ from mengerian.patterns import (
     PATTERNS,
     AssemblyError,
     MEmbedding,
+    _gem_routes,
     assemble_f1,
     assemble_f2,
-    _gem_routes,
     check_m_subdivision,
     find_f3_subdivision,
 )

@@ -592,8 +592,8 @@ def fully_subdivided(pattern):
 
 # graphs whose chains pass the degree check, so each gets a pinned search
 SEARCHED = pytest.mark.parametrize("make, pattern", [
-    (lambda: fully_subdivided(F1), "F1"),
-    (lambda: fully_subdivided(F2), "F2"),
+    (lambda: fully_subdivided(F1), F1),
+    (lambda: fully_subdivided(F2), F2),
     (crossed_graph, None),
 ], ids=["subdivided-F1", "subdivided-F2", "crossed"])
 
@@ -637,7 +637,7 @@ class TestChainWork:
 
         monkeypatch.setattr(recognizer, "find_gem", counted)
         verdict = recognize(make())
-        assert getattr(verdict.embedding, "pattern", None) is {"F1": F1, "F2": F2}.get(pattern)
+        assert getattr(verdict.embedding, "pattern", None) is pattern
         assert searched and identified == []
 
     def test_doubled_ladder_is_quick(self):
