@@ -158,20 +158,23 @@ def _route_paths(tg: TemporalGraph, s: int, t: int) -> Iterator[TemporalPath]:
     stack, and drops a branch that reaches y after `late[y]`, the latest
     label a walk avoiding s can leave y by and still reach t
     (`temporal.latest_departure`): a route's suffix never returns to s,
-    so no such walk means no route either.  A vertex's options are its
-    neighbours that have a `late` bound, read off the graph's cached
-    adjacency, each with its parallel class as (label, id) pairs, sorted
-    once per class.  Past _WORK_BUDGET pushes it raises
+    so no such walk means no route either.  Only s and the vertices with
+    a `late` bound get options: their neighbours that have one, read off
+    the graph's cached adjacency, each with its parallel class read off
+    the graph's `_parallel` as (label, id) pairs, sorted when the class
+    has two or more edges.  Past _WORK_BUDGET pushes it raises
     ResourceLimitError.
     """
     late = latest_departure(tg, t, avoid=s)
-    times, adj = tg.times, tg.graph._adj
-    reach = late.keys() | {s}
-    classes = {pair: sorted((times[i], i) for i in ids)
-               for pair, ids in tg.graph._parallel.items()
-               if pair[0] in reach and pair[1] in reach}
-    options = {v: [(y, classes[(v, y) if v < y else (y, v)]) for y in adj[v] if y in late]
-               for v in reach}
+    times, adj, parallel = tg.times, tg.graph._adj, tg.graph._parallel
+    options: dict[int, list[tuple[int, list[tuple[int, int]]]]] = {}
+    for v in late.keys() | {s}:
+        options[v] = branches = []
+        for y in adj[v]:
+            if y in late:
+                ids = parallel[(v, y) if v < y else (y, v)]
+                branches.append((y, [(times[ids[0]], ids[0])] if len(ids) == 1
+                                 else sorted((times[i], i) for i in ids)))
 
     vpath = [s]
     epath: list[int] = []
@@ -283,11 +286,13 @@ def _min_hitting(masks: list[int], vertices: list[int], s: int, t: int) -> tuple
 
 @dataclass
 class _Listing:
-    """One pair's routes, their interior bitmasks, and its cut size once known."""
+    """One pair's routes, their interior bitmasks over the sorted vertices,
+    and its cut size once known."""
 
     key: tuple[int, int, int, int]
     paths: list[TemporalPath]
     masks: list[int]
+    vertices: list[int]
     cut: int | None = None
 
 
@@ -308,14 +313,15 @@ def _listing(tg: TemporalGraph, s: int, t: int) -> _Listing:
         paths = list(islice(_route_paths(tg, s, t), _ROUTE_CAP + 1))
         if len(paths) > _ROUTE_CAP:
             raise _too_many_routes(s, t)
-        bit = {v: 1 << i for i, v in enumerate(sorted(tg.graph.vertices))}
+        vertices = sorted(tg.graph.vertices)
+        bit = {v: 1 << i for i, v in enumerate(vertices)}
         masks = []
         for p in paths:
             mask = 0
             for v in p.vertices[1:-1]:
                 mask |= bit[v]
             masks.append(mask)
-        last = vars(tg)["_last_listing"] = _Listing(key, paths, masks)
+        last = vars(tg)["_last_listing"] = _Listing(key, paths, masks, vertices)
     return last
 
 
@@ -346,7 +352,7 @@ def min_vertex_cut(tg: TemporalGraph, s: int, t: int) -> frozenset[int]:
     if tg.graph.adjacent(s, t):
         raise CutUndefinedError(f"vertices {s} and {t} are adjacent")
     listing = _listing(tg, s, t)
-    cut = frozenset(_min_hitting(listing.masks, sorted(tg.graph.vertices), s, t))
+    cut = frozenset(_min_hitting(listing.masks, listing.vertices, s, t))
     listing.cut = len(cut)
     return cut
 

@@ -368,29 +368,33 @@ def biconnected_components(g: Multigraph) -> tuple[Multigraph, ...]:
     belong to no block.  Blocks are sorted by their smallest vertex id,
     then smallest edge id.  When g is one block with no isolated vertex,
     the result is `(g,)`: g itself, with the indexes it has cached.
-    Otherwise each block's parallel classes are g's, not regrouped.
+    Otherwise each block's parallel classes are g's, not regrouped, and
+    so are its vertices' neighbour tuples, filtered by block only at the
+    vertices that close a block, the only ones in two or more.
 
-    An iterative depth-first search over g's distinct neighbours (the
-    underlying simple graph, without building it) keeps low points and a
-    stack of tree and back pairs.  When a child's subtree reaches no
-    vertex above its parent, the pairs stacked since the tree pair into
-    that child form one block.
+    Hopcroft and Tarjan's depth-first search over g's distinct neighbours
+    (the underlying simple graph, without building it) keeps low points
+    and a stack of vertices.  When a child's subtree reaches no vertex
+    above its parent, the vertices stacked since that child, with the
+    parent, form one block.  Each edge lies in the block that its deeper
+    end, the one found later, leaves the stack with.
     """
     adj = g._adj
     index: dict[int, int] = {}
     low: dict[int, int] = {}
-    blocks_pairs: list[list[tuple[int, int]]] = []
-    edge_stack: list[tuple[int, int]] = []
-    push = edge_stack.append
+    block_of: dict[int, int] = {}  # a vertex's block: the one it leaves the stack with
+    blocks: list[list[int]] = []  # each block's vertices, its closing vertex first
+    vstack: list[int] = []
 
     for root in sorted(g.vertices):
         if root in index:
             continue
-        # iterative DFS so deep graphs cannot overflow the stack
+        # iterative DFS so deep graphs cannot overflow the stack; a frame
+        # keeps where its vertex sits on the vertex stack
         index[root] = low[root] = len(index)
-        stack: list[tuple[int, Iterator[int], int | None]] = [(root, iter(adj[root]), None)]
+        stack: list[tuple[int, Iterator[int], int | None, int]] = [(root, iter(adj[root]), None, 0)]
         while stack:
-            x, it, parent = stack[-1]
+            x, it, parent, _ = stack[-1]
             for y in it:
                 # one pair back to the parent; a doubled pair to the parent
                 # still forms its own block
@@ -398,46 +402,46 @@ def biconnected_components(g: Multigraph) -> tuple[Multigraph, ...]:
                     continue
                 if y not in index:
                     index[y] = low[y] = len(index)
-                    push((x, y) if x < y else (y, x))
-                    stack.append((y, iter(adj[y]), x))
+                    stack.append((y, iter(adj[y]), x, len(vstack)))
+                    vstack.append(y)
                     break
-                iy = index[y]
-                if iy < index[x]:
-                    push((x, y) if x < y else (y, x))
-                    if iy < low[x]:
-                        low[x] = iy
+                if index[y] < low[x]:
+                    low[x] = index[y]
             else:
-                stack.pop()
+                at = stack.pop()[3]
                 if stack:
                     px = stack[-1][0]
                     if low[x] < low[px]:
                         low[px] = low[x]
                     if low[x] >= index[px]:
-                        top = (px, x) if px < x else (x, px)
-                        comp = []
-                        while True:
-                            pe = edge_stack.pop()
-                            comp.append(pe)
-                            if pe == top:
-                                break
-                        blocks_pairs.append(comp)
+                        block_of.update(dict.fromkeys(vstack[at:], len(blocks)))
+                        blocks.append([px, *vstack[at:]])
+                        del vstack[at:]
 
-    if len(blocks_pairs) == 1 and all(adj.values()):
+    if len(blocks) == 1 and all(adj.values()):
         return (g,)
-    # each block's edges in one pass over g's, so they stay sorted by id; a
-    # pair's whole parallel class lies in its block, so each block takes its
-    # classes from g's index, in g's order (by smallest id), as its own
-    block_of = {p: k for k, comp in enumerate(blocks_pairs) for p in comp}
-    block_edges: list[list[Edge]] = [[] for _ in blocks_pairs]
-    for e in g.edges:
-        block_edges[block_of[e.u, e.v]].append(e)
-    classes: list[dict[tuple[int, int], tuple[int, ...]]] = [{} for _ in blocks_pairs]
+    # g's parallel classes and edges, each placed by its deeper end, in g's
+    # order, so each block's edges stay sorted by id
+    classes: list[dict[tuple[int, int], tuple[int, ...]]] = [{} for _ in blocks]
     for p, ids in g._parallel.items():
-        classes[block_of[p]][p] = ids
+        u, v = p
+        classes[block_of[u if index[u] > index[v] else v]][p] = ids
+    block_edges: list[list[Edge]] = [[] for _ in blocks]
+    for e in g.edges:
+        _, u, v = e
+        block_edges[block_of[u if index[u] > index[v] else v]].append(e)
+    # only a vertex that closes a block can lie in two or more; its
+    # neighbours, split by block in one pass, stay ascending
+    split: dict[tuple[int, int], list[int]] = {}
+    for v in {vs[0] for vs in blocks}:
+        for y in adj[v]:
+            split.setdefault((v, block_of[y] if index[y] > index[v] else block_of[v]), []).append(y)
     out = []
-    for comp, es, parallel in zip(blocks_pairs, block_edges, classes):
-        block = Multigraph(frozenset(x for p in comp for x in p), tuple(es))
-        vars(block)["_parallel"] = parallel
+    for k, (vs, es, parallel) in enumerate(zip(blocks, block_edges, classes)):
+        # a block of a valid graph is valid: it skips Multigraph's checks
+        block = object.__new__(Multigraph)
+        vars(block).update(vertices=frozenset(vs), edges=tuple(es), _parallel=parallel, _adj={
+            v: tuple(split[v, k]) if (v, k) in split else adj[v] for v in vs})
         out.append(block)
     out.sort(key=lambda b: (min(b.vertices), b.edges[0].id))
     return tuple(out)

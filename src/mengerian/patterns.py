@@ -266,9 +266,9 @@ def find_f3_subdivision(host: Multigraph, apex: int | None = None) -> MEmbedding
 def find_gem(adj: dict[int, tuple[int, ...]], w: int):
     """Checked (branch, routes) of an F3 with apex w, or None: the search
     of `find_f3_subdivision` on an adjacency like `Multigraph._adj`."""
-    T = set(adj[w])
-    if len(T) < 4:
+    if len(adj[w]) < 4:
         return None
+    T = set(adj[w])
     seen = {w}
     # any root finds a gem when there is one; the root only picks among
     # symmetric gems.  Entering each component at a vertex of T with the

@@ -25,10 +25,12 @@ class TemporalGraph:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", tuple(sorted(self.entries)))
+        # the graph's edge ids are sorted and distinct, so equal id lists
+        # mean no duplicate and an exact cover
         ids = [i for i, _ in self.entries]
-        if len(set(ids)) != len(ids):
-            raise GraphError("duplicate edge id in time labels")
-        if set(ids) != {e.id for e in self.graph.edges}:
+        if ids != [e.id for e in self.graph.edges]:
+            if len(set(ids)) != len(ids):
+                raise GraphError("duplicate edge id in time labels")
             raise GraphError("time labels must cover exactly the edges of the graph")
         for i, lab in self.entries:
             if not isinstance(lab, int) or lab < 1:
@@ -77,16 +79,16 @@ def _label_sweep(tg: TemporalGraph, start: int, start_label: int,
     `descending`, that reaches it; `start` maps to `start_label`.  In each
     group every vertex reached so far floods the group, since a walk may
     leave a vertex at the label it arrived by."""
-    groups: dict[int, list[Edge]] = {}
+    groups: dict[int, list[tuple[int, int]]] = {}
     times = tg.times
-    for e in edges:
-        groups.setdefault(times[e.id], []).append(e)
+    for i, u, v in edges:
+        groups.setdefault(times[i], []).append((u, v))
     reached = {start: start_label}
     for lab in sorted(groups, reverse=descending):
         links: dict[int, list[int]] = {}
-        for e in groups[lab]:
-            links.setdefault(e.u, []).append(e.v)
-            links.setdefault(e.v, []).append(e.u)
+        for u, v in groups[lab]:
+            links.setdefault(u, []).append(v)
+            links.setdefault(v, []).append(u)
         frontier = [v for v in links if v in reached]
         while frontier:
             for b in links[frontier.pop()]:
@@ -116,5 +118,5 @@ def latest_departure(tg: TemporalGraph, target: int, avoid: int) -> dict[int, in
     + 1); a vertex no such walk leaves has no entry."""
     if not tg.graph.has_vertex(target):
         raise GraphError(f"unknown vertex {target}")
-    edges = [e for e in tg.graph.edges if e.u != avoid and e.v != avoid]
+    edges = (e for e in tg.graph.edges if e.u != avoid and e.v != avoid)
     return _label_sweep(tg, target, tg.lifetime + 1, edges, descending=True)

@@ -11,6 +11,7 @@ everything else too late to ever reach the target again.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .menger import CutUndefinedError, max_disjoint_paths, min_vertex_cut
 from .multigraph import Multigraph
@@ -26,17 +27,18 @@ def make_witness(host: Multigraph, emb: MEmbedding) -> TemporalGraph:
     one so that label 1 stays free.  Unused edges at the embedded target
     get 1 (nothing arrives that early, so they are dead ends), all other
     unused edges get a label above the whole embedded range (walks
-    entering them can never come back down).
+    entering them can never come back down).  `emb` must pass
+    `check_m_subdivision`, so each hop's ids already ascend.
     """
     lifted: dict[int, int] = {}
     for pair, hops in emb.hop_edges.items():
         labels = sorted(lab + 1 for lab in emb.pattern.pair_labels(*pair))
-        for hop in hops:
-            lifted.update(zip(sorted(hop), labels))
+        lifted.update(zip(chain.from_iterable(hops), labels * len(hops)))
     late = max(lifted.values()) + 1
+    target = emb.target
     return TemporalGraph.make(host, {
-        e.id: lifted[e.id] if e.id in lifted else (1 if emb.target in e.pair else late)
-        for e in host.edges})
+        i: lifted[i] if i in lifted else (1 if target == u or target == v else late)
+        for i, u, v in host.edges})
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mengerian import menger
 from mengerian.cli import random_multigraph
 from mengerian.menger import max_disjoint_paths, min_vertex_cut
-from mengerian.multigraph import Multigraph
+from mengerian.multigraph import Edge, Multigraph
 from mengerian.temporal import TemporalGraph
 
 
@@ -29,6 +29,17 @@ def doubled_ladder(k):
     doubled and the rails single: k one-hop chains."""
     rails = [p for i in range(k - 1) for p in ((i, i + 1), (k + i, k + i + 1))]
     return mg(rails + [(i, k + i) for i in range(k) for _ in range(2)])
+
+
+def with_pendant_trees(g, k, rng):
+    """g with k fresh vertices, each hung by one new edge from a random
+    vertex present before it: every new edge is a block of its own."""
+    vertices, edges = set(g.vertices), list(g.edges)
+    fresh, next_id = max(vertices) + 1, max((e.id for e in edges), default=-1) + 1
+    for i in range(k):
+        edges.append(Edge(next_id + i, rng.choice(sorted(vertices)), fresh + i))
+        vertices.add(fresh + i)
+    return Multigraph(frozenset(vertices), tuple(edges))
 
 
 def mult_map(g):

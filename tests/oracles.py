@@ -124,6 +124,39 @@ def brute_temporal_paths(tg, s, t):
     return out
 
 
+def ordered_routes(tg, s, t):
+    """Every temporal s,t-route as (vertex tuple, edge id tuple), in
+    depth-first order: a plain recursive search with no pruning that
+    tries neighbours by ascending vertex id and takes each hop on its
+    smallest label not below the arrival, the smallest edge id among
+    those.  One route per realizable vertex sequence."""
+    hops = {}
+    for e in tg.graph.edges:
+        for x, y in (e.pair, e.pair[::-1]):
+            hops.setdefault(x, {}).setdefault(y, []).append((tg.label(e.id), e.id))
+    out = []
+    vpath, epath = [s], []
+
+    def dfs(cur, arrived):
+        for y in sorted(hops.get(cur, {})):
+            fits = [hop for hop in hops[cur][y] if hop[0] >= arrived]
+            if y in vpath or not fits:
+                continue
+            lab, eid = min(fits)
+            vpath.append(y)
+            epath.append(eid)
+            if y == t:
+                out.append((tuple(vpath), tuple(epath)))
+            else:
+                dfs(y, lab)
+            vpath.pop()
+            epath.pop()
+
+    if s != t:
+        dfs(s, 0)
+    return out
+
+
 def rank_assignments(m):
     """All dense label sequences on m edges, each weak order exactly once,
     in the order exhaustive falsification lists them.

@@ -11,7 +11,9 @@ from mengerian import menger
 from mengerian.cli import random_multigraph
 from mengerian.multigraph import GraphError, Multigraph
 from mengerian.patterns import PATTERNS
+from mengerian.recognizer import recognize
 from mengerian.temporal import TemporalGraph
+from mengerian.witness import make_witness
 from mengerian.menger import (
     CutUndefinedError,
     ResourceLimitError,
@@ -38,6 +40,7 @@ from helpers import (
     mg,
     p_and_c,
     random_temporal,
+    with_pendant_trees,
 )
 from oracles import (
     brute_c,
@@ -48,10 +51,12 @@ from oracles import (
     brute_reachable,
     brute_temporal_paths,
     hop_planes,
+    ordered_routes,
     pair_routes,
     rank_assignments,
     route_trie,
     sampled_labelings,
+    subdivided_pattern,
 )
 
 
@@ -142,6 +147,26 @@ class TestRoutes:
         seqs = [p.vertices for p in routes]
         assert len(seqs) == len(set(seqs))
         assert set(seqs) == {vs for vs, _ in brute}
+        # the order too: `menger` prints the packing chosen by route index
+        assert [(p.vertices, p.edge_ids) for p in routes] == ordered_routes(t, s, d)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_witness_routes_in_depth_first_order(self, seed):
+        # a subdivided F1, F2 or F3 with pendant trees, labeled by its
+        # witness: the routes between the embedded ends run to hundreds of
+        # vertices, and come out in the plain search's order
+        rng = random.Random(seed)
+        g = with_pendant_trees(subdivided_pattern(PATTERNS[seed % 3].name, 300, rng), 40, rng)
+        emb = recognize(g).embedding
+        labeled = make_witness(g, emb)
+        others = rng.sample(sorted(g.vertices - {emb.source}), 2)
+        longest = 0
+        for s, t in [(emb.source, emb.target), (emb.target, emb.source)] + \
+                [(emb.source, v) for v in others]:
+            routes = [(p.vertices, p.edge_ids) for p in _route_paths(labeled, s, t)]
+            assert routes == ordered_routes(labeled, s, t)
+            longest = max([longest] + [len(vs) for vs, _ in routes])
+        assert longest >= 100
 
 
 def trie_routes(trie, s, slots):

@@ -17,7 +17,7 @@ from mengerian.multigraph import (
     m_subdivide,
     maximal_chains,
 )
-from helpers import components, edge_degree, mg, small_multigraphs
+from helpers import components, edge_degree, mg, small_multigraphs, with_pendant_trees
 from oracles import reference_blocks, shortest_path_order
 
 
@@ -395,6 +395,28 @@ class TestBlocks:
             assert block._adj == ref._adj
         if len(fresh) == 1 and fresh[0].vertices == g.vertices:
             assert blocks[0] is g
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_blocks_around_a_shared_cut_vertex_index_as_built_ones(self, seed):
+        # three to five random multigraphs glued at vertex 0, each through
+        # a cycle at it, then pendant trees: 0 lies in three or more
+        # blocks, and single-edge blocks hang everywhere
+        rng = random.Random(seed)
+        pairs = []
+        for _ in range(rng.randint(3, 5)):
+            first = 1 + max((v for p in pairs for v in p), default=0)
+            part = [0] + list(range(first, first + rng.randint(2, 5)))
+            pairs += list(zip(part, part[1:] + part[:1]))
+            pairs += [tuple(rng.sample(part, 2)) for _ in range(rng.randint(0, 6))]
+        g = with_pendant_trees(mg(pairs), rng.randint(1, 25), rng)
+        blocks = biconnected_components(g)
+        assert blocks == reference_blocks(g)
+        assert sum(0 in b.vertices for b in blocks) >= 3
+        for block in blocks:
+            built = Multigraph(block.vertices, block.edges)
+            assert block == built
+            assert block._adj == built._adj
+            assert list(block._parallel.items()) == list(built._parallel.items())
 
     @given(small_multigraphs())
     def test_edge_partition(self, g):

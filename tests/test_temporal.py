@@ -24,10 +24,14 @@ LINE = tg([(0, 1, 1), (1, 2, 2), (2, 3, 3), (0, 3, 9)])
 class TestConstruction:
     def test_labels_must_cover_edges(self):
         g = mg([(0, 1), (1, 2)])
-        with pytest.raises(GraphError):
+        cover = "^time labels must cover exactly the edges of the graph$"
+        with pytest.raises(GraphError, match=cover):
             TemporalGraph.make(g, {0: 1})
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match=cover):
             TemporalGraph.make(g, {0: 1, 1: 2, 7: 3})
+        # a duplicate is named first, even when an id is missing too
+        with pytest.raises(GraphError, match="^duplicate edge id in time labels$"):
+            TemporalGraph(g, ((0, 1), (0, 2)))
 
     def test_labels_positive_ints(self):
         g = mg([(0, 1)])
