@@ -369,8 +369,9 @@ def biconnected_components(g: Multigraph) -> tuple[Multigraph, ...]:
     then smallest edge id.  When g is one block with no isolated vertex,
     the result is `(g,)`: g itself, with the indexes it has cached.
     Otherwise each block's parallel classes are g's, not regrouped, and
-    so are its vertices' neighbour tuples, filtered by block only at the
-    vertices that close a block, the only ones in two or more.
+    so are its vertices' neighbour tuples, split by block only at the
+    vertices that close a block, the only ones that can lie in two or
+    more blocks.
 
     Hopcroft and Tarjan's depth-first search over g's distinct neighbours
     (the underlying simple graph, without building it) keeps low points

@@ -140,7 +140,7 @@ def ordered_routes(tg, s, t):
     def dfs(cur, arrived):
         for y in sorted(hops.get(cur, {})):
             fits = [hop for hop in hops[cur][y] if hop[0] >= arrived]
-            if y in vpath or not fits:
+            if not fits or y in vpath:
                 continue
             lab, eid = min(fits)
             vpath.append(y)

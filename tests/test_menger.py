@@ -159,10 +159,10 @@ class TestRoutes:
         g = with_pendant_trees(subdivided_pattern(PATTERNS[seed % 3].name, 300, rng), 40, rng)
         emb = recognize(g).embedding
         labeled = make_witness(g, emb)
-        others = rng.sample(sorted(g.vertices - {emb.source}), 2)
+        pairs = [(emb.source, emb.target), (emb.target, emb.source)]
+        pairs += [(emb.source, v) for v in rng.sample(sorted(g.vertices - {emb.source}), 2)]
         longest = 0
-        for s, t in [(emb.source, emb.target), (emb.target, emb.source)] + \
-                [(emb.source, v) for v in others]:
+        for s, t in pairs:
             routes = [(p.vertices, p.edge_ids) for p in _route_paths(labeled, s, t)]
             assert routes == ordered_routes(labeled, s, t)
             longest = max([longest] + [len(vs) for vs, _ in routes])
