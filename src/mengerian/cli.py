@@ -67,7 +67,8 @@ class NamedGraph:
     def temporal(self) -> TemporalGraph:
         if self.times is None:
             raise GraphFileError("graph file carries no time labels")
-        return TemporalGraph.make(self.graph, self.times)
+        # the parser has refused every label that is not a positive integer
+        return TemporalGraph.prechecked(self.graph, self.times)
 
 
 def _decimal(text: str) -> int:
@@ -82,7 +83,7 @@ def parse_graphfile(text: str) -> NamedGraph:
     names: list[str] = []
     ids: dict[str, int] = {}
     get = ids.get
-    pairs: list[tuple[int, int]] = []
+    edges: list[Edge] = []
     labels: list[int] = []
     labeled: bool | None = None  # decided by the first edge line
 
@@ -118,7 +119,7 @@ def parse_graphfile(text: str) -> NamedGraph:
                 if lab < 1:
                     raise fail(lineno, f"label must be a positive integer, got {fields[3]!r}")
                 labels.append(lab)
-            pairs.append((u, v))
+            edges.append(Edge(len(edges), u, v))
         elif head == "v":
             if len(fields) != 2:
                 raise fail(lineno, "expected: v <name>")
@@ -130,7 +131,8 @@ def parse_graphfile(text: str) -> NamedGraph:
         else:
             raise fail(lineno, f"unknown directive {head!r}")
 
-    graph = Multigraph.build(range(len(names)), pairs)
+    # the checks Multigraph would make are made above
+    graph = Multigraph.prechecked(frozenset(range(len(names))), tuple(edges))
     times = dict(enumerate(labels)) if labeled else None
     return NamedGraph(graph, tuple(names), times, ids)
 
@@ -471,10 +473,10 @@ def _non_negative(text: str) -> int:
 
 
 # Built once per process: building costs about as much as a small
-# `menger` query, and parsing leaves the parser as it was (each call
+# `menger` query, and parsing leaves the parsers as they were (each call
 # fills a fresh namespace).
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     ap = argparse.ArgumentParser(
         prog="mengerian",
         description="Decide whether a multigraph is Mengerian; run temporal "
@@ -522,11 +524,23 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--ops", type=_non_negative)
     g.add_argument("--seed", type=_non_negative, default=0)
     g.set_defaults(func=cmd_gen)
-    return ap
+    return ap, sub.choices
+
+
+def parse_args(argv) -> argparse.Namespace:
+    """The top-level parser's `parse_args(argv)`, `command` aside, reading
+    argv once: a known command's own parser reads the tokens after it."""
+    top, commands = build_parsers()
+    if not argv or argv[0] not in commands:  # no tokens, -h, a command unknown or abbreviated
+        return top.parse_args(argv)
+    args, extra = commands[argv[0]].parse_known_args(argv[1:])
+    if extra:
+        top.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except (GraphFileError, GraphError, ResourceLimitError, CutUndefinedError,

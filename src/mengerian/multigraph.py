@@ -108,6 +108,16 @@ class Multigraph:
         es = tuple(Edge(i, u, v) for i, (u, v) in enumerate(pairs))
         return Multigraph(vs, es)
 
+    @staticmethod
+    def prechecked(vertices: frozenset[int], edges: tuple[Edge, ...], **indexes) -> "Multigraph":
+        """The graph as given, with no checks: its caller makes sure that edge
+        ids are distinct and ascending and ends lie among the vertices (ints,
+        not negative).  `indexes` may hold `_parallel` and `_adj` as those
+        would be built; an index not given is built when first read."""
+        g = object.__new__(Multigraph)
+        vars(g).update(vertices=vertices, edges=edges, **indexes)
+        return g
+
     # ------------------------------------------------------------------
     # cached structure
 
@@ -437,12 +447,9 @@ def biconnected_components(g: Multigraph) -> tuple[Multigraph, ...]:
     for v in {vs[0] for vs in blocks}:
         for y in adj[v]:
             split.setdefault((v, block_of[y] if index[y] > index[v] else block_of[v]), []).append(y)
-    out = []
-    for k, (vs, es, parallel) in enumerate(zip(blocks, block_edges, classes)):
-        # a block of a valid graph is valid: it skips Multigraph's checks
-        block = object.__new__(Multigraph)
-        vars(block).update(vertices=frozenset(vs), edges=tuple(es), _parallel=parallel, _adj={
-            v: tuple(split[v, k]) if (v, k) in split else adj[v] for v in vs})
-        out.append(block)
+    # a block of a valid graph is valid
+    out = [Multigraph.prechecked(frozenset(vs), tuple(es), _parallel=parallel, _adj={
+               v: tuple(split[v, k]) if (v, k) in split else adj[v] for v in vs})
+           for k, (vs, es, parallel) in enumerate(zip(blocks, block_edges, classes))]
     out.sort(key=lambda b: (min(b.vertices), b.edges[0].id))
     return tuple(out)

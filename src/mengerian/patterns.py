@@ -53,10 +53,11 @@ class Pattern:
         return {pair: self.graph.multiplicity(*pair)
                 for pair in sorted({e.pair for e in self.graph.edges})}
 
-    def pair_labels(self, a: int, b: int) -> tuple[int, ...]:
-        """Reference labels of the a,b parallel class, by ascending edge id."""
+    @cached_property
+    def pair_labels(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """Each adjacent pair (a, b), a < b, with its reference labels, ascending."""
         lab = dict(self.labels)
-        return tuple(lab[e] for e in self.graph.parallel_edges(a, b))
+        return {p: tuple(sorted(lab[e] for e in ids)) for p, ids in self.graph._parallel.items()}
 
     def display_name(self, v: int) -> str:
         return dict(self.vertex_names).get(v, str(v))

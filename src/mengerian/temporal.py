@@ -40,6 +40,13 @@ class TemporalGraph:
     def make(graph: Multigraph, times: Mapping[int, int]) -> "TemporalGraph":
         return TemporalGraph(graph, tuple(times.items()))
 
+    @staticmethod
+    def prechecked(graph: Multigraph, times: dict[int, int]) -> "TemporalGraph":
+        """`make` unchecked: `times` maps the edge ids, ascending, to positive ints."""
+        tg = object.__new__(TemporalGraph)
+        vars(tg).update(graph=graph, entries=tuple(times.items()), times=dict(times))
+        return tg
+
     @cached_property
     def times(self) -> dict[int, int]:
         return dict(self.entries)

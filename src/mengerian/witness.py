@@ -32,7 +32,7 @@ def make_witness(host: Multigraph, emb: MEmbedding) -> TemporalGraph:
     """
     lifted: dict[int, int] = {}
     for pair, hops in emb.hop_edges.items():
-        labels = sorted(lab + 1 for lab in emb.pattern.pair_labels(*pair))
+        labels = [lab + 1 for lab in emb.pattern.pair_labels[pair]]
         lifted.update(zip(chain.from_iterable(hops), labels * len(hops)))
     late = max(lifted.values()) + 1
     target = emb.target

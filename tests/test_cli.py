@@ -1,6 +1,6 @@
 """Graph file round trips, report integrity, and command exit codes."""
 
-import argparse
+import ast
 import contextlib
 import io
 import json
@@ -11,12 +11,12 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from mengerian import cli, menger
 from mengerian.cli import (
     GraphFileError,
-    build_parser,
+    build_parsers,
     embedding_from_json,
     emit_graphfile,
     emit_dot,
@@ -26,7 +26,7 @@ from mengerian.cli import (
     subdivided_pattern,
 )
 from mengerian.menger import max_disjoint_paths, min_vertex_cut
-from mengerian.multigraph import InternalError
+from mengerian.multigraph import InternalError, Multigraph
 from mengerian.patterns import F1, F2, F3, PATTERNS, check_m_subdivision
 from mengerian.temporal import TemporalGraph
 
@@ -57,6 +57,29 @@ FAULTY_LINES = ("v", "v {u} {v}", "v {u}", "e", "e {u}", "e {u} {v} 1 2", "e {u}
                 "e {u} zz", "e zz {v}", "e {u} {v} 0", "e {u} {v} x", "e {u} {v} +4",
                 "e {u} {v} 1_0", "e {u} {v} \u0663", "e {u} {v} " + "0" * 4300 + "1",
                 "e {u} {v}", "e {u} {v} 3", "w {u}", "ev {u} {v}", "V {u}")
+
+
+# a graph file for each way the reader refuses one, with its message
+PARSE_FAULTS = [
+    ("v a\nv a\n", "line 2: duplicate vertex"),
+    ("v a\ne b a\n", "line 2: undeclared vertex 'b'"),
+    ("v a\ne a b\n", "line 2: undeclared vertex 'b'"),
+    ("v a\ne a a\n", "line 2: self-loop"),
+    ("v a\nv b\ne a b 1\ne a b\n", "line 4: labels must appear"),
+    ("v a\nv b\ne a b\ne a b 1\n", "line 4: labels must appear"),
+    ("v a\nv b\ne a b 0\n", "line 3: label must be a positive integer"),
+    ("v a\nv b\ne a b x\n", "line 3: label must be a positive integer"),
+    # int() alone would read these as 10, 4 and 3
+    ("v a\nv b\ne a b 1_0\n", "line 3: label must be a positive integer, got '1_0'"),
+    ("v a\nv b\ne a b +4\n", "line 3: label must be a positive integer, got '\\+4'"),
+    ("v a\nv b\ne a b \u0663\n", "line 3: label must be a positive integer"),
+    # past int()'s 4300-digit limit, which 3.10.0-3.10.6 lack
+    pytest.param("v a\nv b\ne a b " + "1" * 5000 + "\n",
+                 "line 3: label must be a positive integer", id="label-of-5000-digits"),
+    ("w a\n", "line 1: unknown directive 'w'"),
+    ("v\n", "line 1: expected: v <name>"),
+    ("v a\nv b\ne a\n", "line 3: expected: e <u> <v>"),
+]
 
 
 @st.composite
@@ -139,31 +162,59 @@ class TestParsing:
         assert named.graph.vertices == frozenset()
         assert named.graph.edges == ()
 
-    @pytest.mark.parametrize("text,fragment", [
-        ("v a\nv a\n", "line 2: duplicate vertex"),
-        ("v a\ne a b\n", "line 2: undeclared vertex 'b'"),
-        ("v a\ne a a\n", "line 2: self-loop"),
-        ("v a\nv b\ne a b 1\ne a b\n", "line 4: labels must appear"),
-        ("v a\nv b\ne a b\ne a b 1\n", "line 4: labels must appear"),
-        ("v a\nv b\ne a b 0\n", "line 3: label must be a positive integer"),
-        ("v a\nv b\ne a b x\n", "line 3: label must be a positive integer"),
-        # int() alone would read these as 10, 4 and 3
-        ("v a\nv b\ne a b 1_0\n", "line 3: label must be a positive integer, got '1_0'"),
-        ("v a\nv b\ne a b +4\n", "line 3: label must be a positive integer, got '\\+4'"),
-        ("v a\nv b\ne a b \u0663\n", "line 3: label must be a positive integer"),
-        # past int()'s 4300-digit limit, which 3.10.0-3.10.6 lack
-        pytest.param("v a\nv b\ne a b " + "1" * 5000 + "\n",
-                     "line 3: label must be a positive integer", id="label-of-5000-digits"),
-        ("w a\n", "line 1: unknown directive 'w'"),
-        ("v\n", "line 1: expected: v <name>"),
-        ("v a\nv b\ne a\n", "line 3: expected: e <u> <v>"),
-    ])
+    @pytest.mark.parametrize("text,fragment", PARSE_FAULTS)
     def test_errors_carry_line_numbers(self, text, fragment):
         with pytest.raises(GraphFileError, match=fragment) as caught:
             parse_graphfile(text)
         with pytest.raises(GraphFileError) as reference:
             oracles.read_graphfile(text)
         assert str(caught.value) == str(reference.value)
+
+    def test_every_refusal_is_pinned(self):
+        # each `raise fail(...)` in parse_graphfile is the one some case of
+        # PARSE_FAULTS ends at
+        tree = ast.parse(Path(cli.__file__).read_text())
+        func = next(node for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef) and node.name == "parse_graphfile")
+        sites = {node.lineno for node in ast.walk(func)
+                 if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                 and getattr(node.exc.func, "id", None) == "fail"}
+        reached = set()
+        for case in PARSE_FAULTS:
+            text = getattr(case, "values", case)[0]  # a pytest.param or a tuple
+            with pytest.raises(GraphFileError) as caught:
+                parse_graphfile(text)
+            tb = caught.tb
+            while tb.tb_next is not None:
+                tb = tb.tb_next
+            reached.add(tb.tb_lineno)
+        assert len(sites) == 9 and reached == sites
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_builds_what_the_checked_constructors_build(self, capsys, seed):
+        # the parser builds the graph and its labeled form with none of
+        # Multigraph's or TemporalGraph.make's checks; they must be what
+        # those constructors build, down to the order of the indexes
+        rng = random.Random(seed)
+        source = random_multigraph(4 + seed, 8 + 2 * seed, 3, rng)
+        times = {e.id: rng.randint(1, 5) for e in source.edges}
+        gens = (["--model", "multigraph", "--n", str(3 + seed), "--m", str(3 * seed)],
+                ["--model", "m-subdivided-pattern", "--pattern", PATTERNS[seed % 3].name,
+                 "--ops", str(seed)])
+        texts = [emit_graphfile(source, times=times)] + [
+            run(capsys, "gen", *argv, "--seed", str(seed))[1] for argv in gens]
+        for text in texts:
+            named = parse_graphfile(text)
+            g = named.graph
+            checked = Multigraph(g.vertices, g.edges)
+            assert g == checked
+            assert list(g._adj.items()) == list(checked._adj.items())
+            assert list(g._parallel.items()) == list(checked._parallel.items())
+            if named.times is not None:
+                tg, made = named.temporal(), TemporalGraph.make(checked, named.times)
+                assert tg == made and list(tg.times.items()) == list(made.times.items())
+        named = parse_graphfile(texts[0])
+        assert named.graph == source and named.temporal() == TemporalGraph.make(source, times)
 
     @settings(max_examples=250)
     @given(graph_files())
@@ -808,12 +859,10 @@ class TestReadme:
             if paragraph.startswith("`mengerian "):
                 flags = set(re.findall(r"--[a-z][a-z-]*", paragraph))
                 documented.setdefault(paragraph.split()[1], set()).update(flags)
-        subparsers = next(a for a in build_parser()._actions
-                          if isinstance(a, argparse._SubParsersAction))
         parsed = {
             name: {opt for action in sub._actions for opt in action.option_strings
                    if opt.startswith("--") and opt != "--help"}
-            for name, sub in subparsers.choices.items()
+            for name, sub in build_parsers()[1].items()
         }
         assert documented == parsed
 
@@ -972,21 +1021,63 @@ def outcome(argv, dot):
     return code, re.sub(r'"elapsed_ms": [^,}]*', "", out.getvalue()), err.getvalue(), drawn
 
 
+def parsed(parse, argv):
+    """What parse(argv) gives, `command` aside, or the exit code it
+    stops with; and what it prints to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = vars(parse(argv))
+            args.pop("command", None)
+        except SystemExit as exc:
+            args = exc.code
+    return args, out.getvalue(), err.getvalue()
+
+
+# command lines that each part of `cli.parse_args` reads: the top-level
+# parser alone, a command's parser alone, and both in turn
+PINNED_ARGVS = ([], ["-h"], ["nope"], ["rec", "f.g"],
+                ["menger", "f.g", "--source", "a", "--target", "b", "--nope"],
+                ["falsify", "--exhaustive", "--samples", "3", "f.g"])
+
+
 class TestFuzz:
-    @settings(max_examples=300, derandomize=True,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(st.data())
-    def test_no_input_ends_in_internal_error(self, tmp_path, data):
-        path = tmp_path / "g.graph"
-        text, names, pair, pattern = data.draw(fuzzed_files())
-        path.write_bytes(text)
-        target = str(path)
-        if rarely(data.draw):
-            target = data.draw(st.sampled_from([str(tmp_path), str(tmp_path / "missing.graph")]))
-        dot = tmp_path / "out.dot"
-        argv = data.draw(fuzzed_argvs(target, str(dot), names, pair, pattern))
-        first = outcome(argv, dot)
-        code, _, err, _ = first
-        assert code in (0, 1, 2), argv
-        assert not err.startswith("error: internal error"), (argv, err)
-        assert outcome(argv, dot) == first, argv
+    def test_no_input_ends_in_internal_error(self, tmp_path):
+        # hypothesis draws some cases more than once; a repeat is rejected,
+        # so the examples are distinct (command line, file bytes) cases
+        done: set[tuple[tuple[str, ...], bytes]] = set()
+
+        @settings(max_examples=300, derandomize=True, database=None,
+                  suppress_health_check=[HealthCheck.filter_too_much])
+        @given(st.data())
+        def check(data):
+            path = tmp_path / "g.graph"
+            text, names, pair, pattern = data.draw(fuzzed_files())
+            target = str(path)
+            if rarely(data.draw):
+                target = data.draw(st.sampled_from([str(tmp_path),
+                                                    str(tmp_path / "missing.graph")]))
+            dot = tmp_path / "out.dot"
+            argv = data.draw(fuzzed_argvs(target, str(dot), names, pair, pattern))
+            case = (tuple(argv), text)
+            assume(case not in done)
+            path.write_bytes(text)
+            first = outcome(argv, dot)
+            code, _, err, _ = first
+            assert code in (0, 1, 2), argv
+            assert not err.startswith("error: internal error"), (argv, err)
+            assert outcome(argv, dot) == first, argv
+            # the command's parser alone reads argv as the full parse does
+            assert parsed(cli.parse_args, argv) == parsed(build_parsers()[0].parse_args, argv)
+            done.add(case)
+
+        start = time.perf_counter()
+        check()
+        assert len(done) >= 270
+        assert time.perf_counter() - start < 5
+
+    @pytest.mark.parametrize("argv", PINNED_ARGVS, ids=" ".join)
+    def test_argv_parsed_once_reads_as_the_full_parse(self, argv):
+        once = parsed(cli.parse_args, argv)
+        assert once == parsed(build_parsers()[0].parse_args, argv)
+        assert once[0] == (0 if argv == ["-h"] else 2)

@@ -161,3 +161,41 @@ def test_gen_files_mix_random_multigraphs_and_subdivided_patterns(tmp_path):
     assert (gen / "gen0005.g").read_text().startswith("v ")
     argvs = same_output.graph_commands(str(gen), str(gen))
     assert sum(argv[:2] == ["recognize", str(gen / name)] for argv in argvs for name in files) == 24
+
+
+def test_refused_input_is_compared(tmp_path):
+    # each malformed command line and each faulty file is refused as the
+    # parser and the reader word it; the gem reads the same with CR, CR LF
+    # and LF line ends
+    argvs = same_output.refused_commands(str(tmp_path))
+    assert argvs[:6] == [list(argv) for argv in same_output.REFUSED_ARGVS]
+    names = list(same_output.INPUT_FILES)
+    assert [argv[1] for argv in argvs[6:]] == [
+        str(tmp_path / "input" / name) for name in names for _ in range(3)]
+    ran = same_output.run_all(str(ROOT), argvs)
+    assert [r["code"] for r in ran[:6]] == [2, 0, 2, 2, 2, 2]
+    assert ran[1]["out"].startswith("usage: mengerian")
+    assert ran[4]["err"].endswith("mengerian: error: unrecognized arguments: --nope\n")
+    (tmp_path / "lf.g").write_text(same_output.GEM)
+    lf = same_output.run_all(str(ROOT), [[argv[0], str(tmp_path / "lf.g"), *argv[2:]]
+                                         for argv in argvs[6:9]])
+    assert [r["code"] for r in lf] == [1, 0, 0] and "F3" in lf[0]["out"]
+    for k in range(2):  # cr.g, crlf.g
+        assert [(r["code"], same_output.normalise(r["out"]), r["err"])
+                for r in ran[6 + 3 * k:9 + 3 * k]] == [
+            (r["code"], same_output.normalise(r["out"]), r["err"]) for r in lf]
+    # all three commands refuse a faulty file with its fault's message
+    refusals = {
+        "undeclared.g": "error: line 4: undeclared vertex 'd'\n",
+        "self-loop.g": "error: line 4: self-loop at 'b'\n",
+        "duplicate.g": "error: line 4: duplicate vertex 'a'\n",
+        "mixed-labels.g": "error: line 5: labels must appear on all edges or on none\n",
+        "label-zero.g": "error: line 4: label must be a positive integer, got '0'\n",
+        "long-label.g": f"error: line 4: label must be a positive integer, got '{'7' * 5000}'\n",
+        "not-utf8.g": f"error: {tmp_path / 'input' / 'not-utf8.g'}: not valid UTF-8 at byte 25\n",
+        "directive.g": "error: line 4: unknown directive 'x'\n",
+    }
+    assert list(refusals) == names[2:]
+    for k, err in enumerate(refusals.values()):
+        assert [(r["code"], r["out"], r["err"]) for r in ran[12 + 3 * k:15 + 3 * k]] == [
+            (2, "", err)] * 3

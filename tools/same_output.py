@@ -21,6 +21,11 @@ copy gives each such line the label k % 3 + 1, where k counts the
 file's edge lines from 0, and keeps every other line.  With `--gen N`,
 OLD's `mengerian gen` writes N seeded files (see `gen_argvs`) into a
 temporary directory, which is then queried as `--graphs` queries DIR.
+Refused input is compared too, always: the command lines of
+`REFUSED_ARGVS`, and `recognize FILE --json --proof` and `menger FILE
+--source a --target c`, with and without `--edge`, on each file of
+`INPUT_FILES`: one for each fault the graph-file reader refuses, and a
+valid one with CR and one with CR LF line ends.
 
 A command whose exit code, standard output or standard error differs
 between the trees is reported.  `elapsed_ms` is removed from JSON output first, since it
@@ -67,6 +72,41 @@ for line in sys.stdin:
             os.remove(dot)
     print(json.dumps({"code": code, "out": text, "err": err.getvalue()}), flush=True)
 """
+
+
+# command lines the argument parser refuses, or answers with help
+REFUSED_ARGVS = ([], ["-h"], ["nope"], ["rec", "f.g"],
+                 ["menger", "f.g", "--source", "a", "--target", "b", "--nope"],
+                 ["falsify", "--exhaustive", "--samples", "3", "f.g"])
+# a gem (path a-b-c-d, apex e) with labels, written with each line end,
+# and one file for each fault the reader refuses, as its bytes
+GEM = "v a\nv b\nv c\nv d\nv e\ne a b 1\ne b c 2\ne c d 3\ne e a 1\ne e b 2\ne e c 1\ne e d 3\n"
+INPUT_FILES = {
+    "cr.g": GEM.replace("\n", "\r").encode(),
+    "crlf.g": GEM.replace("\n", "\r\n").encode(),
+    "undeclared.g": b"v a\nv b\nv c\ne a d 1\n",
+    "self-loop.g": b"v a\nv b\nv c\ne b b 1\n",
+    "duplicate.g": b"v a\nv b\nv c\nv a\n",
+    "mixed-labels.g": b"v a\nv b\nv c\ne a b 1\ne b c\n",
+    "label-zero.g": b"v a\nv b\nv c\ne a b 0\n",
+    "long-label.g": b"v a\nv b\nv c\ne a b " + b"7" * 5000 + b"\n",
+    "not-utf8.g": b"v a\nv b\nv c\ne a b 1\n# caf\xe9\n",
+    "directive.g": b"v a\nv b\nv c\nx a b\n",
+}
+
+
+def refused_commands(workdir: str) -> list[list[str]]:
+    """The command lines of REFUSED_ARGVS, then each file of INPUT_FILES,
+    written to workdir/input, recognized and queried from a to c."""
+    argvs = [list(argv) for argv in REFUSED_ARGVS]
+    os.makedirs(os.path.join(workdir, "input"))
+    for name, data in INPUT_FILES.items():
+        path = os.path.join(workdir, "input", name)
+        with open(path, "wb") as fh:
+            fh.write(data)
+        query = ["menger", path, "--source", "a", "--target", "c"]
+        argvs += [["recognize", path, "--json", "--proof"], query, query + ["--edge"]]
+    return argvs
 
 
 def normalise(stdout: str) -> str:
@@ -247,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
         for side in ("old", "new"):
             trees[side] = os.path.join(tmp, side)
             export(getattr(args, side), trees[side])
-        batches = []
+        batches = [("refused input", refused_commands(tmp))]
         for name in workloads:
             for seed in seeds:
                 workdir = os.path.join(tmp, f"{name}-s{seed}")
