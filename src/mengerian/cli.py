@@ -477,6 +477,7 @@ def _non_negative(text: str) -> int:
 # fills a fresh namespace).
 @functools.cache
 def build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each command's parser by name."""
     ap = argparse.ArgumentParser(
         prog="mengerian",
         description="Decide whether a multigraph is Mengerian; run temporal "
